@@ -55,8 +55,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     for method in methods:
         steps = cfg.verify[f"{method}_steps"]
         rep = run_verification(mesh, phi, params, method, steps=steps,
-                               threads=cfg.threads, field_=field,
-                               windows=windows)
+                               field_=field, windows=windows)
         reports[method] = rep
         print(f"[{method}] slopes: "
               + ", ".join(f"{k}={v:.3f}" for k, v in rep.slopes.items())
@@ -109,8 +108,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--output", help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for per-node sweeps (0 = all cores)")
 
     parser = argparse.ArgumentParser(
         prog="tsopt",
@@ -146,8 +143,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        cfg.threads = args.threads
 
     try:
         if args.command == "verify":

@@ -69,7 +69,6 @@ class RunConfig:
     verify: dict = field(default_factory=lambda: dict(_VERIFY_DEFAULTS))
     optimize: dict = field(default_factory=lambda: dict(_OPTIMIZE_DEFAULTS))
     output_dir: str = "out"
-    threads: int = 1
 
     def validate(self) -> "RunConfig":
         prob = self.problem
@@ -123,8 +122,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {"problem", "verify", "optimize",
-                               "output_dir", "threads"}
+        unknown = set(data) - {"problem", "verify", "optimize", "output_dir"}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         cfg = cls()
@@ -142,7 +140,6 @@ class RunConfig:
                 else:
                     target[key] = value
         cfg.output_dir = data.get("output_dir", cfg.output_dir)
-        cfg.threads = data.get("threads", cfg.threads)
         return cfg.validate()
 
     def dumps(self) -> str:

@@ -7,6 +7,9 @@ cut-geometry formulas, so assembly, solve and objective are rational in the
 nodal level-set values and run unchanged on real, complex and hyper-dual
 input.  Dirichlet conditions are imposed by row/column elimination with a
 right-hand-side correction, which preserves symmetry.
+
+Every scalar type is scattered straight into sparse free x free and
+free x fixed matrices and solved on sparse LU factors (see :mod:`.ldlt`).
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .hdarray import HyperDualArray, generic_zeros, scatter_add
-from .ldlt import ldlt_factor, ldlt_solve
+from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros, scatter_add
+from .ldlt import ldlt_factor, ldlt_solve, lu_factor
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
 from .mesh import BoundaryData, Mesh
@@ -35,9 +37,6 @@ __all__ = [
     "solve_adjoint",
     "objective",
 ]
-
-DENSE_LIMIT = 2000  # generic (complex / hyper-dual) systems are solved densely
-
 
 class SingularElement(ArithmeticError):
     """Element with non-positive Jacobian determinant."""
@@ -122,8 +121,9 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
 class AssembledSystem:
     """Reduced symmetric system plus the local tracking-mass matrices.
 
-    ``matrix`` is a sparse CSR matrix for real data and a dense generic
-    matrix otherwise.  ``mt_local`` holds the per-element tracking mass
+    ``matrix`` is a CSR matrix for real and complex data and a
+    :class:`~tsopt.hdarray.HyperDualMatrix` of four CSR components for
+    hyper-dual data.  ``mt_local`` holds the per-element tracking mass
     matrices (coefficient included), from which the tracking quadratic form
     and the adjoint right-hand side are evaluated without a global scatter.
     """
@@ -141,26 +141,24 @@ class AssembledSystem:
     _factor: object = None
 
     @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+    def is_real(self) -> bool:
+        return sp.issparse(self.matrix) and not np.iscomplexobj(self.matrix)
 
 
-def _scatter_matrix(values, tris, num_nodes):
-    """Assemble local (N,3,3) contributions into a global matrix."""
-    n = len(tris)
-    rows = np.broadcast_to(tris[:, :, None], (n, 3, 3)).ravel()
-    cols = np.broadcast_to(tris[:, None, :], (n, 3, 3)).ravel()
+def _scatter_matrix(values, entries, shape):
+    """Sum the local (N,3,3) entries that ``(pos, rows, cols)`` of a
+    :class:`~tsopt.mesh.ReducedIndex` selects into CSR (one CSR matrix per
+    hyper-dual component)."""
+    pos, rows, cols = entries
+
+    def csr(vals):
+        return sp.coo_matrix((vals.reshape(-1)[pos], (rows, cols)),
+                             shape=shape).tocsr()
+
     if isinstance(values, HyperDualArray):
-        comps = [np.zeros((num_nodes, num_nodes)) for _ in range(4)]
-        for comp, vals in zip(comps, (values.re, values.e1, values.e2, values.e12)):
-            np.add.at(comp, (rows, cols), vals.reshape(-1))
-        return HyperDualArray(*comps)
-    values = np.asarray(values)
-    mat = sp.coo_matrix((values.reshape(-1), (rows, cols)),
-                        shape=(num_nodes, num_nodes))
-    if np.iscomplexobj(values):
-        return np.asarray(mat.todense())
-    return mat.tocsr()
+        return HyperDualMatrix(csr(values.re), csr(values.e1),
+                               csr(values.e2), csr(values.e12))
+    return csr(np.asarray(values))
 
 
 def _scatter_vector(values, tris, num_nodes, like):
@@ -188,26 +186,15 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
 
     tris = mesh.elements
     num_nodes = mesh.num_nodes
-    generic = (isinstance(a_loc, HyperDualArray)
-               or np.iscomplexobj(a_loc))
-    if generic and num_nodes > DENSE_LIMIT:
-        raise ValueError(
-            f"generic dense solve limited to {DENSE_LIMIT} unknowns")
-    a_glob = _scatter_matrix(a_loc, tris, num_nodes)
+    index = mesh.reduced_index
+    free, fixed = index.free, index.fixed
+    a_ff = _scatter_matrix(a_loc, index.ff, (len(free), len(free)))
+    a_fd = _scatter_matrix(a_loc, index.fd, (len(free), len(fixed)))
     f_glob = _scatter_vector(f_loc, tris, num_nodes, like=a_loc)
 
-    fixed = mesh.dirichlet_nodes
-    free = np.setdiff1d(np.arange(num_nodes), fixed)
     x, y = mesh.nodes[fixed, 0], mesh.nodes[fixed, 1]
     g = np.asarray(params.boundary.g_d(x, y), dtype=float)
-
-    if sp.issparse(a_glob):
-        a_ff = a_glob[free][:, free].tocsr()
-        coupling = a_glob[free][:, fixed] @ g
-    else:
-        a_ff = a_glob[np.ix_(free, free)]
-        coupling = a_glob[np.ix_(free, fixed)] @ g
-    rhs = f_glob[free] - coupling
+    rhs = f_glob[free] - a_fd @ g
 
     return AssembledSystem(matrix=a_ff, rhs=rhs, mt_local=mt_loc,
                            free=free, fixed=fixed, fixed_values=g,
@@ -215,20 +202,13 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
                            neg_frac=neg_frac, det_j=dj)
 
 
-def _factorize(system: AssembledSystem):
-    if system._factor is None:
-        if system.is_sparse:
-            system._factor = spla.splu(system.matrix.tocsc())
-        else:
-            system._factor = ldlt_factor(system.matrix)
-    return system._factor
-
-
 def _apply_factor(system: AssembledSystem, rhs):
-    factor = _factorize(system)
-    if system.is_sparse:
-        return factor.solve(np.asarray(rhs))
-    return ldlt_solve(factor[0], factor[1], rhs)
+    if system._factor is None:
+        factor = lu_factor if system.is_real else ldlt_factor
+        system._factor = factor(system.matrix)
+    if system.is_real:
+        return system._factor.solve(np.asarray(rhs))
+    return ldlt_solve(system._factor, rhs)
 
 
 def _embed(system: AssembledSystem, vec_free, fixed_values):

@@ -3,7 +3,7 @@
 :class:`HyperDualArray` stores the four components of an array of
 hyper-dual numbers as separate float64 ndarrays and implements the small
 operation set the assembly/solve code needs (elementwise arithmetic,
-indexing, ``sum`` and ``@``).  NumPy float and complex arrays already
+indexing and ``sum``).  NumPy float and complex arrays already
 satisfy the same interface, so generic code is written once and runs on
 either representation.
 
@@ -15,17 +15,18 @@ allocates an array matching a prototype's scalar type.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .scalars import DivisionByZeroRealPart, HyperDual
 
 __all__ = [
     "HyperDualArray",
-    "GenericArray",
+    "HyperDualMatrix",
     "promote_like",
     "generic_zeros",
     "real_part",
-    "imag_part",
     "sign_array",
 ]
 
@@ -176,7 +177,7 @@ class HyperDualArray:
     def __pos__(self):
         return self
 
-    # -- reductions / linear algebra -----------------------------------------
+    # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None):
         re = self.re.sum(axis=axis)
@@ -186,26 +187,21 @@ class HyperDualArray:
         return HyperDualArray(re, self.e1.sum(axis=axis), self.e2.sum(axis=axis),
                               self.e12.sum(axis=axis))
 
-    def __matmul__(self, other):
-        if isinstance(other, HyperDualArray):
-            return HyperDualArray(
-                self.re @ other.re,
-                self.re @ other.e1 + self.e1 @ other.re,
-                self.re @ other.e2 + self.e2 @ other.re,
-                self.re @ other.e12 + self.e1 @ other.e2
-                + self.e2 @ other.e1 + self.e12 @ other.re,
-            )
-        other = np.asarray(other)
-        return HyperDualArray(self.re @ other, self.e1 @ other,
-                              self.e2 @ other, self.e12 @ other)
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other)
-        return HyperDualArray(other @ self.re, other @ self.e1,
-                              other @ self.e2, other @ self.e12)
-
     def __repr__(self):
         return f"HyperDualArray(shape={self.shape})"
+
+
+class HyperDualMatrix(NamedTuple):
+    """Four real sparse matrices on one pattern: a sparse hyper-dual matrix."""
+
+    re: object
+    e1: object
+    e2: object
+    e12: object
+
+    def __matmul__(self, x) -> HyperDualArray:
+        """Product with a real vector."""
+        return HyperDualArray(*(m @ x for m in self))
 
 
 def _as_hda(x) -> HyperDualArray:
@@ -227,9 +223,6 @@ def _components(value):
         arr = np.asarray(value, dtype=float)
         return arr, 0.0, 0.0, 0.0
     return NotImplemented
-
-
-GenericArray = "np.ndarray | HyperDualArray"
 
 
 def promote_like(phi: np.ndarray, eps) -> "np.ndarray | HyperDualArray":
@@ -255,12 +248,6 @@ def real_part(x):
     if isinstance(x, complex):
         return x.real
     return np.real(x) if isinstance(x, np.ndarray) else x
-
-
-def imag_part(x):
-    if isinstance(x, complex):
-        return x.imag
-    return np.imag(x)
 
 
 def scatter_add(target, idx, values) -> None:

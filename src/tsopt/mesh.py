@@ -10,13 +10,16 @@ for node ``k``, the indices of all elements containing it and its one-ring
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
     "BoundaryData",
+    "ReducedIndex",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
@@ -31,6 +34,18 @@ class BoundaryData:
     g_d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     is_dirichlet: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g_n: float = 0.0
+
+
+@dataclass(frozen=True)
+class ReducedIndex:
+    """Free (non-Dirichlet) and fixed node ids, and for the free x free
+    (``ff``) and free x fixed (``fd``) entries of the flattened ``(N, 3, 3)``
+    element matrices their ``(pos, rows, cols)`` in the reduced numbering."""
+
+    free: np.ndarray
+    fixed: np.ndarray
+    ff: tuple
+    fd: tuple
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,38 @@ class Mesh:
     @property
     def num_elements(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def reduced_index(self) -> ReducedIndex:
+        """Element-matrix index split at the Dirichlet nodes, built once."""
+        n, m = len(self.elements), self.num_nodes
+        rows = np.broadcast_to(self.elements[:, :, None], (n, 3, 3)).ravel()
+        cols = np.broadcast_to(self.elements[:, None, :], (n, 3, 3)).ravel()
+        # Order in which scipy's COO-to-CSR conversion of the full matrix
+        # sums duplicates: rows bucketed in input order, then each row's
+        # (unstable) index sort.  Restricted entries fed in this order are
+        # already sorted, so the conversion sums every entry of the reduced
+        # matrix exactly as it sums the full one.
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
+        full = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                             shape=(m, m))
+        full.sort_indices()
+        order = full.data.astype(int)
+
+        fixed = self.dirichlet_nodes
+        is_free = np.ones(m, dtype=bool)
+        is_free[fixed] = False
+        free = np.flatnonzero(is_free)
+        number = np.empty(m, dtype=int)
+        number[free] = np.arange(len(free))
+        number[fixed] = np.arange(len(fixed))
+        row_free = is_free[rows[order]]
+        ff = order[row_free & is_free[cols[order]]]
+        fd = order[row_free & ~is_free[cols[order]]]
+        return ReducedIndex(free=free, fixed=fixed,
+                            ff=(ff, number[rows[ff]], number[cols[ff]]),
+                            fd=(fd, number[rows[fd]], number[cols[fd]]))
 
 
 def build_incidence(elements: np.ndarray, num_nodes: int):

@@ -17,7 +17,6 @@ reproduce the characteristic behavior of the three schemes.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -171,8 +170,7 @@ def _node_data(mesh, phi, k, label, dkatilde):
 
 
 def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
-                     steps=None, threads: int = 1,
-                     field_: SensitivityField | None = None,
+                     steps=None, field_: SensitivityField | None = None,
                      windows=None) -> VerificationReport:
     """Evaluate one scheme on every node for a list of steps."""
     method = method.lower()
@@ -186,8 +184,7 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
     dkat = field_.dkatilde
     j0 = float(_evaluate_cost(mesh, phi, params)) if method in ("fd", "cs") else 0.0
 
-    def one(args):
-        k, step = args
+    def one(k, step):
         label = int(labels[k])
         if method == "fd":
             return fd_quotient(mesh, phi, params, k, step, label, j0)
@@ -197,14 +194,8 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
         return hd_derivative(mesh, phi, params, k, step, label, dkat[k])
 
     num_nodes = mesh.num_nodes
-    jobs = [(k, s) for s in steps for k in range(num_nodes)]
-    if threads == 1:
-        values = [one(j) for j in jobs]
-    else:
-        workers = None if threads == 0 else threads
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, jobs))
-    estimates = np.asarray(values).reshape(len(steps), num_nodes)
+    estimates = np.array([one(k, s) for s in steps for k in range(num_nodes)],
+                         dtype=float).reshape(len(steps), num_nodes)
 
     err = estimates - field_.dj[None, :]
     s_nodes = labels == 0

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from tsopt.cli import main
 from tsopt.config import ConfigError, RunConfig, load_config
@@ -30,11 +31,11 @@ def test_empty_file_reproduces_benchmark(tmp_path):
 def test_partial_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"optimize": {"max_iter": 10},
-                                "threads": 2}))
+                                "output_dir": "elsewhere"}))
     cfg = load_config(path)
     assert cfg.optimize["max_iter"] == 10
     assert cfg.optimize["kappa_init"] == 1.0
-    assert cfg.threads == 2
+    assert cfg.output_dir == "elsewhere"
 
 
 def test_invalid_values_rejected():
@@ -48,6 +49,8 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"no_such_section": {}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"problem": {"no_such_key": 1.0}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"threads": 2})
 
 
 def test_mesh_info_command(capsys):
@@ -140,3 +143,27 @@ def test_optimize_command_meets_reduction_target(tmp_path):
     j0 = float(lines[0].split(",")[1])
     j_end = float(lines[-1].split(",")[1])
     assert j_end <= 1e-4 * j0
+
+
+def test_optimize_solver_failure_exits_3_with_partial_history(
+        tmp_path, monkeypatch, capsys):
+    # the sparse LU of the real path fails on its 12th call, mid-run
+    calls = []
+    real_splu = spla.splu
+
+    def failing_splu(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= 12:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
+                                            "snapshot_cadence": 0}}))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--output", str(out)]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,J,")
+    assert 2 <= len(lines) < 27   # the initial state, then the run cut short

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (exact_negative_load_entry, exact_negative_mass_entry)
-from tsopt.fem import (assemble, element_geometry, objective, solve_adjoint,
-                       solve_state, tracking_matvec, SingularElement)
-from tsopt.hdarray import HyperDualArray
+from tsopt.fem import (_scatter_matrix, assemble, element_geometry,
+                       objective, solve_adjoint, solve_state, tracking_matvec,
+                       SingularElement)
+from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import element_negative_integrals
 from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import (default_params, experiment_boundary,
-                            setup_problem)
+                            experiment_mesh, setup_problem)
 
 REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
@@ -184,3 +186,45 @@ def test_tracking_matvec_matches_quadratic_form(mesh8, phi_d8, params_zero8, rng
     mv = tracking_matvec(system, v)
     # symmetry of the underlying matrix
     assert w @ mv == pytest.approx(v @ mw, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [2, 8, 16])
+def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
+    # the reduced scatter sums every duplicate entry in the same order as
+    # the conversion of the full matrix, so the two agree to the last bit
+    mesh = experiment_mesh(level)
+    index = mesh.reduced_index
+    free, fixed = index.free, index.fixed
+    n, m = mesh.num_elements, mesh.num_nodes
+    rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
+    cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
+    g = rng.normal(size=len(fixed))
+    for _ in range(3):
+        local = rng.normal(size=(n, 3, 3))
+        full = sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(m, m)).tocsr()
+        want = full[free][:, free].tocsr()
+        got = _scatter_matrix(local, index.ff, (len(free), len(free)))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        coupling = _scatter_matrix(local, index.fd, (len(free), len(fixed)))
+        assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
+
+
+def test_reduced_index_is_cached_per_mesh():
+    mesh = experiment_mesh(4)
+    assert mesh.reduced_index is mesh.reduced_index
+    assert experiment_mesh(4).reduced_index is not mesh.reduced_index
+
+
+def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
+    phih = HyperDualArray(phi_d8, np.ones(mesh8.num_nodes),
+                          np.zeros(mesh8.num_nodes), np.zeros(mesh8.num_nodes))
+    matrix = assemble(mesh8, phih, params_zero8).matrix
+    assert isinstance(matrix, HyperDualMatrix)
+    real = assemble(mesh8, phi_d8, params_zero8).matrix
+    for comp in matrix:
+        assert np.array_equal(comp.indptr, real.indptr)
+        assert np.array_equal(comp.indices, real.indices)
+    assert np.allclose(matrix.re.data, real.data, rtol=1e-14, atol=0.0)
+    assert np.abs(matrix.e2.data).max() == 0.0

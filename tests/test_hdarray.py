@@ -46,27 +46,6 @@ def test_scalar_and_ndarray_operands(rng):
     assert all(left[i] == right[i] for i in range(5))
 
 
-def test_matmul_matches_loop(rng):
-    a = random_hda(rng, (4, 4))
-    x = random_hda(rng, 4)
-    y = a @ x
-    for i in range(4):
-        acc = HyperDual(0.0)
-        for j in range(4):
-            acc = acc + a[i, j] * x[j]
-        got = y[i]
-        assert got.re == pytest.approx(acc.re, rel=1e-13, abs=1e-13)
-        assert got.e12 == pytest.approx(acc.e12, rel=1e-12, abs=1e-12)
-
-
-def test_matmul_with_plain_matrix(rng):
-    m = rng.normal(size=(3, 3))
-    x = random_hda(rng, 3)
-    y = m @ x
-    assert np.allclose(y.re, m @ x.re)
-    assert np.allclose(y.e12, m @ x.e12)
-
-
 def test_indexing_and_assignment():
     a = HyperDualArray.zeros((3, 3))
     a[1, 2] = HyperDual(1.0, 2.0, 3.0, 4.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from tsopt.hdarray import HyperDualArray
-from tsopt.ldlt import SolverBreakdown, ldlt_factor, ldlt_solve, solve_symmetric
+from tsopt.hdarray import HyperDualArray, HyperDualMatrix
+from tsopt.ldlt import SolverBreakdown, ldlt_factor, ldlt_solve, lu_factor
 
 
 def random_spd(rng, n):
@@ -10,19 +11,41 @@ def random_spd(rng, n):
     return b @ b.T + n * np.eye(n)
 
 
+def random_sym(rng, n):
+    m = rng.normal(size=(n, n))
+    return m + m.T
+
+
+def hd_system(rng, n, scale=1.0):
+    """Random hyper-dual matrix (dense components) and right-hand side."""
+    comps = [random_spd(rng, n)] + [scale * random_sym(rng, n)
+                                    for _ in range(3)]
+    matrix = HyperDualMatrix(*(sp.csr_matrix(c) for c in comps))
+    return comps, matrix, HyperDualArray(*rng.normal(size=(4, n)))
+
+
+def solve(a, b):
+    return ldlt_solve(ldlt_factor(a), b)
+
+
 def test_real_solve_matches_lapack(rng):
     for n in (1, 2, 5, 20):
         a = random_spd(rng, n)
         b = rng.normal(size=n)
-        x = solve_symmetric(a, b)
+        x = solve(sp.csr_matrix(a), b)
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
 
 
 def test_factorization_reconstructs_matrix(rng):
-    a = random_spd(rng, 8)
-    lower, d = ldlt_factor(a)
-    l_unit = np.tril(lower, k=-1) + np.eye(8)
-    assert np.allclose(l_unit @ np.diag(d) @ l_unit.T, a, atol=1e-10)
+    # Pr A Pc = L U for the factor both the real and the generic path use
+    n = 8
+    a = random_spd(rng, n) + 1j * 1e-3 * random_sym(rng, n)
+    lu, parts = ldlt_factor(sp.csr_matrix(a))
+    assert parts is None
+    pr = sp.csr_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+    pc = sp.csr_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+    assert np.allclose((pr @ sp.csr_matrix(a) @ pc).toarray(),
+                       (lu.L @ lu.U).toarray(), atol=1e-12)
 
 
 def test_complex_symmetric_solve(rng):
@@ -31,55 +54,65 @@ def test_complex_symmetric_solve(rng):
     s = rng.normal(size=(n, n)) * 1e-3
     a = a0 + 1j * (s + s.T)     # complex symmetric, not Hermitian
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x = solve_symmetric(a, b)
+    x = solve(sp.csr_matrix(a), b)
     assert np.allclose(a @ x, b, atol=1e-10)
-    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
+    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-12)
 
 
 def test_hyperdual_solve_against_nilpotent_substitution(rng):
     # A x = b over hyper-duals decouples into real solves:
     # A0 x0 = b0, A0 x1 = b1 - A1 x0, A0 x2 = b2 - A2 x0,
     # A0 x12 = b12 - A1 x2 - A2 x1 - A12 x0
-    n = 10
-    a0 = random_spd(rng, n)
-    sym = lambda m: m + m.T
-    a1, a2, a12 = (sym(rng.normal(size=(n, n))) for _ in range(3))
-    a = HyperDualArray(a0, a1, a2, a12)
-    b = HyperDualArray(*rng.normal(size=(4, n)))
+    (a0, a1, a2, a12), a, b = hd_system(rng, 10)
 
-    x = solve_symmetric(a, b)
+    x = solve(a, b)
 
     x0 = np.linalg.solve(a0, b.re)
     x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
     x2 = np.linalg.solve(a0, b.e2 - a2 @ x0)
     x12 = np.linalg.solve(a0, b.e12 - a1 @ x2 - a2 @ x1 - a12 @ x0)
-    assert np.allclose(x.re, x0, atol=1e-10)
-    assert np.allclose(x.e1, x1, atol=1e-9)
-    assert np.allclose(x.e2, x2, atol=1e-9)
-    assert np.allclose(x.e12, x12, atol=1e-8)
+    assert np.allclose(x.re, x0, atol=1e-12)
+    assert np.allclose(x.e1, x1, atol=1e-12)
+    assert np.allclose(x.e2, x2, atol=1e-12)
+    assert np.allclose(x.e12, x12, atol=1e-12)
 
 
 def test_hyperdual_residual_is_exact(rng):
-    n = 8
-    a = HyperDualArray(random_spd(rng, n),
-                       *(0.1 * (m + m.T) for m in rng.normal(size=(3, n, n))))
-    b = HyperDualArray(*rng.normal(size=(4, n)))
-    x = solve_symmetric(a, b)
-    r = a @ x - b
-    for comp in (r.re, r.e1, r.e2, r.e12):
-        assert np.abs(comp).max() < 1e-9
+    (a0, a1, a2, a12), a, b = hd_system(rng, 8, scale=0.1)
+    x = solve(a, b)
+    # components of A x - b, multiplied out with e1^2 = e2^2 = 0
+    r = (a0 @ x.re - b.re,
+         a0 @ x.e1 + a1 @ x.re - b.e1,
+         a0 @ x.e2 + a2 @ x.re - b.e2,
+         a0 @ x.e12 + a1 @ x.e2 + a2 @ x.e1 + a12 @ x.re - b.e12)
+    for comp in r:
+        assert np.abs(comp).max() < 1e-12
 
 
 def test_breakdown_on_vanishing_pivot():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])  # second pivot is exactly zero
+    # the second pivot is exactly zero whatever the ordering
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverBreakdown):
-        ldlt_factor(a)
+        lu_factor(a)
+    with pytest.raises(SolverBreakdown):
+        ldlt_factor(a.astype(complex))
+    with pytest.raises(SolverBreakdown):
+        ldlt_factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a, a))
 
 
 def test_reuse_factorization(rng):
     a = random_spd(rng, 6)
-    lower, d = ldlt_factor(a)
+    factor = ldlt_factor(sp.csr_matrix(a.astype(complex)))
     for _ in range(3):
-        b = rng.normal(size=6)
-        assert np.allclose(ldlt_solve(lower, d, b), np.linalg.solve(a, b),
-                           atol=1e-10)
+        b = rng.normal(size=6) + 1j * rng.normal(size=6)
+        assert np.allclose(ldlt_solve(factor, b), np.linalg.solve(a, b),
+                           atol=1e-12)
+    (a0, a1, _, _), hd, _ = hd_system(rng, 6)
+    factor = ldlt_factor(hd)
+    for _ in range(3):
+        b = HyperDualArray(*rng.normal(size=(4, 6)))
+        x = ldlt_solve(factor, b)
+        x0 = np.linalg.solve(a0, b.re)
+        assert np.allclose(x.re, x0, atol=1e-12)
+        assert np.allclose(x.e1, np.linalg.solve(a0, b.e1 - a1 @ x0),
+                           atol=1e-12)

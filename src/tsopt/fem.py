@@ -9,7 +9,8 @@ input.  Dirichlet conditions are imposed by row/column elimination with a
 right-hand-side correction, which preserves symmetry.
 
 Every scalar type is scattered straight into sparse free x free and
-free x fixed matrices and solved on sparse LU factors (see :mod:`.ldlt`).
+free x fixed matrices through the mesh's cached CSR scatter map, and solved
+on sparse LU factors (see :mod:`.ldlt`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros, scatter_add
 from .ldlt import ldlt_factor, ldlt_solve, lu_factor
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
-from .mesh import BoundaryData, Mesh
+from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
+                   SingularElement)
 
 __all__ = [
     "SingularElement",
@@ -37,9 +39,6 @@ __all__ = [
     "solve_adjoint",
     "objective",
 ]
-
-class SingularElement(ArithmeticError):
-    """Element with non-positive Jacobian determinant."""
 
 
 @dataclass(frozen=True)
@@ -91,30 +90,10 @@ class ProblemParams:
         return replace(self, uhat=uhat)
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    det_j: np.ndarray   # (N,)
-    k0: np.ndarray      # (N, 3, 3) physical gradient products
-    grads: np.ndarray   # (N, 3, 2) physical basis gradients
-
-
 def element_geometry(mesh: Mesh) -> ElementGeometry:
-    """Jacobian determinants, basis gradients and their pair products."""
-    pts = mesh.nodes[mesh.elements]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det <= 0.0):
-        raise SingularElement("non-positive Jacobian determinant")
-    grads = np.empty((len(det), 3, 2))
-    grads[:, 1, 0] = e2[:, 1]
-    grads[:, 1, 1] = -e2[:, 0]
-    grads[:, 2, 0] = -e1[:, 1]
-    grads[:, 2, 1] = e1[:, 0]
-    grads[:, 1:] /= det[:, None, None]
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    k0 = np.einsum("eid,ejd->eij", grads, grads)
-    return ElementGeometry(det_j=det, k0=k0, grads=grads)
+    """Jacobian determinants, basis gradients and their pair products (the
+    mesh's cached, read-only :attr:`~tsopt.mesh.Mesh.geometry`)."""
+    return mesh.geometry
 
 
 @dataclass
@@ -145,15 +124,27 @@ class AssembledSystem:
         return sp.issparse(self.matrix) and not np.iscomplexobj(self.matrix)
 
 
-def _scatter_matrix(values, entries, shape):
-    """Sum the local (N,3,3) entries that ``(pos, rows, cols)`` of a
+def _scatter_matrix(values, block: ScatterBlock, shape):
+    """Sum the local (N,3,3) entries that a block of a
     :class:`~tsopt.mesh.ReducedIndex` selects into CSR (one CSR matrix per
-    hyper-dual component)."""
-    pos, rows, cols = entries
+    hyper-dual component).
+
+    ``np.bincount`` adds the entries of each slot one after another in the
+    block's order, as scipy's COO-to-CSR conversion would; complex data is
+    summed as its real and imaginary parts."""
+
+    def summed(vals):
+        return np.bincount(block.slot, vals, block.nnz)
 
     def csr(vals):
-        return sp.coo_matrix((vals.reshape(-1)[pos], (rows, cols)),
-                             shape=shape).tocsr()
+        vals = vals.reshape(-1)[block.pos]
+        if np.iscomplexobj(vals):
+            data = np.empty(block.nnz, dtype=vals.dtype)
+            data.real = summed(vals.real)
+            data.imag = summed(vals.imag)
+        else:
+            data = summed(vals)
+        return sp.csr_matrix((data, block.indices, block.indptr), shape=shape)
 
     if isinstance(values, HyperDualArray):
         return HyperDualMatrix(csr(values.re), csr(values.e1),
@@ -171,7 +162,7 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     """Assemble the reduced system ``A_ff u_f = rhs`` for the given design."""
     if phi.shape[0] != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
-    geo = element_geometry(mesh)
+    geo = mesh.geometry
     dj = geo.det_j
     neg_frac, neg_mass, neg_load = negative_region_integrals(mesh, phi)
 

@@ -307,18 +307,15 @@ def element_negative_integrals(phi_triple):
 def subdomain_area(mesh: Mesh, phi, det_j: np.ndarray | None = None):
     """Exact area of the negative region, generic in the scalar type."""
     if det_j is None:
-        det_j = element_det_j(mesh)
+        det_j = mesh.geometry.det_j
     neg_frac, _, _ = negative_region_integrals(mesh, phi)
     return (neg_frac * det_j).sum()
 
 
 def element_det_j(mesh: Mesh) -> np.ndarray:
-    """Jacobian determinants (twice the element areas), all positive for a
-    CCW mesh."""
-    pts = mesh.nodes[mesh.elements]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    """Jacobian determinants (twice the element areas): the mesh's cached
+    geometry, which raises ``SingularElement`` unless all are positive."""
+    return mesh.geometry.det_j
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +352,6 @@ def _polygon_area(points) -> float:
     pts = np.asarray(points)
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clipped_negative_area(points, values) -> float:
-    """Area of the part of a convex polygon where the linear interpolant of
-    ``values`` is negative (independent clipping oracle)."""
-    pts, _ = _clip_negative([np.asarray(p, dtype=float) for p in points],
-                            [list(map(float, values))])
-    return _polygon_area(pts)
 
 
 def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:

@@ -5,6 +5,10 @@ center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.  The
 mesh also carries the incidence sets the nodal sensitivity formulas need:
 for node ``k``, the indices of all elements containing it and its one-ring
 (the node together with every vertex of those elements).
+
+Data that depends only on the mesh (element geometry, the reduced scatter
+map, the one-rings grouped by size) is computed on first use and cached on
+the mesh instance, so a new mesh never sees another mesh's data.
 """
 
 from __future__ import annotations
@@ -19,11 +23,18 @@ import scipy.sparse as sp
 __all__ = [
     "Mesh",
     "BoundaryData",
+    "ElementGeometry",
     "ReducedIndex",
+    "ScatterBlock",
+    "SingularElement",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
 ]
+
+
+class SingularElement(ArithmeticError):
+    """Element with non-positive Jacobian determinant."""
 
 
 @dataclass(frozen=True)
@@ -37,15 +48,63 @@ class BoundaryData:
 
 
 @dataclass(frozen=True)
+class ElementGeometry:
+    det_j: np.ndarray   # (N,)
+    k0: np.ndarray      # (N, 3, 3) physical gradient products
+    grads: np.ndarray   # (N, 3, 2) physical basis gradients
+
+
+@dataclass(frozen=True)
+class ScatterBlock:
+    """One block of the reduced matrix as a CSR pattern (``indptr``,
+    ``indices``) and, for every entry of the flattened ``(N, 3, 3)`` element
+    matrices that lands in it, its position ``pos`` and the CSR data
+    ``slot`` it is added to.  Entries are listed in summation order."""
+
+    pos: np.ndarray
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+@dataclass(frozen=True)
 class ReducedIndex:
-    """Free (non-Dirichlet) and fixed node ids, and for the free x free
-    (``ff``) and free x fixed (``fd``) entries of the flattened ``(N, 3, 3)``
-    element matrices their ``(pos, rows, cols)`` in the reduced numbering."""
+    """Free (non-Dirichlet) and fixed node ids, and the free x free (``ff``)
+    and free x fixed (``fd``) blocks of the element-matrix scatter in the
+    reduced numbering."""
 
     free: np.ndarray
     fixed: np.ndarray
-    ff: tuple
-    fd: tuple
+    ff: ScatterBlock
+    fd: ScatterBlock
+
+
+def _entry_nodes(elements):
+    """Row and column node of every entry of the flattened ``(N, 3, 3)``
+    element matrices."""
+    n = len(elements)
+    return (np.broadcast_to(elements[:, :, None], (n, 3, 3)).ravel(),
+            np.broadcast_to(elements[:, None, :], (n, 3, 3)).ravel())
+
+
+def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
+    """CSR pattern and output slots of entries sorted by (row, column)."""
+    new = np.ones(len(pos), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    slot = np.cumsum(new) - 1
+    indptr = np.zeros(shape[0] + 1, dtype=int)
+    np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
+    # let scipy pick its index dtype once, so no scatter has to convert
+    pattern = sp.csr_matrix((np.zeros(int(new.sum())), cols[new], indptr),
+                            shape=shape)
+    for array in (pos, slot, pattern.indptr, pattern.indices):
+        array.flags.writeable = False
+    return ScatterBlock(pos=pos, slot=slot, indptr=pattern.indptr,
+                        indices=pattern.indices)
 
 
 @dataclass(frozen=True)
@@ -73,16 +132,37 @@ class Mesh:
         return len(self.elements)
 
     @cached_property
+    def geometry(self) -> ElementGeometry:
+        """Jacobian determinants, basis gradients and their pair products
+        (read-only arrays)."""
+        pts = self.nodes[self.elements]
+        e1 = pts[:, 1] - pts[:, 0]
+        e2 = pts[:, 2] - pts[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if np.any(det <= 0.0):
+            raise SingularElement("non-positive Jacobian determinant")
+        grads = np.empty((len(det), 3, 2))
+        grads[:, 1, 0] = e2[:, 1]
+        grads[:, 1, 1] = -e2[:, 0]
+        grads[:, 2, 0] = -e1[:, 1]
+        grads[:, 2, 1] = e1[:, 0]
+        grads[:, 1:] /= det[:, None, None]
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
+        k0 = np.einsum("eid,ejd->eij", grads, grads)
+        for array in (det, k0, grads):
+            array.flags.writeable = False
+        return ElementGeometry(det_j=det, k0=k0, grads=grads)
+
+    @cached_property
     def reduced_index(self) -> ReducedIndex:
         """Element-matrix index split at the Dirichlet nodes, built once."""
-        n, m = len(self.elements), self.num_nodes
-        rows = np.broadcast_to(self.elements[:, :, None], (n, 3, 3)).ravel()
-        cols = np.broadcast_to(self.elements[:, None, :], (n, 3, 3)).ravel()
+        m = self.num_nodes
+        rows, cols = _entry_nodes(self.elements)
         # Order in which scipy's COO-to-CSR conversion of the full matrix
         # sums duplicates: rows bucketed in input order, then each row's
-        # (unstable) index sort.  Restricted entries fed in this order are
-        # already sorted, so the conversion sums every entry of the reduced
-        # matrix exactly as it sums the full one.
+        # (unstable) index sort.  Summing the restricted entries one after
+        # another in this order gives every entry of the reduced matrix the
+        # bits the conversion of the full one gives it.
         by_row = np.argsort(rows, kind="stable")
         indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
         full = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
@@ -98,27 +178,52 @@ class Mesh:
         number[free] = np.arange(len(free))
         number[fixed] = np.arange(len(fixed))
         row_free = is_free[rows[order]]
-        ff = order[row_free & is_free[cols[order]]]
-        fd = order[row_free & ~is_free[cols[order]]]
+        col_free = is_free[cols[order]]
+
+        def block(pos, num_cols):
+            return _scatter_block(pos, number[rows[pos]], number[cols[pos]],
+                                  (len(free), num_cols))
+
         return ReducedIndex(free=free, fixed=fixed,
-                            ff=(ff, number[rows[ff]], number[cols[ff]]),
-                            fd=(fd, number[rows[fd]], number[cols[fd]]))
+                            ff=block(order[row_free & col_free], len(free)),
+                            fd=block(order[row_free & ~col_free], len(fixed)))
+
+    @cached_property
+    def ring_groups(self) -> tuple:
+        """One-rings grouped by size: ``(nodes, rings)`` pairs where row
+        ``i`` of the ``(n, L)`` array ``rings`` is ``one_ring[nodes[i]]``."""
+        sizes = np.fromiter(map(len, self.one_ring), dtype=int,
+                            count=self.num_nodes)
+        flat = np.concatenate(self.one_ring)
+        start = np.cumsum(sizes) - sizes
+        groups = []
+        for size in np.unique(sizes):
+            nodes = np.flatnonzero(sizes == size)
+            groups.append((nodes, flat[start[nodes, None] + np.arange(size)]))
+        return tuple(groups)
 
 
 def build_incidence(elements: np.ndarray, num_nodes: int):
-    """Element and one-ring incidence from the element list."""
-    node_elems = [[] for _ in range(num_nodes)]
-    for l, tri in enumerate(elements):
-        for k in tri:
-            node_elems[k].append(l)
-    node_to_elements = tuple(np.array(e, dtype=int) for e in node_elems)
-    one_ring = []
-    for k in range(num_nodes):
-        ring = {k}
-        for l in node_to_elements[k]:
-            ring.update(int(v) for v in elements[l])
-        one_ring.append(np.array(sorted(ring), dtype=int))
-    return node_to_elements, tuple(one_ring)
+    """Element and one-ring incidence from the element list.
+
+    ``node_to_elements[k]`` lists the elements containing ``k`` in
+    increasing order; ``one_ring[k]`` is the sorted set of ``k`` and the
+    vertices of those elements.
+    """
+    elements = np.asarray(elements, dtype=int).reshape(-1, 3)
+    flat = elements.ravel()
+    counts = np.bincount(flat, minlength=num_nodes)
+    by_node = np.argsort(flat, kind="stable") // 3
+    node_to_elements = tuple(np.split(by_node, np.cumsum(counts)[:-1]))
+
+    rows, cols = _entry_nodes(elements)
+    diagonal = np.arange(num_nodes)
+    pairs = np.unique(np.concatenate([rows, diagonal]) * num_nodes
+                      + np.concatenate([cols, diagonal]))
+    ring_rows, ring_cols = np.divmod(pairs, num_nodes)
+    sizes = np.bincount(ring_rows, minlength=num_nodes)
+    one_ring = tuple(np.split(ring_cols, np.cumsum(sizes)[:-1]))
+    return node_to_elements, one_ring
 
 
 def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
@@ -138,24 +243,17 @@ def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
     centers = np.column_stack([cx.ravel(), cy.ravel()])
     nodes = np.vstack([lattice, centers])
 
-    def lat(i, j):
-        return j * (n + 1) + i
-
-    def ctr(i, j):
-        return (n + 1) * (n + 1) + j * n + i
-
-    elements = np.empty((4 * n * n, 3), dtype=int)
-    e = 0
-    for j in range(n):
-        for i in range(n):
-            c00, c10 = lat(i, j), lat(i + 1, j)
-            c01, c11 = lat(i, j + 1), lat(i + 1, j + 1)
-            c = ctr(i, j)
-            elements[e] = (c00, c10, c)      # bottom
-            elements[e + 1] = (c10, c11, c)  # right
-            elements[e + 2] = (c11, c01, c)  # top
-            elements[e + 3] = (c01, c00, c)  # left
-            e += 4
+    # cells row-major (j outer, i inner), four triangles per cell
+    j, i = np.divmod(np.arange(n * n), n)
+    c00, c10 = j * (n + 1) + i, j * (n + 1) + i + 1
+    c01, c11 = c00 + n + 1, c10 + n + 1
+    c = (n + 1) * (n + 1) + j * n + i
+    elements = np.stack([
+        np.column_stack([c00, c10, c]),   # bottom
+        np.column_stack([c10, c11, c]),   # right
+        np.column_stack([c11, c01, c]),   # top
+        np.column_stack([c01, c00, c]),   # left
+    ], axis=1).reshape(-1, 3)
 
     node_to_elements, one_ring = build_incidence(elements, len(nodes))
     mesh = Mesh(nodes=nodes, elements=elements,

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import ProblemParams, assemble, objective, solve_adjoint, solve_state
+from .fem import (AssembledSystem, ProblemParams, assemble, objective,
+                  solve_adjoint, solve_state)
 from .levelset import classify_nodes, interface_segments
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
@@ -114,10 +115,7 @@ class History:
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix with unit coefficient over the whole domain."""
-    pts = mesh.nodes[mesh.elements]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    det = mesh.geometry.det_j
     local = (np.ones((3, 3)) + np.eye(3)) / 24.0
     vals = local[None, :, :] * det[:, None, None]
     n = len(mesh.elements)
@@ -168,12 +166,15 @@ def slerp_update(phi: np.ndarray, g: np.ndarray, kappa: float,
 
 def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
     """One-ring average on interior nodes of ``psi``'s own sign partition;
-    interface nodes are left untouched."""
-    labels = classify_nodes(mesh, psi).labels
+    interface nodes are left untouched.
+
+    Rings are averaged a whole size group at a time; each row sum runs in
+    the order a sum over the single ring would take."""
+    interior = classify_nodes(mesh, psi).labels != 0
     out = np.array(psi, dtype=float)
-    for k in np.flatnonzero(labels != 0):
-        ring = mesh.one_ring[k]
-        out[k] = psi[ring].sum() / len(ring)
+    for nodes, rings in mesh.ring_groups:
+        sel = interior[nodes]
+        out[nodes[sel]] = psi[rings[sel]].sum(axis=1) / rings.shape[1]
     return out
 
 
@@ -186,25 +187,43 @@ class _Evaluation:
     norm_g: float
 
 
-def _evaluate(mesh, phi, params, m0) -> _Evaluation:
+@dataclass
+class _Candidate:
+    """A line-search candidate with its solved state, kept so the accepted
+    one need not be assembled and factored again."""
+
+    j: float
+    phi: np.ndarray
+    kappa: float
+    theta: float
+    norm_dev: float
+    system: AssembledSystem
+    u: np.ndarray
+
+
+def _cost_only(mesh, phi, params):
+    """Cost of a design, with the factored system and the state it took."""
     system = assemble(mesh, phi, params)
     u = solve_state(system)
+    return float(objective(mesh, phi, u, params, system=system)), system, u
+
+
+def _evaluate(mesh, phi, params, m0,
+              solved: _Candidate | None = None) -> _Evaluation:
+    """Cost, state, adjoint and sensitivity of a design; ``solved`` reuses
+    a candidate's system and state for the same design."""
+    if solved is None:
+        j, system, u = _cost_only(mesh, phi, params)
+    else:
+        j, system, u = solved.j, solved.system, solved.u
     p = solve_adjoint(system, u, params)
     fld = ts_derivative(mesh, phi, u, p, params)
-    return _Evaluation(j=float(objective(mesh, phi, u, params, system=system)),
-                       u=u, p=p, field=fld, norm_g=l2_norm(m0, fld.g))
+    return _Evaluation(j=j, u=u, p=p, field=fld, norm_g=l2_norm(m0, fld.g))
 
 
-def _cost_only(mesh, phi, params) -> float:
-    system = assemble(mesh, phi, params)
-    u = solve_state(system)
-    return float(objective(mesh, phi, u, params, system=system))
-
-
-def _line_search(mesh, params, config, m0, phi, ev):
+def _line_search(mesh, params, config, m0, phi, ev) -> _Candidate | None:
     """Walk the rotation fraction down a geometric ladder and return the
-    best improving candidate ``(j, phi, kappa, theta, norm_dev)``, or None
-    if no candidate decreases the cost."""
+    best improving candidate, or None if no candidate decreases the cost."""
     kappa = config.kappa_init
     best = None
     since_best = 0
@@ -216,16 +235,17 @@ def _line_search(mesh, params, config, m0, phi, ev):
         norm_dev = abs(l2_norm(m0, psi) - l2_norm(m0, phi))
         psi_hat = smooth(mesh, psi) if config.smoothing else psi
         candidate = psi_hat / l2_norm(m0, psi_hat)
-        j_cand = _cost_only(mesh, candidate, params)
-        if best is None or j_cand < best[0]:
-            best = (j_cand, candidate, kappa, theta, norm_dev)
+        j_cand, system, u = _cost_only(mesh, candidate, params)
+        if best is None or j_cand < best.j:
+            best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,
+                              system, u)
             since_best = 0
         else:
             since_best += 1
-        if best[0] < ev.j and since_best >= config.patience:
+        if best.j < ev.j and since_best >= config.patience:
             break
         kappa *= config.kappa_shrink
-    if best is None or best[0] >= ev.j:
+    if best is None or best.j >= ev.j:
         return None
     return best
 
@@ -251,9 +271,8 @@ def step(mesh: Mesh, params: ProblemParams, phi: np.ndarray,
     if best is None:
         return phi, {"j": ev.j, "kappa": 0.0, "theta": 0.0,
                      "stalled": True, "converged": False}
-    j_new, phi_new, kappa, theta, _ = best
-    return phi_new, {"j": j_new, "kappa": kappa, "theta": theta,
-                     "stalled": False, "converged": False}
+    return best.phi, {"j": best.j, "kappa": best.kappa, "theta": best.theta,
+                      "stalled": False, "converged": False}
 
 
 def run(mesh: Mesh, params: ProblemParams,
@@ -297,10 +316,10 @@ def run(mesh: Mesh, params: ProblemParams,
             history.append(it, ev.j, ev.norm_g, 0.0, 0.0,
                            ev.field.classification.counts(), 0.0, True)
             continue
-        j_new, phi, kappa_used, theta, norm_dev = best
-        ev = _evaluate(mesh, phi, params, m0)
-        history.append(it, ev.j, ev.norm_g, kappa_used, theta,
-                       ev.field.classification.counts(), norm_dev, False)
+        phi = best.phi
+        ev = _evaluate(mesh, phi, params, m0, solved=best)
+        history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,
+                       ev.field.classification.counts(), best.norm_dev, False)
         _maybe_snapshot(mesh, phi, ev, it, config, output_dir, on_snapshot,
                         uhat=params.uhat)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ProblemParams, element_geometry
+from .fem import ProblemParams
 from .levelset import (CutTag, ElementCut, NodeClassification, Perturbation,
                        classify_nodes, element_plus_mask, interface_segments)
 from .mesh import Mesh
@@ -289,7 +289,7 @@ def area_derivative(mesh: Mesh, phi, k: int,
     label = int(classification.labels[k])
     phi = np.asarray(phi, dtype=float)
     tris = mesh.elements
-    det_j = element_geometry(mesh).det_j
+    det_j = mesh.geometry.det_j
     elems = mesh.node_to_elements[k]
     order = Perturbation.for_label(label).order
 
@@ -349,7 +349,7 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     labels = classification.labels
     num_nodes = mesh.num_nodes
     tris = mesh.elements
-    geo = element_geometry(mesh)
+    geo = mesh.geometry
     det_j = geo.det_j
 
     # all (node, element, local-slot) incidence triples
@@ -503,7 +503,7 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
     p = np.asarray(p, dtype=float)
     w = u - params.uhat
     tris = mesh.elements
-    geo = element_geometry(mesh)
+    geo = mesh.geometry
     plus = element_plus_mask(mesh, phi)
     normals = {l: _outward_normal(mesh, phi, geo, l, seg)
                for l, seg in interface_segments(mesh, phi)}

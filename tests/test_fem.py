@@ -211,10 +211,55 @@ def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
         assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
 
 
+@pytest.mark.parametrize("level", [2, 8, 16])
+def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
+    # complex and hyper-dual components go through the same slots as real
+    # data; each must equal the COO-to-CSR conversion of the full matrix,
+    # sliced to the free x free block, to the last bit
+    mesh = experiment_mesh(level)
+    index = mesh.reduced_index
+    free = index.free
+    n, m = mesh.num_elements, mesh.num_nodes
+    rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
+    cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
+    shape = (len(free), len(free))
+
+    def reference(local):
+        full = sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(m, m)).tocsr()
+        return full[free][:, free].tocsr()
+
+    def assert_same(got, want):
+        assert got.dtype == want.dtype
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.data.tobytes() == want.data.tobytes()
+
+    local = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    assert_same(_scatter_matrix(local, index.ff, shape), reference(local))
+    parts = [rng.normal(size=(n, 3, 3)) for _ in range(4)]
+    got = _scatter_matrix(HyperDualArray(*parts), index.ff, shape)
+    assert isinstance(got, HyperDualMatrix)
+    for comp, part in zip(got, parts):
+        assert_same(comp, reference(part))
+
+
 def test_reduced_index_is_cached_per_mesh():
     mesh = experiment_mesh(4)
     assert mesh.reduced_index is mesh.reduced_index
     assert experiment_mesh(4).reduced_index is not mesh.reduced_index
+
+
+def test_geometry_is_cached_per_mesh():
+    mesh = experiment_mesh(4)
+    assert mesh.geometry is mesh.geometry
+    assert element_geometry(mesh) is mesh.geometry
+    other = experiment_mesh(4)
+    assert other.geometry is not mesh.geometry
+    assert np.array_equal(other.geometry.k0, mesh.geometry.k0)
+    # cached arrays are shared, so they refuse in-place writes
+    with pytest.raises(ValueError):
+        mesh.geometry.det_j[0] = 0.0
 
 
 def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsopt.levelset import element_det_j
-from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
+from tsopt.mesh import build_incidence, generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import experiment_boundary, experiment_mesh
 from tsopt.vtkio import write_vtk
 
@@ -81,6 +81,38 @@ def test_dirichlet_value_function():
     g_d = experiment_boundary().g_d
     assert g_d(0.5, 1.0) == 1.0
     assert g_d(0.25, 0.0) == 0.0
+
+
+def _incidence_per_node(elements, num_nodes):
+    """Reference: the incidence sets built by loops over elements and nodes."""
+    node_elems = [[] for _ in range(num_nodes)]
+    for l, tri in enumerate(elements):
+        for k in tri:
+            node_elems[k].append(l)
+    node_to_elements = tuple(np.array(e, dtype=int) for e in node_elems)
+    one_ring = []
+    for k in range(num_nodes):
+        ring = {k}
+        for l in node_to_elements[k]:
+            ring.update(int(v) for v in elements[l])
+        one_ring.append(np.array(sorted(ring), dtype=int))
+    return node_to_elements, tuple(one_ring)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_incidence_equals_per_node_loops(n):
+    mesh = generate_crossed_mesh(n)
+    # also a shuffled element list and a node no element uses
+    order = np.random.default_rng(n).permutation(mesh.num_elements)
+    shuffled = mesh.elements[order]
+    for elements, num_nodes in ((mesh.elements, mesh.num_nodes),
+                                (shuffled, mesh.num_nodes + 1)):
+        got = build_incidence(elements, num_nodes)
+        want = _incidence_per_node(elements, num_nodes)
+        for got_sets, want_sets in zip(got, want):
+            assert isinstance(got_sets, tuple) and len(got_sets) == num_nodes
+            for a, b in zip(got_sets, want_sets):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_custom_mesh_builder():

@@ -5,9 +5,10 @@ import pytest
 
 from tsopt.levelset import classify_nodes
 from tsopt.mesh import generate_crossed_mesh
-from tsopt.optimize import (DegenerateAngle, OptimizerConfig, l2_inner,
-                            l2_norm, run, slerp_update, smooth, step,
-                            unit_mass_matrix)
+from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
+                            _line_search, l2_inner, l2_norm, run,
+                            slerp_update, smooth, step, unit_mass_matrix)
+from tsopt.problems import experiment_mesh
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,50 @@ def test_smoothing_averages_a_spike():
     psi = np.array([1.0, 1.0, 1.0, 1.0, 6.0])  # spike at the center node
     smoothed = smooth(mesh, psi)
     assert smoothed[4] == pytest.approx(10.0 / 5.0)
+
+
+def _smooth_per_node(mesh, psi):
+    """Reference: the one-ring average written as a loop over the nodes."""
+    labels = classify_nodes(mesh, psi).labels
+    out = np.array(psi, dtype=float)
+    for k in np.flatnonzero(labels != 0):
+        ring = mesh.one_ring[k]
+        out[k] = psi[ring].sum() / len(ring)
+    return out
+
+
+@pytest.mark.parametrize("level", [1, 2, 8, 16])
+def test_smoothing_equals_per_node_loop_bitwise(level, rng):
+    mesh = experiment_mesh(level)
+    for _ in range(5):
+        psi = rng.normal(size=mesh.num_nodes)
+        psi[rng.random(mesh.num_nodes) < 0.15] = 0.0   # snapped exact zeros
+        want = _smooth_per_node(mesh, psi)
+        got = smooth(mesh, psi)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_accepted_candidate_reuse_equals_fresh_evaluation(mesh8,
+                                                          params_target8):
+    # run() evaluates the accepted design on the system and state the line
+    # search already solved; that must equal evaluating it from scratch
+    m0 = unit_mass_matrix(mesh8)
+    config = OptimizerConfig(snapshot_cadence=0)
+    phi = np.ones(mesh8.num_nodes)
+    phi /= l2_norm(m0, phi)
+    ev = _evaluate(mesh8, phi, params_target8, m0)
+    for _ in range(3):
+        best = _line_search(mesh8, params_target8, config, m0, phi, ev)
+        assert best is not None
+        reused = _evaluate(mesh8, best.phi, params_target8, m0, solved=best)
+        fresh = _evaluate(mesh8, best.phi, params_target8, m0)
+        assert reused.j == fresh.j == best.j
+        for name in ("u", "p"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name))
+        assert np.array_equal(reused.field.g, fresh.field.g)
+        assert reused.norm_g == fresh.norm_g
+        phi, ev = best.phi, reused
 
 
 def test_run_stops_at_the_optimum(mesh8, params_target8, phi_d8):

@@ -10,7 +10,9 @@ right-hand-side correction, which preserves symmetry.
 
 Every scalar type is scattered straight into sparse free x free and
 free x fixed matrices through the mesh's cached CSR scatter map, and solved
-on sparse LU factors (see :mod:`.ldlt`).
+by banded LU on the mesh's reverse Cuthill-McKee ordering (see
+:mod:`.ldlt`), one factor per system shared by its state and adjoint
+solves.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros, scatter_add
-from .ldlt import ldlt_factor, ldlt_solve, lu_factor
+from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
-from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
-                   SingularElement)
+from .mesh import (BandLayout, BoundaryData, ElementGeometry, Mesh,
+                   ScatterBlock, SingularElement)
 
 __all__ = [
     "SingularElement",
@@ -102,9 +104,11 @@ class AssembledSystem:
 
     ``matrix`` is a CSR matrix for real and complex data and a
     :class:`~tsopt.hdarray.HyperDualMatrix` of four CSR components for
-    hyper-dual data.  ``mt_local`` holds the per-element tracking mass
-    matrices (coefficient included), from which the tracking quadratic form
-    and the adjoint right-hand side are evaluated without a global scatter.
+    hyper-dual data; ``band`` is the band layout of its pattern, and the
+    factor is made on the first solve and kept.  ``mt_local`` holds the
+    per-element tracking mass matrices (coefficient included), from which
+    the tracking quadratic form and the adjoint right-hand side are
+    evaluated without a global scatter.
     """
 
     matrix: object                 # free x free
@@ -117,11 +121,8 @@ class AssembledSystem:
     elements: np.ndarray
     neg_frac: object               # (N,) reference-units negative area
     det_j: np.ndarray
+    band: BandLayout
     _factor: object = None
-
-    @property
-    def is_real(self) -> bool:
-        return sp.issparse(self.matrix) and not np.iscomplexobj(self.matrix)
 
 
 def _scatter_matrix(values, block: ScatterBlock, shape):
@@ -190,15 +191,12 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     return AssembledSystem(matrix=a_ff, rhs=rhs, mt_local=mt_loc,
                            free=free, fixed=fixed, fixed_values=g,
                            num_nodes=num_nodes, elements=tris,
-                           neg_frac=neg_frac, det_j=dj)
+                           neg_frac=neg_frac, det_j=dj, band=index.band)
 
 
 def _apply_factor(system: AssembledSystem, rhs):
     if system._factor is None:
-        factor = lu_factor if system.is_real else ldlt_factor
-        system._factor = factor(system.matrix)
-    if system.is_real:
-        return system._factor.solve(np.asarray(rhs))
+        system._factor = ldlt_factor(system.matrix, system.band)
     return ldlt_solve(system._factor, rhs)
 
 

@@ -139,13 +139,12 @@ def classify_nodes(mesh: Mesh, phi) -> NodeClassification:
     s = sign_array(phi).astype(np.int8)
     if len(s) != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
-    ring_min = s.copy()
-    ring_max = s.copy()
-    tris = mesh.elements
-    for a in range(3):
-        for b in range(3):
-            np.minimum.at(ring_min, tris[:, a], s[tris[:, b]])
-            np.maximum.at(ring_max, tris[:, a], s[tris[:, b]])
+    ring_min = np.empty_like(s)
+    ring_max = np.empty_like(s)
+    for nodes, rings in mesh.ring_groups:
+        ring_signs = s[rings]
+        ring_min[nodes] = ring_signs.min(axis=1)
+        ring_max[nodes] = ring_signs.max(axis=1)
     labels = np.zeros(mesh.num_nodes, dtype=np.int8)
     t_minus = ring_max <= 0
     t_plus = ~t_minus & (ring_min >= 0)

@@ -7,8 +7,9 @@ for node ``k``, the indices of all elements containing it and its one-ring
 (the node together with every vertex of those elements).
 
 Data that depends only on the mesh (element geometry, the reduced scatter
-map, the one-rings grouped by size) is computed on first use and cached on
-the mesh instance, so a new mesh never sees another mesh's data.
+map with its band ordering, the one-rings grouped by size) is computed on
+first use and cached on the mesh instance, so a new mesh never sees another
+mesh's data.
 """
 
 from __future__ import annotations
@@ -19,14 +20,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "Mesh",
+    "BandLayout",
     "BoundaryData",
     "ElementGeometry",
     "ReducedIndex",
     "ScatterBlock",
     "SingularElement",
+    "band_layout",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
@@ -72,15 +76,36 @@ class ScatterBlock:
 
 
 @dataclass(frozen=True)
+class BandLayout:
+    """Band form of a structurally symmetric ``n x n`` CSR pattern.
+
+    ``perm`` is a reverse Cuthill-McKee ordering: ``B = A[perm][:, perm]``
+    has half-bandwidth ``width`` (LAPACK's ``kl = ku``).  ``slot[s]`` is the
+    flat position of CSR data slot ``s`` in the Fortran-ordered
+    :attr:`shape` array that LAPACK's banded LU (``?gbtrf``) factors, where
+    ``B[i, j]`` sits in row ``2 width + i - j`` of column ``j``; the top
+    ``width`` rows are room for the fill-in of row pivoting."""
+
+    perm: np.ndarray
+    width: int
+    slot: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (3 * self.width + 1, len(self.perm))
+
+
+@dataclass(frozen=True)
 class ReducedIndex:
-    """Free (non-Dirichlet) and fixed node ids, and the free x free (``ff``)
+    """Free (non-Dirichlet) and fixed node ids, the free x free (``ff``)
     and free x fixed (``fd``) blocks of the element-matrix scatter in the
-    reduced numbering."""
+    reduced numbering, and the band layout of the ``ff`` pattern."""
 
     free: np.ndarray
     fixed: np.ndarray
     ff: ScatterBlock
     fd: ScatterBlock
+    band: BandLayout
 
 
 def _entry_nodes(elements):
@@ -105,6 +130,24 @@ def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
         array.flags.writeable = False
     return ScatterBlock(pos=pos, slot=slot, indptr=pattern.indptr,
                         indices=pattern.indices)
+
+
+def band_layout(indptr, indices) -> BandLayout:
+    """Reverse Cuthill-McKee band layout of a structurally symmetric CSR
+    pattern (read-only arrays)."""
+    n = len(indptr) - 1
+    pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                            shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(int)
+    inverse = np.empty(n, dtype=int)
+    inverse[perm] = np.arange(n)
+    rows = inverse[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = inverse[indices]
+    width = int(np.abs(rows - cols).max(initial=0))
+    slot = 2 * width + rows - cols + cols * (3 * width + 1)
+    for array in (perm, slot):
+        array.flags.writeable = False
+    return BandLayout(perm=perm, width=width, slot=slot)
 
 
 @dataclass(frozen=True)
@@ -155,7 +198,8 @@ class Mesh:
 
     @cached_property
     def reduced_index(self) -> ReducedIndex:
-        """Element-matrix index split at the Dirichlet nodes, built once."""
+        """Element-matrix index split at the Dirichlet nodes, with the band
+        layout of the free x free block, built once."""
         m = self.num_nodes
         rows, cols = _entry_nodes(self.elements)
         # Order in which scipy's COO-to-CSR conversion of the full matrix
@@ -184,9 +228,10 @@ class Mesh:
             return _scatter_block(pos, number[rows[pos]], number[cols[pos]],
                                   (len(free), num_cols))
 
-        return ReducedIndex(free=free, fixed=fixed,
-                            ff=block(order[row_free & col_free], len(free)),
-                            fd=block(order[row_free & ~col_free], len(fixed)))
+        ff = block(order[row_free & col_free], len(free))
+        return ReducedIndex(free=free, fixed=fixed, ff=ff,
+                            fd=block(order[row_free & ~col_free], len(fixed)),
+                            band=band_layout(ff.indptr, ff.indices))
 
     @cached_property
     def ring_groups(self) -> tuple:

@@ -1,8 +1,8 @@
 import json
 
 import pytest
-import scipy.sparse.linalg as spla
 
+from tsopt import ldlt
 from tsopt.cli import main
 from tsopt.config import ConfigError, RunConfig, load_config
 
@@ -147,17 +147,17 @@ def test_optimize_command_meets_reduction_target(tmp_path):
 
 def test_optimize_solver_failure_exits_3_with_partial_history(
         tmp_path, monkeypatch, capsys):
-    # the sparse LU of the real path fails on its 12th call, mid-run
+    # the banded LU of the real path finds a zero pivot on its 12th call,
+    # mid-run
     calls = []
-    real_splu = spla.splu
+    real_dgbtrf = ldlt.dgbtrf
 
-    def failing_splu(*args, **kwargs):
+    def failing_dgbtrf(*args, **kwargs):
         calls.append(None)
-        if len(calls) >= 12:
-            raise RuntimeError("Factor is exactly singular")
-        return real_splu(*args, **kwargs)
+        lu, ipiv, info = real_dgbtrf(*args, **kwargs)
+        return lu, ipiv, 1 if len(calls) >= 12 else info
 
-    monkeypatch.setattr(spla, "splu", failing_splu)
+    monkeypatch.setattr(ldlt, "dgbtrf", failing_dgbtrf)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
                                             "snapshot_cadence": 0}}))

@@ -10,7 +10,8 @@ from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import element_negative_integrals
 from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import (default_params, experiment_boundary,
-                            experiment_mesh, setup_problem)
+                            experiment_mesh, interpolate_target,
+                            setup_problem)
 
 REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
@@ -248,6 +249,58 @@ def test_reduced_index_is_cached_per_mesh():
     mesh = experiment_mesh(4)
     assert mesh.reduced_index is mesh.reduced_index
     assert experiment_mesh(4).reduced_index is not mesh.reduced_index
+
+
+def test_band_layout_is_cached_per_mesh():
+    mesh = experiment_mesh(4)
+    band = mesh.reduced_index.band
+    assert mesh.reduced_index.band is band
+    other = experiment_mesh(4).reduced_index.band
+    assert other is not band
+    assert np.array_equal(other.perm, band.perm) and other.width == band.width
+    assert np.array_equal(np.sort(band.perm),
+                          np.arange(len(mesh.reduced_index.free)))
+    # cached arrays are shared, so they refuse in-place writes
+    for array in (band.perm, band.slot):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("level", [4, 8, 16, 32])
+def test_bandwidth_grows_linearly_with_level(level):
+    # a half-bandwidth of O(level) keeps the banded LU at O(n level^2); a
+    # broken ordering would make it as costly as a dense factor
+    assert experiment_mesh(level).reduced_index.band.width <= 2.5 * level
+
+
+@pytest.mark.parametrize("level", [2, 8, 16])
+def test_state_solves_match_dense_reduced_system(level):
+    mesh = experiment_mesh(level)
+    params = setup_problem(mesh, uhat="zero")
+    phi = interpolate_target(mesh)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for design in (phi, phi + 0.05j * x):
+        system = assemble(mesh, design, params)
+        want = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        got = solve_state(system)[system.free]
+        assert_close(got.real, want.real)
+        assert_close(got.imag, want.imag)
+
+    system = assemble(mesh, HyperDualArray(phi, x, y, x * y), params)
+    a0, a1, a2, a12 = (part.toarray() for part in system.matrix)
+    b = system.rhs
+    x0 = np.linalg.solve(a0, b.re)
+    x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
+    x2 = np.linalg.solve(a0, b.e2 - a2 @ x0)
+    x12 = np.linalg.solve(a0, b.e12 - a1 @ x2 - a2 @ x1 - a12 @ x0)
+    got = solve_state(system)[system.free]
+    for comp, want in zip((got.re, got.e1, got.e2, got.e12),
+                          (x0, x1, x2, x12)):
+        assert_close(comp, want)
 
 
 def test_geometry_is_cached_per_mesh():

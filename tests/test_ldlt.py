@@ -3,7 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
-from tsopt.ldlt import SolverBreakdown, ldlt_factor, ldlt_solve, lu_factor
+from tsopt.ldlt import SolverBreakdown, band_storage, ldlt_factor, ldlt_solve
+from tsopt.mesh import band_layout
+from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
+from tsopt.fem import assemble
 
 
 def random_spd(rng, n):
@@ -24,8 +27,17 @@ def hd_system(rng, n, scale=1.0):
     return comps, matrix, HyperDualArray(*rng.normal(size=(4, n)))
 
 
+def layout(a):
+    pattern = a.re if isinstance(a, HyperDualMatrix) else a
+    return band_layout(pattern.indptr, pattern.indices)
+
+
+def factor(a):
+    return ldlt_factor(a, layout(a))
+
+
 def solve(a, b):
-    return ldlt_solve(ldlt_factor(a), b)
+    return ldlt_solve(factor(a), b)
 
 
 def test_real_solve_matches_lapack(rng):
@@ -36,16 +48,28 @@ def test_real_solve_matches_lapack(rng):
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
 
 
-def test_factorization_reconstructs_matrix(rng):
-    # Pr A Pc = L U for the factor both the real and the generic path use
-    n = 8
-    a = random_spd(rng, n) + 1j * 1e-3 * random_sym(rng, n)
-    lu, parts = ldlt_factor(sp.csr_matrix(a))
-    assert parts is None
-    pr = sp.csr_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
-    pc = sp.csr_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-    assert np.allclose((pr @ sp.csr_matrix(a) @ pc).toarray(),
-                       (lu.L @ lu.U).toarray(), atol=1e-12)
+def test_factorization_reconstructs_matrix():
+    # the band array the LU factors holds exactly P A P^T: B[i, j] in row
+    # 2w + i - j of column j, zeros elsewhere (fill-in room included)
+    mesh = experiment_mesh(4)
+    params = setup_problem(mesh, uhat="zero")
+    real = assemble(mesh, interpolate_target(mesh), params).matrix
+    sparse = sp.random(30, 30, density=0.1, random_state=3)
+    sparse = sparse + sparse.T + 30 * sp.identity(30)
+    sparse = sp.csr_matrix(sparse + 1j * 1e-3 * sparse)
+    for a in (real, sparse):
+        band = layout(a)
+        w, n = band.width, a.shape[0]
+        b = a.toarray()[band.perm][:, band.perm]
+        assert np.array_equal(np.triu(np.tril(b, w), -w), b)
+        expected = np.zeros(band.shape, dtype=b.dtype)
+        for j in range(n):
+            for i in range(max(0, j - w), min(n, j + w + 1)):
+                expected[2 * w + i - j, j] = b[i, j]
+        ab = band_storage(a, band)
+        assert ab.dtype == a.dtype and ab.flags.f_contiguous
+        assert np.array_equal(ab, expected)
+    assert 0 < band.width < n - 1
 
 
 def test_complex_symmetric_solve(rng):
@@ -93,25 +117,45 @@ def test_breakdown_on_vanishing_pivot():
     # the second pivot is exactly zero whatever the ordering
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverBreakdown):
-        lu_factor(a)
+        factor(a)
     with pytest.raises(SolverBreakdown):
-        ldlt_factor(a.astype(complex))
+        factor(a.astype(complex))
     with pytest.raises(SolverBreakdown):
-        ldlt_factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a, a))
+        factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a, a))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_breakdown_on_non_finite_entry(rng, bad):
+    a = sp.csr_matrix(random_spd(rng, 6))
+    poisoned = a.copy()
+    poisoned.data[7] = bad
+    with pytest.raises(SolverBreakdown):
+        factor(poisoned)
+    with pytest.raises(SolverBreakdown):
+        factor(poisoned.astype(complex))
+    complex_poisoned = a.astype(complex)
+    complex_poisoned.data[7] = complex(1.0, bad)
+    with pytest.raises(SolverBreakdown):
+        factor(complex_poisoned)
+    for position in range(4):
+        parts = [a, a, a, a]
+        parts[position] = poisoned
+        with pytest.raises(SolverBreakdown):
+            factor(HyperDualMatrix(*parts))
 
 
 def test_reuse_factorization(rng):
     a = random_spd(rng, 6)
-    factor = ldlt_factor(sp.csr_matrix(a.astype(complex)))
+    lu = factor(sp.csr_matrix(a.astype(complex)))
     for _ in range(3):
         b = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert np.allclose(ldlt_solve(factor, b), np.linalg.solve(a, b),
+        assert np.allclose(ldlt_solve(lu, b), np.linalg.solve(a, b),
                            atol=1e-12)
     (a0, a1, _, _), hd, _ = hd_system(rng, 6)
-    factor = ldlt_factor(hd)
+    lu = factor(hd)
     for _ in range(3):
         b = HyperDualArray(*rng.normal(size=(4, 6)))
-        x = ldlt_solve(factor, b)
+        x = ldlt_solve(lu, b)
         x0 = np.linalg.solve(a0, b.re)
         assert np.allclose(x.re, x0, atol=1e-12)
         assert np.allclose(x.e1, np.linalg.solve(a0, b.e1 - a1 @ x0),

@@ -36,6 +36,32 @@ def test_mixed_ring_classification_on_smallest_mesh():
     assert cls.counts() == (0, 1, 4)    # only node 3 has a sign-pure ring
 
 
+def _labels_by_element_loop(mesh, phi):
+    # the classification as min/max scatters over every element vertex pair
+    s = np.sign(phi).astype(np.int8)
+    ring_min, ring_max = s.copy(), s.copy()
+    for a in range(3):
+        for b in range(3):
+            np.minimum.at(ring_min, mesh.elements[:, a], s[mesh.elements[:, b]])
+            np.maximum.at(ring_max, mesh.elements[:, a], s[mesh.elements[:, b]])
+    return np.where(ring_max <= 0, -1, np.where(ring_min >= 0, 1, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+def test_classification_equals_element_loop(n, rng):
+    mesh = generate_crossed_mesh(n)
+    for _ in range(20):
+        phi = rng.uniform(-1.0, 1.0, mesh.num_nodes)
+        phi[rng.uniform(size=mesh.num_nodes) < 0.2] = 0.0   # snapped zeros
+        assert np.array_equal(classify_nodes(mesh, phi).labels,
+                              _labels_by_element_loop(mesh, phi))
+    # a node outside every element has only itself in its ring
+    loose = mesh_from_arrays([(0, 0), (1, 0), (0, 1), (2, 2)], [(0, 1, 2)])
+    phi = np.array([1.0, -1.0, 0.0, -2.0])
+    assert np.array_equal(classify_nodes(loose, phi).labels,
+                          _labels_by_element_loop(loose, phi))
+
+
 def test_perturbation_operators():
     phi = np.array([0.3, -0.7, 0.7])
     shaped = perturb(phi, 0, 0.1, Perturbation.SHAPE)

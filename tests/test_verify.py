@@ -92,13 +92,13 @@ def test_fd_error_curves_turn_back_up(mesh8, phi_d8, params_zero8):
     # cancellation eventually dominates: the error minimum sits at an
     # interior step of a sweep that reaches into the noise regime
     field = analytic_field(mesh8, phi_d8, params_zero8)
-    steps = (1e-4, 1e-5, 3.16e-6, 1e-6, 3.16e-7, 1e-7)
+    steps = (1e-4, 1e-5, 3.16e-6, 1e-6, 3.16e-7, 1e-7, 3.16e-8)
     rep = run_verification(mesh8, phi_d8, params_zero8, "fd", steps=steps,
                            field_=field)
     for curve in (rep.e_s, rep.e_t):
         best = int(np.argmin(curve))
         assert 0 < best < len(steps) - 1
-        assert curve[-1] > curve[best]
+        assert curve[-1] >= 2 * curve[best]
 
 
 def test_report_aggregation_and_csv(tmp_path, mesh8, phi_d8, params_zero8):

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .optimize import OptimizerConfig
+from .problems import PROBLEM_DEFAULTS
 from .verify import DEFAULT_STEPS
 
 __all__ = ["RunConfig", "ConfigError", "load_config"]
@@ -22,14 +23,6 @@ __all__ = ["RunConfig", "ConfigError", "load_config"]
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
-
-_PROBLEM_DEFAULTS = {
-    "lambda1": 1.0, "lambda2": 0.6,
-    "alpha1": 1.0, "alpha2": 0.2,
-    "atilde1": 1.0, "atilde2": 0.9,
-    "f1": 1.0, "f2": 0.5,
-    "c1": 0.0, "c2": 1.0,
-}
 
 _VERIFY_DEFAULTS = {
     "uhat": "zero",
@@ -65,7 +58,7 @@ _OPTIMIZE_DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    problem: dict = field(default_factory=lambda: dict(_PROBLEM_DEFAULTS))
+    problem: dict = field(default_factory=lambda: dict(PROBLEM_DEFAULTS))
     verify: dict = field(default_factory=lambda: dict(_VERIFY_DEFAULTS))
     optimize: dict = field(default_factory=lambda: dict(_OPTIMIZE_DEFAULTS))
     output_dir: str = "out"
@@ -126,7 +119,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         cfg = cls()
-        for section, defaults in (("problem", _PROBLEM_DEFAULTS),
+        for section, defaults in (("problem", PROBLEM_DEFAULTS),
                                   ("verify", _VERIFY_DEFAULTS),
                                   ("optimize", _OPTIMIZE_DEFAULTS)):
             given = data.get(section, {})

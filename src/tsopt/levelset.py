@@ -311,12 +311,6 @@ def subdomain_area(mesh: Mesh, phi, det_j: np.ndarray | None = None):
     return (neg_frac * det_j).sum()
 
 
-def element_det_j(mesh: Mesh) -> np.ndarray:
-    """Jacobian determinants (twice the element areas): the mesh's cached
-    geometry, which raises ``SingularElement`` unless all are positive."""
-    return mesh.geometry.det_j
-
-
 # ---------------------------------------------------------------------------
 # Real-valued polygon clipping, used for symmetric differences and as an
 # independent oracle for the rational cut formulas.

@@ -7,9 +7,9 @@ for node ``k``, the indices of all elements containing it and its one-ring
 (the node together with every vertex of those elements).
 
 Data that depends only on the mesh (element geometry, the reduced scatter
-map with its band ordering, the one-rings grouped by size) is computed on
-first use and cached on the mesh instance, so a new mesh never sees another
-mesh's data.
+map with its band ordering, the pivot-first rotation of every element
+vertex, the one-rings grouped by size) is computed on first use and cached
+on the mesh instance, so a new mesh never sees another mesh's data.
 """
 
 from __future__ import annotations
@@ -232,6 +232,16 @@ class Mesh:
         return ReducedIndex(free=free, fixed=fixed, ff=ff,
                             fd=block(order[row_free & ~col_free], len(fixed)),
                             band=band_layout(ff.indptr, ff.indices))
+
+    @cached_property
+    def pivot_first(self) -> np.ndarray:
+        """(3N, 3) read-only vertex triples of every (element, slot) pair:
+        row ``3 l + s`` is element ``l`` rotated so its slot-``s`` vertex
+        (the pivot) comes first, keeping the CCW order."""
+        rotations = (np.arange(3)[:, None] + np.arange(3)) % 3
+        triples = self.elements[:, rotations].reshape(-1, 3)
+        triples.flags.writeable = False
+        return triples
 
     @cached_property
     def ring_groups(self) -> tuple:

@@ -8,12 +8,15 @@ construction.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .fem import ProblemParams, assemble, solve_state
 from .mesh import BoundaryData, Mesh, generate_crossed_mesh
 
 __all__ = [
+    "PROBLEM_DEFAULTS",
     "default_params",
     "experiment_boundary",
     "target_level_set",
@@ -23,6 +26,15 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+
+# Benchmark material constants and cost weights, read-only.
+PROBLEM_DEFAULTS = MappingProxyType({
+    "lambda1": 1.0, "lambda2": 0.6,
+    "alpha1": 1.0, "alpha2": 0.2,
+    "atilde1": 1.0, "atilde2": 0.9,
+    "f1": 1.0, "f2": 0.5,
+    "c1": 0.0, "c2": 1.0,
+})
 
 
 def experiment_boundary() -> BoundaryData:
@@ -36,17 +48,10 @@ def experiment_boundary() -> BoundaryData:
 
 
 def default_params(**overrides) -> ProblemParams:
-    """Benchmark material constants and cost weights."""
-    values = dict(
-        lambda1=1.0, lambda2=0.6,
-        alpha1=1.0, alpha2=0.2,
-        atilde1=1.0, atilde2=0.9,
-        f1=1.0, f2=0.5,
-        c1=0.0, c2=1.0,
-        boundary=experiment_boundary(),
-    )
-    values.update(overrides)
-    return ProblemParams(**values)
+    """Benchmark problem: :data:`PROBLEM_DEFAULTS` on the experiment
+    boundary, with ``overrides`` applied."""
+    return ProblemParams(**{**PROBLEM_DEFAULTS,
+                            "boundary": experiment_boundary(), **overrides})
 
 
 def target_level_set(x, y):

@@ -24,8 +24,6 @@ __all__ = [
     "DivisionByZeroRealPart",
     "GenericScalar",
     "scalar_sign",
-    "hd_mul",
-    "hd_div",
 ]
 
 
@@ -154,17 +152,6 @@ class HyperDual:
 
 
 GenericScalar = Union[float, complex, HyperDual]
-
-
-def hd_mul(x: HyperDual, y: HyperDual) -> HyperDual:
-    """Hyper-dual product (function form of ``x * y``)."""
-    return x * y
-
-
-def hd_div(x: HyperDual, y: HyperDual) -> HyperDual:
-    """Hyper-dual quotient; raises :class:`DivisionByZeroRealPart` if
-    ``y.re == 0``."""
-    return x / y
 
 
 def scalar_sign(x: GenericScalar) -> int:

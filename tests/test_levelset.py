@@ -4,10 +4,9 @@ import pytest
 from helpers import exact_negative_area
 from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (CutTag, Perturbation, classify_element,
-                            classify_nodes, element_det_j,
-                            element_negative_integrals, interface_segments,
-                            negative_region_integrals, perturb,
-                            subdomain_area, symmetric_difference_area)
+                            classify_nodes, element_negative_integrals,
+                            interface_segments, negative_region_integrals,
+                            perturb, subdomain_area, symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
 from tsopt.scalars import HyperDual
 from tsopt.sensitivity import area_derivative
@@ -114,7 +113,7 @@ def test_complement_partition(mesh8, rng):
 
 def test_area_against_clipping_oracle(rng):
     mesh = generate_crossed_mesh(4)
-    det = element_det_j(mesh)
+    det = mesh.geometry.det_j
     for _ in range(25):
         phi = rng.uniform(-1, 1, mesh.num_nodes)
         expected = sum(

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tsopt.levelset import element_det_j
 from tsopt.mesh import build_incidence, generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import experiment_boundary, experiment_mesh
 from tsopt.vtkio import write_vtk
@@ -26,7 +25,7 @@ def test_published_node_counts_extend_to_finer_levels():
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_orientation_and_area_partition(n):
     mesh = generate_crossed_mesh(n)
-    det = element_det_j(mesh)
+    det = mesh.geometry.det_j
     assert (det > 0).all()
     assert abs(det.sum() / 2.0 - 1.0) < 1e-12
 
@@ -115,10 +114,20 @@ def test_incidence_equals_per_node_loops(n):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_pivot_first_rotations_are_cached(mesh8):
+    tris = mesh8.elements
+    rows = [[tris[l, s], tris[l, (s + 1) % 3], tris[l, (s + 2) % 3]]
+            for l in range(mesh8.num_elements) for s in range(3)]
+    assert mesh8.pivot_first.tolist() == rows
+    assert mesh8.pivot_first is mesh8.pivot_first
+    with pytest.raises(ValueError):
+        mesh8.pivot_first[0, 0] = 0
+
+
 def test_custom_mesh_builder():
     mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.num_elements == 1
-    assert element_det_j(mesh)[0] == pytest.approx(1.0)
+    assert mesh.geometry.det_j[0] == pytest.approx(1.0)
 
 
 def test_vtk_export_round_trip(tmp_path, mesh8, phi_d8):

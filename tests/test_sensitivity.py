@@ -6,7 +6,7 @@ from tsopt.levelset import (CutTag, Perturbation, classify_nodes,
                             element_negative_integrals, perturb,
                             subdomain_area)
 from tsopt.mesh import mesh_from_arrays
-from tsopt.problems import default_params
+from tsopt.problems import default_params, experiment_mesh
 from tsopt.scalars import HyperDual
 from tsopt.sensitivity import (DegenerateDenominator, area_derivative,
                                continuous_sd_discretized, cut_matrices,
@@ -43,8 +43,45 @@ def test_interface_configuration_a_plus_rate():
 
 
 def test_interior_rate_requires_nonzero_neighbors():
+    phi = np.array([-0.5, 0.0, -1.0])
     with pytest.raises(DegenerateDenominator):
-        area_derivative(REF, np.array([-0.5, 0.0, -1.0]), 0)
+        area_derivative(REF, phi, 0)
+    params = default_params().with_uhat(np.zeros(3))
+    with pytest.raises(DegenerateDenominator):
+        ts_derivative(REF, phi, np.zeros(3), np.zeros(3), params)
+
+
+def _snap_zeros(mesh, phi, rng, tries=40):
+    """Copy of ``phi`` with exact zeros at random nodes, each kept only if
+    every node still has a finite sensitivity."""
+    params = default_params().with_uhat(np.zeros(mesh.num_nodes))
+    zeros = np.zeros(mesh.num_nodes)
+    phi = phi.copy()
+    for k in rng.choice(mesh.num_nodes, size=tries, replace=False):
+        trial = phi.copy()
+        trial[k] = 0.0
+        try:
+            ts_derivative(mesh, trial, zeros, zeros, params)
+        except DegenerateDenominator:
+            continue
+        phi = trial
+    return phi
+
+
+@pytest.mark.parametrize("level", [4, 8])
+def test_field_rates_equal_per_node_rates(level, rng):
+    mesh = experiment_mesh(level)
+    params = default_params().with_uhat(np.zeros(mesh.num_nodes))
+    u, p = rng.normal(size=(2, mesh.num_nodes))
+    designs = [rng.uniform(-1.0, 1.0, mesh.num_nodes) for _ in range(3)]
+    snapped = [_snap_zeros(mesh, phi, rng) for phi in designs]
+    assert all((phi == 0.0).sum() >= 3 for phi in snapped)
+    for phi in designs + snapped:
+        cls = classify_nodes(mesh, phi)
+        field = ts_derivative(mesh, phi, u, p, params, cls)
+        per_node = [area_derivative(mesh, phi, k, cls).total_abs
+                    for k in range(mesh.num_nodes)]
+        assert field.dkatilde.tolist() == per_node
 
 
 def test_area_rate_sign_structure(mesh8, rng):
@@ -226,7 +263,7 @@ def test_continuous_comparison_reduces_to_discrete_without_diffusion_contrast(
     u = solve_state(system)
     p = solve_adjoint(system, u, params)
     field = ts_derivative(mesh8, phi_d8, u, p, params)
-    for k in field.classification.shape_nodes[:8]:
+    for k in field.classification.shape_nodes:
         ghat = continuous_sd_discretized(mesh8, phi_d8, u, p, params, int(k))
         assert ghat == pytest.approx(field.dj[k], rel=1e-12, abs=1e-14)
 

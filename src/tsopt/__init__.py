@@ -2,11 +2,10 @@
 sensitivity, verified by finite-difference, complex-step and hyper-dual
 differentiation."""
 
-from .scalars import HyperDual, scalar_sign
-from .hdarray import HyperDualArray
+from .hdarray import HyperDualArray, scalar_sign
 from .mesh import BoundaryData, Mesh, generate_crossed_mesh
 from .levelset import (CutTag, NodeClassification, Perturbation,
-                       classify_nodes, classify_element, interface_segments,
+                       classify_nodes, interface_segments,
                        perturb, subdomain_area, symmetric_difference_area)
 from .fem import (AssembledSystem, ProblemParams, assemble, objective,
                   solve_adjoint, solve_state)
@@ -19,10 +18,10 @@ from .optimize import OptimizerConfig, run as optimize
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
 
 __all__ = [
-    "HyperDual", "HyperDualArray", "scalar_sign",
+    "HyperDualArray", "scalar_sign",
     "BoundaryData", "Mesh", "generate_crossed_mesh",
     "CutTag", "NodeClassification", "Perturbation",
-    "classify_nodes", "classify_element", "interface_segments",
+    "classify_nodes", "interface_segments",
     "perturb", "subdomain_area", "symmetric_difference_area",
     "AssembledSystem", "ProblemParams", "assemble", "objective",
     "solve_adjoint", "solve_state",

@@ -10,11 +10,11 @@ files auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .optimize import OptimizerConfig
-from .problems import PROBLEM_DEFAULTS
+from .problems import PROBLEM_DEFAULTS, default_params
 from .verify import DEFAULT_STEPS
 
 __all__ = ["RunConfig", "ConfigError", "load_config"]
@@ -44,14 +44,7 @@ _VERIFY_DEFAULTS = {
 _OPTIMIZE_DEFAULTS = {
     "uhat": "target",
     "mesh_level": 16,
-    "max_iter": 800,
-    "kappa_init": 1.0,
-    "kappa_min": 1e-9,
-    "kappa_shrink": 0.5,
-    "patience": 2,
-    "smoothing": True,
-    "theta_tol": 1e-8,
-    "snapshot_cadence": 100,
+    **asdict(OptimizerConfig()),
     "reduction_target": 1e-4,
 }
 
@@ -64,22 +57,16 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> "RunConfig":
-        prob = self.problem
-        if prob["lambda1"] <= 0.0 or prob["lambda2"] <= 0.0:
-            raise ConfigError("diffusion coefficients must be positive")
-        for name in ("alpha1", "alpha2", "atilde1", "atilde2", "c1", "c2"):
-            if prob[name] < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
+        try:  # the problem and optimizer checks live in their classes
+            default_params(**self.problem)
+            self.optimizer_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for section in (self.verify, self.optimize):
             if section["mesh_level"] < 1:
                 raise ConfigError("mesh_level must be at least 1")
             if section["uhat"] not in ("target", "zero"):
                 raise ConfigError("uhat must be 'target' or 'zero'")
-        opt = self.optimize
-        if not (0.0 < opt["kappa_min"] < opt["kappa_init"] <= 1.0):
-            raise ConfigError("need 0 < kappa_min < kappa_init <= 1")
-        if opt["max_iter"] < 0:
-            raise ConfigError("max_iter must be non-negative")
         for key in ("fd_steps", "cs_steps", "hd_steps"):
             if any(s <= 0.0 for s in self.verify[key]):
                 raise ConfigError(f"{key} must be positive")
@@ -102,13 +89,8 @@ class RunConfig:
         return out
 
     def optimizer_config(self) -> OptimizerConfig:
-        opt = self.optimize
-        return OptimizerConfig(
-            max_iter=opt["max_iter"], kappa_init=opt["kappa_init"],
-            kappa_min=opt["kappa_min"], kappa_shrink=opt["kappa_shrink"],
-            patience=opt["patience"], smoothing=opt["smoothing"],
-            theta_tol=opt["theta_tol"],
-            snapshot_cadence=opt["snapshot_cadence"])
+        return OptimizerConfig(**{f.name: self.optimize[f.name]
+                                  for f in fields(OptimizerConfig)})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros, scatter_add
+from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
 from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
@@ -103,7 +103,7 @@ class AssembledSystem:
     """Reduced symmetric system plus the local tracking-mass matrices.
 
     ``matrix`` is a CSR matrix for real and complex data and a
-    :class:`~tsopt.hdarray.HyperDualMatrix` of four CSR components for
+    :class:`~tsopt.hdarray.HyperDualMatrix` of three CSR lanes for
     hyper-dual data; ``band`` is the band layout of its pattern, and the
     factor is made on the first solve and kept.  ``mt_local`` holds the
     per-element tracking mass matrices (coefficient included), from which
@@ -125,38 +125,40 @@ class AssembledSystem:
     _factor: object = None
 
 
+def _summed(vals, slot, size):
+    """Sum ``vals`` into ``size`` slots.  ``np.bincount`` adds the entries of
+    each slot one after another in input order, as scipy's COO-to-CSR
+    conversion and ``np.add.at`` would; complex data is summed as its real
+    and imaginary parts, and hyper-dual data lane by lane."""
+    if isinstance(vals, HyperDualArray):
+        return HyperDualArray(*(_summed(lane, slot, size)
+                                for lane in vals.lanes))
+    vals = np.asarray(vals).reshape(-1)
+    if np.iscomplexobj(vals):
+        data = np.empty(size, dtype=vals.dtype)
+        data.real = np.bincount(slot, vals.real, size)
+        data.imag = np.bincount(slot, vals.imag, size)
+        return data
+    return np.bincount(slot, vals, size)
+
+
 def _scatter_matrix(values, block: ScatterBlock, shape):
     """Sum the local (N,3,3) entries that a block of a
     :class:`~tsopt.mesh.ReducedIndex` selects into CSR (one CSR matrix per
-    hyper-dual component).
-
-    ``np.bincount`` adds the entries of each slot one after another in the
-    block's order, as scipy's COO-to-CSR conversion would; complex data is
-    summed as its real and imaginary parts."""
-
-    def summed(vals):
-        return np.bincount(block.slot, vals, block.nnz)
+    hyper-dual lane)."""
 
     def csr(vals):
-        vals = vals.reshape(-1)[block.pos]
-        if np.iscomplexobj(vals):
-            data = np.empty(block.nnz, dtype=vals.dtype)
-            data.real = summed(vals.real)
-            data.imag = summed(vals.imag)
-        else:
-            data = summed(vals)
+        data = _summed(vals.reshape(-1)[block.pos], block.slot, block.nnz)
         return sp.csr_matrix((data, block.indices, block.indptr), shape=shape)
 
     if isinstance(values, HyperDualArray):
-        return HyperDualMatrix(csr(values.re), csr(values.e1),
-                               csr(values.e2), csr(values.e12))
+        return HyperDualMatrix(*(csr(lane) for lane in values.lanes))
     return csr(np.asarray(values))
 
 
-def _scatter_vector(values, tris, num_nodes, like):
-    out = generic_zeros(num_nodes, like=like)
-    scatter_add(out, tris.reshape(-1), values.reshape(-1))
-    return out
+def _scatter_vector(values, tris, num_nodes):
+    """Sum local (N,3) entries into a nodal vector of their scalar type."""
+    return _summed(values, tris.reshape(-1), num_nodes)
 
 
 def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
@@ -182,7 +184,7 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     free, fixed = index.free, index.fixed
     a_ff = _scatter_matrix(a_loc, index.ff, (len(free), len(free)))
     a_fd = _scatter_matrix(a_loc, index.fd, (len(free), len(fixed)))
-    f_glob = _scatter_vector(f_loc, tris, num_nodes, like=a_loc)
+    f_glob = _scatter_vector(f_loc, tris, num_nodes)
 
     x, y = mesh.nodes[fixed, 0], mesh.nodes[fixed, 1]
     g = np.asarray(params.boundary.g_d(x, y), dtype=float)
@@ -218,7 +220,7 @@ def tracking_matvec(system: AssembledSystem, w):
     """Global product of the tracking mass matrix with a nodal vector."""
     w_loc = w[system.elements]
     local = (system.mt_local * w_loc[:, None, :]).sum(axis=-1)
-    return _scatter_vector(local, system.elements, system.num_nodes, like=local)
+    return _scatter_vector(local, system.elements, system.num_nodes)
 
 
 def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):

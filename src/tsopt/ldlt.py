@@ -4,11 +4,12 @@ The reduced matrices share one structurally symmetric pattern per mesh.  Its
 reverse Cuthill-McKee ordering (a :class:`~tsopt.mesh.BandLayout`) puts
 ``P A P^T`` in a narrow band, which LAPACK's banded LU with partial pivoting
 factors in ``O(n width^2)``: ``dgbtrf`` for real data, ``zgbtrf`` for
-complex-symmetric data.  With ``e1^2 = e2^2 = 0`` a hyper-dual system
-``(A0 + A1 e1 + A2 e2 + A12 e1e2) x = b`` splits exactly into four real
-solves that share the LU of ``A0``:
-``x0 = A0^-1 b0``, ``x1 = A0^-1 (b1 - A1 x0)``, ``x2 = A0^-1 (b2 - A2 x0)``,
-``x12 = A0^-1 (b12 - A1 x2 - A2 x1 - A12 x0)``.
+complex-symmetric data.  With ``E1^2 = E2^2 = 0`` a hyper-dual system
+``(A0 + A1 (E1 + E2) + A12 E1 E2) x = b`` with its E2 parts tied to its E1
+parts (see :mod:`.hdarray`) splits exactly into three real solves that share
+the LU of ``A0`` (Fike and Alonso, AIAA 2011-886):
+``x0 = A0^-1 b0``, ``x1 = A0^-1 (b1 - A1 x0)``,
+``x12 = A0^-1 (b12 - A1 x1 - A1 x1 - A12 x0)``.
 
 A non-finite matrix entry or an exactly zero pivot raises
 :class:`SolverBreakdown`.  The module and its two entry points keep the
@@ -73,7 +74,7 @@ def ldlt_factor(matrix, band):
     whose pattern ``band`` (a :class:`~tsopt.mesh.BandLayout`) describes.
 
     Returns ``(lu, parts)``: the banded LU of the matrix or of its real
-    part, and the hyper-dual parts ``(A1, A2, A12)`` (``None`` otherwise).
+    part, and the hyper-dual parts ``(A1, A12)`` (``None`` otherwise).
     """
     hyper = isinstance(matrix, HyperDualMatrix)
     for part in matrix if hyper else (matrix,):
@@ -89,9 +90,9 @@ def ldlt_solve(factor, b):
     lu, parts = factor
     if parts is None:
         return _lu_solve(lu, b)
-    a1, a2, a12 = parts
+    a1, a12 = parts
     x0 = _lu_solve(lu, b.re)
     x1 = _lu_solve(lu, b.e1 - a1 @ x0)
-    x2 = _lu_solve(lu, b.e2 - a2 @ x0)
-    x12 = _lu_solve(lu, b.e12 - a1 @ x2 - a2 @ x1 - a12 @ x0)
-    return HyperDualArray(x0, x1, x2, x12)
+    cross = a1 @ x1    # the A1 x2 and A2 x1 terms, equal when tied
+    x12 = _lu_solve(lu, b.e12 - cross - cross - a12 @ x0)
+    return HyperDualArray(x0, x1, x12)

@@ -2,9 +2,9 @@
 
 A design domain is the region where a piecewise-linear nodal function is
 negative.  This module classifies nodes by the signs on their one-ring,
-applies the single-node perturbation operators, classifies how elements are
-cut, and integrates polynomials exactly over the negative part of each
-element.  All cut quantities are rational in the nodal values, so every
+applies the single-node perturbation operators, marks the sign of every
+element vertex, and integrates polynomials exactly over the negative part of
+each element.  All cut quantities are rational in the nodal values, so every
 function here accepts real, complex or hyper-dual input.
 
 Sign conventions: a value of exactly zero counts as non-negative ('+') in
@@ -17,24 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .hdarray import (HyperDualArray, generic_zeros, promote_like, real_part,
-                      sign_array)
+from .hdarray import (GenericScalar, HyperDualArray, generic_zeros,
+                      promote_like, real_part, scalar_sign, sign_array)
 from .mesh import Mesh
-from .scalars import GenericScalar, scalar_sign
 
 __all__ = [
     "DegenerateCut",
     "NodeClassification",
     "Perturbation",
     "CutTag",
-    "ElementCut",
     "classify_nodes",
     "perturb",
-    "classify_element",
+    "element_plus_mask",
     "element_negative_integrals",
     "negative_region_integrals",
     "subdomain_area",
@@ -129,11 +126,6 @@ _TAG_BY_BITS = {
 }
 
 
-class ElementCut(NamedTuple):
-    tag: CutTag
-    rotation: int  # local index of the pivot vertex in the element's stored order
-
-
 def classify_nodes(mesh: Mesh, phi) -> NodeClassification:
     """Classify every node by the signs of its one-ring values."""
     s = sign_array(phi).astype(np.int8)
@@ -166,16 +158,6 @@ def perturb(phi, k: int, eps: GenericScalar, kind: Perturbation):
     else:
         out[k] = -eps
     return out
-
-
-def classify_element(phi1: GenericScalar, phi2: GenericScalar,
-                     phi3: GenericScalar, pivot: int = 0) -> ElementCut:
-    """Cut configuration of one element from its (possibly perturbed) nodal
-    values, after rotating so the pivot vertex comes first."""
-    vals = (phi1, phi2, phi3)
-    plus = [scalar_sign(vals[(pivot + r) % 3]) >= 0 for r in range(3)]
-    bits = (plus[0] << 2) | (plus[1] << 1) | plus[2]
-    return ElementCut(_TAG_BY_BITS[bits], pivot)
 
 
 def element_plus_mask(mesh: Mesh, phi) -> np.ndarray:

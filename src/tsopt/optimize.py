@@ -33,7 +33,6 @@ __all__ = [
     "l2_norm",
     "slerp_update",
     "smooth",
-    "step",
     "run",
 ]
 
@@ -62,6 +61,8 @@ class OptimizerConfig:
     snapshot_cadence: int = 100    # 0 disables snapshots
 
     def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be non-negative")
         if not (0.0 < self.kappa_min < self.kappa_init <= 1.0):
             raise ValueError("need 0 < kappa_min < kappa_init <= 1")
         if not (0.0 < self.kappa_shrink < 1.0):
@@ -125,17 +126,13 @@ def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
                          shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
 
 
-def l2_inner(m0, phi: np.ndarray, psi: np.ndarray) -> float:
-    """L2 inner product over the domain; accepts the mesh or a prebuilt
-    unit mass matrix."""
-    if isinstance(m0, Mesh):
-        m0 = unit_mass_matrix(m0)
+def l2_inner(m0: sp.csr_matrix, phi: np.ndarray, psi: np.ndarray) -> float:
+    """L2 inner product over the domain, with the :func:`unit_mass_matrix`
+    ``m0``."""
     return float(phi @ (m0 @ psi))
 
 
-def l2_norm(m0, phi: np.ndarray) -> float:
-    if isinstance(m0, Mesh):
-        m0 = unit_mass_matrix(m0)
+def l2_norm(m0: sp.csr_matrix, phi: np.ndarray) -> float:
     return math.sqrt(max(float(phi @ (m0 @ phi)), 0.0))
 
 
@@ -248,31 +245,6 @@ def _line_search(mesh, params, config, m0, phi, ev) -> _Candidate | None:
     if best is None or best.j >= ev.j:
         return None
     return best
-
-
-def step(mesh: Mesh, params: ProblemParams, phi: np.ndarray,
-         config: OptimizerConfig = OptimizerConfig(),
-         m0=None) -> tuple[np.ndarray, dict]:
-    """One accepted iteration from a normalized level set.
-
-    Returns the next iterate and a record with the accepted cost, rotation
-    fraction and angle; a stalled search returns the input unchanged with
-    ``stalled=True``.
-    """
-    if m0 is None:
-        m0 = unit_mass_matrix(mesh)
-    phi = np.asarray(phi, dtype=float)
-    phi = phi / l2_norm(m0, phi)
-    ev = _evaluate(mesh, phi, params, m0)
-    if ev.norm_g <= 1e-14:
-        return phi, {"j": ev.j, "kappa": 0.0, "theta": 0.0,
-                     "stalled": False, "converged": True}
-    best = _line_search(mesh, params, config, m0, phi, ev)
-    if best is None:
-        return phi, {"j": ev.j, "kappa": 0.0, "theta": 0.0,
-                     "stalled": True, "converged": False}
-    return best.phi, {"j": best.j, "kappa": best.kappa, "theta": best.theta,
-                      "stalled": False, "converged": False}
 
 
 def run(mesh: Mesh, params: ProblemParams,

@@ -157,7 +157,8 @@ def _pair_rates(p, det_j, label, bits):
     pivots, the cut rate on cut elements of interface pivots, 0 on their
     uncut elements), the indices of the cut pairs, and the pivot-first mass
     (m, 3, 3) and load (m, 3) rates of the cut pairs.  Raises
-    :class:`DegenerateDenominator` if a denominator vanishes.
+    :class:`DegenerateDenominator` if a rate is not finite: a denominator
+    vanished or underflowed.
     """
     inner = np.flatnonzero(label != 0)
     prod = p[inner, 1] * p[inner, 2]
@@ -171,25 +172,28 @@ def _pair_rates(p, det_j, label, bits):
     q1 = p[cut, 0]
     q2 = np.where(mirrored, p[cut, 2], p[cut, 1])
     q3 = np.where(mirrored, p[cut, 1], p[cut, 2])
-    # family A divides by p1 - p2 and p1 - p3, family B by p1 - p2 and p2 - p3
-    if (np.any(prod == 0.0) or np.any(q1 == q2)
-            or np.any(np.where(fam_a, q1, q2) == q3)):
-        raise DegenerateDenominator(
-            "zero neighbor value at an interior node or coincident "
-            "level-set values in a cut element")
 
     dka = np.zeros(len(p))
-    dka[inner] = label[inner] * det_j[inner] / (2.0 * prod)
     scale = sign * det_j[cut]
     dm = np.empty((len(cut), 3, 3))
     df = np.empty((len(cut), 3))
-    for rows, area_rate, mass_rate, load_rate in (
-            (np.flatnonzero(fam_a), _area_rate_a, _mass_rate_a, _load_rate_a),
-            (np.flatnonzero(~fam_a), _area_rate_b, _mass_rate_b, _load_rate_b)):
-        args = q1[rows], q2[rows], q3[rows]
-        dka[cut[rows]] = scale[rows] * area_rate(*args)
-        dm[rows] = scale[rows, None, None] * mass_rate(*args)
-        df[rows] = scale[rows, None] * load_rate(*args)
+    # a vanishing or underflowing denominator shows as inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dka[inner] = label[inner] * det_j[inner] / (2.0 * prod)
+        for rows, area_rate, mass_rate, load_rate in (
+                (np.flatnonzero(fam_a),
+                 _area_rate_a, _mass_rate_a, _load_rate_a),
+                (np.flatnonzero(~fam_a),
+                 _area_rate_b, _mass_rate_b, _load_rate_b)):
+            args = q1[rows], q2[rows], q3[rows]
+            dka[cut[rows]] = scale[rows] * area_rate(*args)
+            dm[rows] = scale[rows, None, None] * mass_rate(*args)
+            df[rows] = scale[rows, None] * load_rate(*args)
+    if not (np.isfinite(dka).all() and np.isfinite(dm).all()
+            and np.isfinite(df).all()):
+        raise DegenerateDenominator(
+            "zero neighbor value at an interior node or a vanishing "
+            "denominator in a cut element")
     back = np.flatnonzero(mirrored)
     dm[back] = dm[np.ix_(back, _MIRROR, _MIRROR)]
     df[back] = df[np.ix_(back, _MIRROR)]
@@ -200,10 +204,14 @@ def _mesh_pair_rates(mesh: Mesh, phi, labels, pairs):
     """:func:`_pair_rates` on (element, slot) pairs ``3 l + s`` of a mesh."""
     triples = mesh.pivot_first[pairs]
     p = phi[triples]
-    plus = p >= 0.0
-    bits = 4 * plus[:, 0] + 2 * plus[:, 1] + plus[:, 2]
     return _pair_rates(p, mesh.geometry.det_j[pairs // 3],
-                       labels[triples[:, 0]], bits)
+                       labels[triples[:, 0]], _plus_bits(p))
+
+
+def _plus_bits(p):
+    """Pivot-first plus-bits of (n, 3) element values; zero counts as '+'."""
+    plus = p >= 0.0
+    return 4 * plus[:, 0] + 2 * plus[:, 1] + plus[:, 2]
 
 
 def _node_pairs(mesh: Mesh, k: int) -> np.ndarray:
@@ -268,13 +276,16 @@ def cut_matrices(tag: CutTag, phi_rotated, det_j: float) -> CutElementMatrices:
     """Mass/load rate matrices for one cut element.
 
     ``phi_rotated`` are the element's level-set values with the perturbed
-    node first.  Raises :class:`DegenerateDenominator` if a required
-    difference vanishes.
+    node first, and their signs must be those of ``tag``.  Raises
+    :class:`DegenerateDenominator` if a rate is not finite.
     """
-    bits = next(b for b, t in _TAG_BY_BITS.items() if t is tag)
-    _, cut, dm, df = _pair_rates(np.array([phi_rotated], dtype=float),
-                                 np.array([det_j], dtype=float),
-                                 np.zeros(1, dtype=int), np.array([bits]))
+    p = np.array([phi_rotated], dtype=float)
+    bits = _plus_bits(p)
+    if _TAG_BY_BITS[bits[0]] is not tag:
+        raise ValueError(f"values {tuple(phi_rotated)} do not have the "
+                         f"signs of {tag}")
+    _, cut, dm, df = _pair_rates(p, np.array([det_j], dtype=float),
+                                 np.zeros(1, dtype=int), bits)
     if not len(cut):
         raise ValueError(f"element is not cut: {tag}")
     return CutElementMatrices(dm=dm[0], df=df[0])

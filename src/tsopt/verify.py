@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .fem import ProblemParams, assemble, objective, solve_adjoint, solve_state
+from .hdarray import HyperDualArray
 from .levelset import (Perturbation, classify_nodes, perturb,
                        symmetric_difference_area)
 from .mesh import Mesh
-from .scalars import HyperDual
 from .sensitivity import SensitivityField, area_derivative, ts_derivative
 
 __all__ = [
@@ -150,11 +150,14 @@ def cs_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
                   label: int | None = None,
                   dkatilde: float | None = None) -> float:
-    """Hyper-dual estimate; exact up to roundoff for any step size."""
+    """Hyper-dual estimate; exact up to roundoff for any step size.
+
+    The seed ``h (E1 + E2)`` gives the shape estimate from the e1 lane and
+    the topological one from the e12 lane."""
     phi = np.asarray(phi, dtype=float)
     label, dkatilde = _node_data(mesh, phi, k, label, dkatilde)
     kind = Perturbation.for_label(label)
-    phi_h = perturb(phi, k, HyperDual(0.0, h, h, 0.0), kind)
+    phi_h = perturb(phi, k, HyperDualArray(0.0, h, 0.0), kind)
     j_h = _evaluate_cost(mesh, phi_h, params)
     if kind is Perturbation.SHAPE:
         return j_h.e1 / (h * dkatilde)

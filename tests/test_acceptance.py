@@ -14,13 +14,13 @@ from scipy.sparse.csgraph import connected_components
 
 from helpers import exact_negative_area
 from tsopt.fem import assemble, element_geometry, solve_adjoint, solve_state
+from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (CutTag, classify_nodes, element_negative_integrals,
                             interface_segments, symmetric_difference_area,
                             _clip_negative)
 from tsopt.mesh import generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, setup_problem
-from tsopt.scalars import HyperDual
 from tsopt.sensitivity import (area_derivative, cut_matrices,
                                volume_derivative)
 from tsopt.verify import analytic_field, hd_derivative, run_verification
@@ -131,13 +131,14 @@ def test_criterion_5_cut_rate_oracles():
 
             up = entries((vals[0] + eps, vals[1], vals[2]))
             down = entries((vals[0] - eps, vals[1], vals[2]))
-            hd_vals = entries((HyperDual(vals[0], h, h, 0.0),
+            hd_vals = entries((HyperDualArray(vals[0], h, 0.0),
                                vals[1], vals[2]))
             for want, hi, lo, hdv in zip(closed, up, down, hd_vals):
                 fd = (hi - lo) / (2.0 * eps)
                 scale = max(abs(want), 1e-8)
                 worst_fd = max(worst_fd, abs(fd - want) / scale)
-                exact = hdv.e1 / h if isinstance(hdv, HyperDual) else 0.0
+                exact = (hdv.e1 / h if isinstance(hdv, HyperDualArray)
+                         else 0.0)
                 worst_hd = max(worst_hd,
                                abs(exact - want) / max(abs(want), 1e-13))
 

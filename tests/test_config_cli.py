@@ -44,6 +44,10 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"optimize": {"kappa_min": 2.0}})
     with pytest.raises(ConfigError):
+        RunConfig.from_dict({"optimize": {"kappa_shrink": 2.0}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"optimize": {"max_iter": -1}})
+    with pytest.raises(ConfigError):
         RunConfig.from_dict({"verify": {"uhat": "bogus"}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"no_such_section": {}})
@@ -72,6 +76,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     code = main(["verify", "--config", str(bad), "--output", str(tmp_path)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"optimize": {"kappa_shrink": 2.0}}))
+    code = main(["optimize", "--config", str(bad), "--mesh-level", "2",
+                 "--output", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "kappa_shrink" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_verify_command_hd_step_independence(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tsopt import ldlt
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.ldlt import SolverBreakdown, band_storage, ldlt_factor, ldlt_solve
 from tsopt.mesh import band_layout
@@ -20,11 +21,11 @@ def random_sym(rng, n):
 
 
 def hd_system(rng, n, scale=1.0):
-    """Random hyper-dual matrix (dense components) and right-hand side."""
+    """Random hyper-dual matrix (dense lanes) and right-hand side."""
     comps = [random_spd(rng, n)] + [scale * random_sym(rng, n)
-                                    for _ in range(3)]
+                                    for _ in range(2)]
     matrix = HyperDualMatrix(*(sp.csr_matrix(c) for c in comps))
-    return comps, matrix, HyperDualArray(*rng.normal(size=(4, n)))
+    return comps, matrix, HyperDualArray(*rng.normal(size=(3, n)))
 
 
 def layout(a):
@@ -84,31 +85,45 @@ def test_complex_symmetric_solve(rng):
 
 
 def test_hyperdual_solve_against_nilpotent_substitution(rng):
-    # A x = b over hyper-duals decouples into real solves:
-    # A0 x0 = b0, A0 x1 = b1 - A1 x0, A0 x2 = b2 - A2 x0,
-    # A0 x12 = b12 - A1 x2 - A2 x1 - A12 x0
-    (a0, a1, a2, a12), a, b = hd_system(rng, 10)
+    # A x = b over hyper-duals with E2 parts tied to E1 parts decouples into
+    # real solves: A0 x0 = b0, A0 x1 = b1 - A1 x0,
+    # A0 x12 = b12 - A1 x1 - A1 x1 - A12 x0
+    (a0, a1, a12), a, b = hd_system(rng, 10)
 
     x = solve(a, b)
 
     x0 = np.linalg.solve(a0, b.re)
     x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
-    x2 = np.linalg.solve(a0, b.e2 - a2 @ x0)
-    x12 = np.linalg.solve(a0, b.e12 - a1 @ x2 - a2 @ x1 - a12 @ x0)
+    x12 = np.linalg.solve(a0, b.e12 - a1 @ x1 - a1 @ x1 - a12 @ x0)
     assert np.allclose(x.re, x0, atol=1e-12)
     assert np.allclose(x.e1, x1, atol=1e-12)
-    assert np.allclose(x.e2, x2, atol=1e-12)
     assert np.allclose(x.e12, x12, atol=1e-12)
 
 
+def test_hyperdual_solve_makes_three_real_solves(rng, monkeypatch):
+    calls = []
+    real_solve = ldlt._lu_solve
+
+    def counted(factor, b):
+        calls.append(None)
+        return real_solve(factor, b)
+
+    monkeypatch.setattr(ldlt, "_lu_solve", counted)
+    _, a, b = hd_system(rng, 10)
+    lu = factor(a)
+    solve_calls = len(calls)
+    ldlt_solve(lu, b)
+    assert solve_calls == 0 and len(calls) == 3
+
+
 def test_hyperdual_residual_is_exact(rng):
-    (a0, a1, a2, a12), a, b = hd_system(rng, 8, scale=0.1)
+    (a0, a1, a12), a, b = hd_system(rng, 8, scale=0.1)
     x = solve(a, b)
-    # components of A x - b, multiplied out with e1^2 = e2^2 = 0
+    # lanes of A x - b, multiplied out with E1^2 = E2^2 = 0 and the E2
+    # parts equal to the E1 parts
     r = (a0 @ x.re - b.re,
          a0 @ x.e1 + a1 @ x.re - b.e1,
-         a0 @ x.e2 + a2 @ x.re - b.e2,
-         a0 @ x.e12 + a1 @ x.e2 + a2 @ x.e1 + a12 @ x.re - b.e12)
+         a0 @ x.e12 + a1 @ x.e1 + a1 @ x.e1 + a12 @ x.re - b.e12)
     for comp in r:
         assert np.abs(comp).max() < 1e-12
 
@@ -121,7 +136,7 @@ def test_breakdown_on_vanishing_pivot():
     with pytest.raises(SolverBreakdown):
         factor(a.astype(complex))
     with pytest.raises(SolverBreakdown):
-        factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a, a))
+        factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -137,8 +152,8 @@ def test_breakdown_on_non_finite_entry(rng, bad):
     complex_poisoned.data[7] = complex(1.0, bad)
     with pytest.raises(SolverBreakdown):
         factor(complex_poisoned)
-    for position in range(4):
-        parts = [a, a, a, a]
+    for position in range(3):
+        parts = [a, a, a]
         parts[position] = poisoned
         with pytest.raises(SolverBreakdown):
             factor(HyperDualMatrix(*parts))
@@ -151,10 +166,10 @@ def test_reuse_factorization(rng):
         b = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.allclose(ldlt_solve(lu, b), np.linalg.solve(a, b),
                            atol=1e-12)
-    (a0, a1, _, _), hd, _ = hd_system(rng, 6)
+    (a0, a1, _), hd, _ = hd_system(rng, 6)
     lu = factor(hd)
     for _ in range(3):
-        b = HyperDualArray(*rng.normal(size=(4, 6)))
+        b = HyperDualArray(*rng.normal(size=(3, 6)))
         x = ldlt_solve(lu, b)
         x0 = np.linalg.solve(a0, b.re)
         assert np.allclose(x.re, x0, atol=1e-12)

@@ -3,12 +3,11 @@ import pytest
 
 from helpers import exact_negative_area
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (CutTag, Perturbation, classify_element,
-                            classify_nodes, element_negative_integrals,
+from tsopt.levelset import (Perturbation, classify_nodes,
+                            element_negative_integrals, element_plus_mask,
                             interface_segments, negative_region_integrals,
                             perturb, subdomain_area, symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
-from tsopt.scalars import HyperDual
 from tsopt.sensitivity import area_derivative
 
 REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -70,26 +69,30 @@ def test_perturbation_operators():
     dropped = perturb(phi, 2, complex(0, 1e-3), Perturbation.TOPO_MINUS)
     assert dropped[2] == complex(0, -1e-3)
     assert dropped.dtype == complex
-    hd = perturb(phi, 0, HyperDual(0, 1, 1, 0), Perturbation.SHAPE)
+    hd = perturb(phi, 0, HyperDualArray(0.0, 1.0), Perturbation.SHAPE)
     assert isinstance(hd, HyperDualArray)
     assert hd[0].re == pytest.approx(0.3) and hd[0].e1 == 1.0
     assert phi[0] == 0.3  # original untouched
 
 
 def test_element_cut_classification():
-    assert classify_element(1.0, -1.0, -1.0).tag is CutTag.A_PLUS
-    assert classify_element(-1.0, 1.0, -1.0).tag is CutTag.B_PLUS
-    assert classify_element(-1.0, -1.0, -1.0).tag is CutTag.ALL_NEG
-    assert classify_element(-1.0, 1.0, 1.0).tag is CutTag.A_MINUS
-    assert classify_element(-1.0, -1.0, 1.0).tag is CutTag.C_PLUS
+    def mask(phi):
+        return element_plus_mask(REF, phi)[0].tolist()
+
+    assert mask(np.array([1.0, -1.0, -1.0])) == [True, False, False]
+    assert mask(np.array([-1.0, -1.0, -1.0])) == [False, False, False]
+    assert mask(np.array([-1.0, 1.0, 1.0])) == [False, True, True]
     # zero counts as '+'
-    assert classify_element(0.0, -1.0, -1.0).tag is CutTag.A_PLUS
-    # rotation: values are read starting from the pivot
-    cut = classify_element(-1.0, 1.0, -1.0, pivot=1)
-    assert cut.tag is CutTag.A_PLUS and cut.rotation == 1
-    # perturbed scalars classify through the sign rule
-    assert classify_element(HyperDual(0, 1, 1, 0), -1.0, -1.0).tag is CutTag.A_PLUS
-    assert classify_element(complex(0, -1e-6), 1.0, 1.0).tag is CutTag.A_MINUS
+    assert mask(np.array([0.0, -1.0, -1.0])) == [True, False, False]
+    # perturbed scalars follow the sign rule of their first nonzero part
+    base = np.array([0.0, -1.0, 1.0])
+    seeds = [(HyperDualArray(0.0, 1.0), True),
+             (HyperDualArray(0.0, -1.0), False),
+             (HyperDualArray(0.0, 0.0, -1.0), False),
+             (complex(0.0, 1e-6), True), (complex(0.0, -1e-6), False)]
+    for eps, plus in seeds:
+        phi = perturb(base, 0, eps, Perturbation.TOPO_PLUS)
+        assert mask(phi) == [plus, False, True]
 
 
 def test_subdomain_area_basics(mesh8):
@@ -220,7 +223,7 @@ def test_generic_area_linearizes_like_real(mesh8, phi_d8):
     cls = classify_nodes(mesh8, phi_d8)
     k = int(cls.shape_nodes[3])
     h = 1e-2
-    hd = perturb(phi_d8, k, HyperDual(0.0, h, h, 0.0), Perturbation.SHAPE)
+    hd = perturb(phi_d8, k, HyperDualArray(0.0, h, 0.0), Perturbation.SHAPE)
     area_hd = subdomain_area(mesh8, hd)
     # the linear part must match the signed area rate
     rate = area_derivative(mesh8, phi_d8, k, cls).total

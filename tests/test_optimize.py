@@ -7,7 +7,7 @@ from tsopt.levelset import classify_nodes
 from tsopt.mesh import generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
                             _line_search, l2_inner, l2_norm, run,
-                            slerp_update, smooth, step, unit_mass_matrix)
+                            slerp_update, smooth, unit_mass_matrix)
 from tsopt.problems import experiment_mesh
 
 
@@ -160,15 +160,18 @@ def test_run_stops_at_the_optimum(mesh8, params_target8, phi_d8):
 
 def test_single_step_fixed_point_and_descent(mesh8, params_target8, phi_d8):
     m0 = unit_mass_matrix(mesh8)
-    phi_new, info = step(mesh8, params_target8, phi_d8, m0=m0)
-    assert info["converged"] and info["j"] <= 1e-25
+    one = OptimizerConfig(max_iter=1, snapshot_cadence=0)
+    history, phi_new = run(mesh8, params_target8, one, phi0=phi_d8)
+    assert history.iteration == [0] and history.j[0] <= 1e-25
     assert np.allclose(phi_new, phi_d8 / l2_norm(m0, phi_d8))
-    # from the empty design a single step must strictly decrease the cost
+    # from the empty design each single step must strictly decrease the cost
     ones = np.ones(mesh8.num_nodes)
-    phi1, info1 = step(mesh8, params_target8, ones, m0=m0)
-    assert not info1["stalled"]
-    _, info2 = step(mesh8, params_target8, phi1, m0=m0)
-    assert info2["j"] < info1["j"]
+    first, _ = run(mesh8, params_target8, one, phi0=ones)
+    assert first.stalled == [False, False] and first.j[1] < first.j[0]
+    two = OptimizerConfig(max_iter=2, snapshot_cadence=0)
+    second, _ = run(mesh8, params_target8, two, phi0=ones)
+    assert second.j[:2] == first.j
+    assert not second.stalled[2] and second.j[2] < second.j[1]
 
 
 def test_short_run_descends_monotonically(mesh8, params_target8):

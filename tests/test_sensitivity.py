@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from tsopt.fem import assemble, solve_adjoint, solve_state
+from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (CutTag, Perturbation, classify_nodes,
                             element_negative_integrals, perturb,
                             subdomain_area)
 from tsopt.mesh import mesh_from_arrays
 from tsopt.problems import default_params, experiment_mesh
-from tsopt.scalars import HyperDual
 from tsopt.sensitivity import (DegenerateDenominator, area_derivative,
                                continuous_sd_discretized, cut_matrices,
                                generalized_derivative, ts_derivative,
@@ -134,14 +134,39 @@ def test_cut_matrix_symmetry_and_sign_flip(rng):
             vals = tuple(s * m for s, m in zip(patterns[plus_tag], mags))
             m_plus = cut_matrices(plus_tag, vals, det_j=0.7)
             assert np.allclose(m_plus.dm, m_plus.dm.T)
-            m_minus = cut_matrices(minus_tag, vals, det_j=0.7)
-            assert np.allclose(m_minus.dm, -m_plus.dm)
-            assert np.allclose(m_minus.df, -m_plus.df)
+            # negated values swap the two regions and the direction of the
+            # pivot's perturbation, so the two sign flips cancel
+            flipped = tuple(-v for v in vals)
+            m_minus = cut_matrices(minus_tag, flipped, det_j=0.7)
+            assert np.allclose(m_minus.dm, m_plus.dm)
+            assert np.allclose(m_minus.df, m_plus.df)
 
 
 def test_cut_matrix_degenerate_denominator():
-    with pytest.raises(DegenerateDenominator):
+    # sign-consistent near-ties whose fourth-power denominators underflow
+    near_ties = {CutTag.A_PLUS: (1e-80, -1e-80, -2e-80),
+                 CutTag.B_PLUS: (-2e-80, 1e-80, -1e-80),
+                 CutTag.C_MINUS: (1e-80, 2e-80, -1e-80)}
+    for tag, vals in near_ties.items():
+        with pytest.raises(DegenerateDenominator):
+            cut_matrices(tag, vals, det_j=1.0)
+
+
+def test_cut_matrix_rejects_a_tag_that_contradicts_the_signs():
+    with pytest.raises(ValueError, match="signs"):
         cut_matrices(CutTag.B_PLUS, (1.0, 1.0, -1.0), det_j=1.0)
+    with pytest.raises(ValueError, match="not cut"):
+        cut_matrices(CutTag.ALL_POS, (1.0, 0.0, 2.0), det_j=1.0)
+
+
+def test_near_tie_design_raises_instead_of_nan():
+    # a design scaled so far down that the cut-rate denominators underflow
+    mesh = experiment_mesh(4)
+    phi = 1e-80 * (mesh.nodes[:, 0] - 0.37)
+    params = default_params().with_uhat(np.zeros(mesh.num_nodes))
+    zeros = np.zeros(mesh.num_nodes)
+    with pytest.raises(DegenerateDenominator):
+        ts_derivative(mesh, phi, zeros, zeros, params)
 
 
 def test_cut_matrices_match_hyperdual_oracle(rng):
@@ -156,14 +181,16 @@ def test_cut_matrices_match_hyperdual_oracle(rng):
             vals = tuple(s * m for s, m in
                          zip(pattern, rng.uniform(0.1, 2.0, 3)))
             mats = cut_matrices(tag, vals, det_j=1.0)
-            hd = (HyperDual(vals[0], h, h, 0.0), vals[1], vals[2])
+            hd = (HyperDualArray(vals[0], h, 0.0), vals[1], vals[2])
             _, mass, load = element_negative_integrals(hd)
             for i in range(3):
-                want = load[i].e1 / h if isinstance(load[i], HyperDual) else 0.0
+                want = (load[i].e1 / h if isinstance(load[i], HyperDualArray)
+                        else 0.0)
                 assert mats.df[i] == pytest.approx(want, abs=1e-12)
                 for j in range(3):
                     entry = mass[i][j]
-                    want = entry.e1 / h if isinstance(entry, HyperDual) else 0.0
+                    want = (entry.e1 / h if isinstance(entry, HyperDualArray)
+                            else 0.0)
                     assert mats.dm[i, j] == pytest.approx(want, abs=1e-12)
 
 

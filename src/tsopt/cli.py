@@ -2,7 +2,8 @@
 
 ``tsopt verify``     run the derivative checks and emit CSV reports
 ``tsopt optimize``   run the descent loop and emit history + snapshots
-``tsopt mesh-info``  print node/element/boundary counts for a mesh level
+``tsopt mesh-info``  print node, element and Dirichlet node counts for a
+                    mesh level
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 1 criterion not met (verification tolerance or cost-reduction target).
@@ -35,7 +36,6 @@ def cmd_mesh_info(args) -> int:
     print(f"nodes:           {mesh.num_nodes}")
     print(f"elements:        {mesh.num_elements}")
     print(f"dirichlet nodes: {len(mesh.dirichlet_nodes)}")
-    print(f"neumann edges:   {len(mesh.neumann_edges)}")
     return 0
 
 

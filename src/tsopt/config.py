@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .optimize import OptimizerConfig
 from .problems import PROBLEM_DEFAULTS, default_params
-from .verify import DEFAULT_STEPS
+from .verify import DEFAULT_STEPS, SLOPE_WINDOWS
 
 __all__ = ["RunConfig", "ConfigError", "load_config"]
 
@@ -33,12 +33,9 @@ _VERIFY_DEFAULTS = {
     "hd_tolerance": 1e-10,
     # step ranges used for the convergence-slope fits; "pre_floor" picks the
     # two steps just above the observed error minimum
-    "slope_windows": {
-        "fd_e_s": [9e-7, 4e-4],
-        "fd_e_t": [9e-6, 1.1e-4],
-        "cs_e_s": [0.0, 4e-4],
-        "cs_e_t": "pre_floor",
-    },
+    "slope_windows": {f"{method}_{curve}": rule if isinstance(rule, str)
+                      else list(rule)
+                      for (method, curve), rule in SLOPE_WINDOWS.items()},
 }
 
 _OPTIMIZE_DEFAULTS = {
@@ -57,11 +54,20 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> "RunConfig":
-        try:  # the problem and optimizer checks live in their classes
-            default_params(**self.problem)
-            self.optimizer_config()
-        except ValueError as exc:
+        """Raise :class:`ConfigError` on a value out of range or of the
+        wrong type."""
+        try:
+            self._check()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        return self
+
+    def _check(self) -> None:
+        # the problem and optimizer checks live in their classes
+        default_params(**self.problem)
+        self.optimizer_config()
         for section in (self.verify, self.optimize):
             if section["mesh_level"] < 1:
                 raise ConfigError("mesh_level must be at least 1")
@@ -78,7 +84,6 @@ class RunConfig:
                     raise ConfigError(f"unknown slope window mode {rule!r}")
             elif len(rule) != 2 or rule[0] > rule[1]:
                 raise ConfigError(f"slope window {key} must be [lo, hi]")
-        return self
 
     def slope_windows(self) -> dict:
         """Slope-window table keyed (method, curve) for the verifier."""

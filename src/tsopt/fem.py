@@ -9,10 +9,10 @@ input.  Dirichlet conditions are imposed by row/column elimination with a
 right-hand-side correction, which preserves symmetry.
 
 Every scalar type is scattered straight into sparse free x free and
-free x fixed matrices through the mesh's cached CSR scatter map, and solved
-by banded LU on the mesh's reverse Cuthill-McKee ordering (see
-:mod:`.ldlt`), one factor per system shared by its state and adjoint
-solves.
+free x fixed matrices through the blocks of the mesh's one cached scatter
+map, and solved by banded LU on the mesh's reverse Cuthill-McKee ordering
+(see :mod:`.ldlt`), one factor per system shared by its state and adjoint
+solves.  A system keeps its mesh and reads every per-mesh array from it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
 from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
-from .mesh import (BandLayout, BoundaryData, ElementGeometry, Mesh,
-                   ScatterBlock, SingularElement)
+from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
+                   SingularElement)
 
 __all__ = [
     "SingularElement",
@@ -104,8 +104,8 @@ class AssembledSystem:
 
     ``matrix`` is a CSR matrix for real and complex data and a
     :class:`~tsopt.hdarray.HyperDualMatrix` of three CSR lanes for
-    hyper-dual data; ``band`` is the band layout of its pattern, and the
-    factor is made on the first solve and kept.  ``mt_local`` holds the
+    hyper-dual data, in the numbering of ``mesh.reduced_index``; the factor
+    is made on the first solve and kept.  ``mt_local`` holds the
     per-element tracking mass matrices (coefficient included), from which
     the tracking quadratic form and the adjoint right-hand side are
     evaluated without a global scatter.
@@ -114,14 +114,9 @@ class AssembledSystem:
     matrix: object                 # free x free
     rhs: object                    # free
     mt_local: object               # (N, 3, 3)
-    free: np.ndarray
-    fixed: np.ndarray
+    mesh: Mesh
     fixed_values: np.ndarray
-    num_nodes: int
-    elements: np.ndarray
     neg_frac: object               # (N,) reference-units negative area
-    det_j: np.ndarray
-    band: BandLayout
     _factor: object = None
 
 
@@ -143,9 +138,9 @@ def _summed(vals, slot, size):
 
 
 def _scatter_matrix(values, block: ScatterBlock, shape):
-    """Sum the local (N,3,3) entries that a block of a
-    :class:`~tsopt.mesh.ReducedIndex` selects into CSR (one CSR matrix per
-    hyper-dual lane)."""
+    """Sum the local (N,3,3) entries that a block of the mesh's scatter map
+    (:attr:`~tsopt.mesh.Mesh.scatter` or a :class:`~tsopt.mesh.ReducedIndex`
+    block) selects into CSR (one CSR matrix per hyper-dual lane)."""
 
     def csr(vals):
         data = _summed(vals.reshape(-1)[block.pos], block.slot, block.nnz)
@@ -178,35 +173,33 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
         * dj[:, None, None]
     f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
 
-    tris = mesh.elements
-    num_nodes = mesh.num_nodes
     index = mesh.reduced_index
     free, fixed = index.free, index.fixed
     a_ff = _scatter_matrix(a_loc, index.ff, (len(free), len(free)))
     a_fd = _scatter_matrix(a_loc, index.fd, (len(free), len(fixed)))
-    f_glob = _scatter_vector(f_loc, tris, num_nodes)
+    f_glob = _scatter_vector(f_loc, mesh.elements, mesh.num_nodes)
 
     x, y = mesh.nodes[fixed, 0], mesh.nodes[fixed, 1]
     g = np.asarray(params.boundary.g_d(x, y), dtype=float)
     rhs = f_glob[free] - a_fd @ g
 
-    return AssembledSystem(matrix=a_ff, rhs=rhs, mt_local=mt_loc,
-                           free=free, fixed=fixed, fixed_values=g,
-                           num_nodes=num_nodes, elements=tris,
-                           neg_frac=neg_frac, det_j=dj, band=index.band)
+    return AssembledSystem(matrix=a_ff, rhs=rhs, mt_local=mt_loc, mesh=mesh,
+                           fixed_values=g, neg_frac=neg_frac)
 
 
 def _apply_factor(system: AssembledSystem, rhs):
     if system._factor is None:
-        system._factor = ldlt_factor(system.matrix, system.band)
+        system._factor = ldlt_factor(system.matrix,
+                                     system.mesh.reduced_index.band)
     return ldlt_solve(system._factor, rhs)
 
 
 def _embed(system: AssembledSystem, vec_free, fixed_values):
-    full = generic_zeros(system.num_nodes, like=vec_free)
-    full[system.free] = vec_free
-    if len(system.fixed):
-        full[system.fixed] = fixed_values
+    index = system.mesh.reduced_index
+    full = generic_zeros(system.mesh.num_nodes, like=vec_free)
+    full[index.free] = vec_free
+    if len(index.fixed):
+        full[index.fixed] = fixed_values
     return full
 
 
@@ -218,9 +211,9 @@ def solve_state(system: AssembledSystem):
 
 def tracking_matvec(system: AssembledSystem, w):
     """Global product of the tracking mass matrix with a nodal vector."""
-    w_loc = w[system.elements]
-    local = (system.mt_local * w_loc[:, None, :]).sum(axis=-1)
-    return _scatter_vector(local, system.elements, system.num_nodes)
+    tris = system.mesh.elements
+    local = (system.mt_local * w[tris][:, None, :]).sum(axis=-1)
+    return _scatter_vector(local, tris, system.mesh.num_nodes)
 
 
 def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
@@ -229,22 +222,23 @@ def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
         raise ValueError("params.uhat is not set")
     w = u - params.uhat
     rhs = -(2.0 * params.c2) * tracking_matvec(system, w)
-    p_free = _apply_factor(system, rhs[system.free])
-    return _embed(system, p_free, np.zeros(len(system.fixed)))
+    index = system.mesh.reduced_index
+    p_free = _apply_factor(system, rhs[index.free])
+    return _embed(system, p_free, np.zeros(len(index.fixed)))
 
 
 def objective(mesh: Mesh, phi, u, params: ProblemParams,
-              system: AssembledSystem | None = None):
-    """Cost ``c1 |Omega| + c2 (u - uhat)^T Mt (u - uhat)``, generic."""
-    if system is None:
-        system = assemble(mesh, phi, params)
+              system: AssembledSystem):
+    """Cost ``c1 |Omega| + c2 (u - uhat)^T Mt (u - uhat)`` of the design
+    ``phi`` that ``system`` was assembled for, generic."""
     if params.uhat is None:
         raise ValueError("params.uhat is not set")
     w = u - params.uhat
-    w_loc = w[system.elements]
+    w_loc = w[mesh.elements]
     tmp = (system.mt_local * w_loc[:, None, :]).sum(axis=-1)
     tracking = (tmp * w_loc).sum(axis=-1).sum()
     value = params.c2 * tracking
     if params.c1 != 0.0:
-        value = value + params.c1 * (system.neg_frac * system.det_j).sum()
+        value = value + params.c1 * (system.neg_frac
+                                     * mesh.geometry.det_j).sum()
     return value

@@ -1,14 +1,13 @@
 """Structured crossed-triangle meshes of the unit square.
 
 Each of the ``n x n`` grid squares is split into four triangles by its
-center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.  The
-mesh also carries the incidence sets the nodal sensitivity formulas need:
-for node ``k``, the indices of all elements containing it and its one-ring
-(the node together with every vertex of those elements).
+center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 
-Data that depends only on the mesh (element geometry, the reduced scatter
-map with its band ordering, the pivot-first rotation of every element
-vertex, the one-rings grouped by size) is computed on first use and cached
+A mesh is three arrays: nodes, elements and Dirichlet nodes.  Everything
+derived from them (element geometry, the scatter map of every P1 matrix
+and its reduced blocks with their band ordering, the pivot-first rotation
+of every element vertex, the one-rings the nodal sensitivity formulas and
+the smoothing need, grouped by size) is computed on first use and cached
 on the mesh instance, so a new mesh never sees another mesh's data.
 """
 
@@ -43,12 +42,12 @@ class SingularElement(ArithmeticError):
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Boundary conditions: Dirichlet value function on the selected part of
-    the boundary, constant Neumann flux elsewhere."""
+    """Dirichlet value function on the selected part of the boundary.  The
+    rest of the boundary carries homogeneous Neumann data, the natural
+    condition of the weak form, which needs no assembly."""
 
     g_d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     is_dirichlet: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g_n: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -152,19 +151,12 @@ def band_layout(indptr, indices) -> BandLayout:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with incidence sets and boundary tags.
-
-    ``elements`` rows are CCW vertex triples.  ``node_to_elements[k]`` holds
-    the indices of the elements containing node ``k``; ``one_ring[k]``
-    contains ``k`` itself plus all vertices of those elements.
-    """
+    """Immutable triangulation: node coordinates, CCW vertex triples and
+    the Dirichlet node ids."""
 
     nodes: np.ndarray           # (M, 2) float
     elements: np.ndarray        # (N, 3) int, CCW
-    node_to_elements: tuple     # per node: int array of element ids
-    one_ring: tuple             # per node: int array of node ids (incl. k)
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    neumann_edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
 
     @property
     def num_nodes(self) -> int:
@@ -197,23 +189,32 @@ class Mesh:
         return ElementGeometry(det_j=det, k0=k0, grads=grads)
 
     @cached_property
-    def reduced_index(self) -> ReducedIndex:
-        """Element-matrix index split at the Dirichlet nodes, with the band
-        layout of the free x free block, built once."""
+    def scatter(self) -> ScatterBlock:
+        """Scatter map of the flattened ``(N, 3, 3)`` element matrices into
+        the full ``M x M`` CSR matrix, built once.
+
+        Entries are listed in the order in which scipy's COO-to-CSR
+        conversion sums duplicates: rows bucketed in input order, then each
+        row's (unstable) index sort.  Summing the entries one after another
+        in this order, or any subset of them, gives every entry the bits the
+        conversion gives it."""
         m = self.num_nodes
         rows, cols = _entry_nodes(self.elements)
-        # Order in which scipy's COO-to-CSR conversion of the full matrix
-        # sums duplicates: rows bucketed in input order, then each row's
-        # (unstable) index sort.  Summing the restricted entries one after
-        # another in this order gives every entry of the reduced matrix the
-        # bits the conversion of the full one gives it.
         by_row = np.argsort(rows, kind="stable")
         indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
         full = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
                              shape=(m, m))
         full.sort_indices()
         order = full.data.astype(int)
+        return _scatter_block(order, rows[order], cols[order], (m, m))
 
+    @cached_property
+    def reduced_index(self) -> ReducedIndex:
+        """The :attr:`scatter` split at the Dirichlet nodes, with the band
+        layout of the free x free block, built once."""
+        m = self.num_nodes
+        rows, cols = _entry_nodes(self.elements)
+        order = self.scatter.pos
         fixed = self.dirichlet_nodes
         is_free = np.ones(m, dtype=bool)
         is_free[fixed] = False
@@ -246,39 +247,30 @@ class Mesh:
     @cached_property
     def ring_groups(self) -> tuple:
         """One-rings grouped by size: ``(nodes, rings)`` pairs where row
-        ``i`` of the ``(n, L)`` array ``rings`` is ``one_ring[nodes[i]]``."""
-        sizes = np.fromiter(map(len, self.one_ring), dtype=int,
-                            count=self.num_nodes)
-        flat = np.concatenate(self.one_ring)
-        start = np.cumsum(sizes) - sizes
+        ``i`` of the ``(n, L)`` array ``rings`` is the sorted one-ring of
+        node ``nodes[i]`` (see :func:`build_incidence`)."""
+        indptr, indices = build_incidence(self.elements, self.num_nodes)
+        sizes = np.diff(indptr)
         groups = []
         for size in np.unique(sizes):
             nodes = np.flatnonzero(sizes == size)
-            groups.append((nodes, flat[start[nodes, None] + np.arange(size)]))
+            groups.append((nodes, indices[indptr[nodes, None]
+                                          + np.arange(size)]))
         return tuple(groups)
 
 
 def build_incidence(elements: np.ndarray, num_nodes: int):
-    """Element and one-ring incidence from the element list.
-
-    ``node_to_elements[k]`` lists the elements containing ``k`` in
-    increasing order; ``one_ring[k]`` is the sorted set of ``k`` and the
-    vertices of those elements.
-    """
-    elements = np.asarray(elements, dtype=int).reshape(-1, 3)
-    flat = elements.ravel()
-    counts = np.bincount(flat, minlength=num_nodes)
-    by_node = np.argsort(flat, kind="stable") // 3
-    node_to_elements = tuple(np.split(by_node, np.cumsum(counts)[:-1]))
-
-    rows, cols = _entry_nodes(elements)
+    """One-rings in CSR form ``(indptr, indices)``: row ``k`` is the sorted
+    set of ``k`` and the vertices of every element containing it, so a node
+    in no element has itself as its ring."""
+    rows, cols = _entry_nodes(np.asarray(elements, dtype=int).reshape(-1, 3))
     diagonal = np.arange(num_nodes)
     pairs = np.unique(np.concatenate([rows, diagonal]) * num_nodes
                       + np.concatenate([cols, diagonal]))
-    ring_rows, ring_cols = np.divmod(pairs, num_nodes)
-    sizes = np.bincount(ring_rows, minlength=num_nodes)
-    one_ring = tuple(np.split(ring_cols, np.cumsum(sizes)[:-1]))
-    return node_to_elements, one_ring
+    ring_rows, indices = np.divmod(pairs, num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=int)
+    np.cumsum(np.bincount(ring_rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, indices
 
 
 def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
@@ -310,37 +302,20 @@ def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
         np.column_stack([c01, c00, c]),   # left
     ], axis=1).reshape(-1, 3)
 
-    node_to_elements, one_ring = build_incidence(elements, len(nodes))
-    mesh = Mesh(nodes=nodes, elements=elements,
-                node_to_elements=node_to_elements, one_ring=one_ring)
+    mesh = Mesh(nodes=nodes, elements=elements)
     if boundary is not None:
         mesh = tag_boundary(mesh, boundary)
     return mesh
 
 
-def _boundary_edges(mesh: Mesh) -> np.ndarray:
-    """Edges belonging to exactly one element, as (E, 2) node pairs."""
-    tris = mesh.elements
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    return edges[idx[counts == 1]]
-
-
 def tag_boundary(mesh: Mesh, boundary: BoundaryData) -> Mesh:
-    """Tag Dirichlet nodes and Neumann edges; Dirichlet wins at corners."""
+    """Tag the nodes where ``boundary`` prescribes Dirichlet data."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    dirichlet = np.flatnonzero(boundary.is_dirichlet(x, y))
-    bedges = _boundary_edges(mesh)
-    on_dirichlet = np.isin(bedges, dirichlet).all(axis=1)
-    neumann_edges = bedges[~on_dirichlet]
-    return replace(mesh, dirichlet_nodes=dirichlet, neumann_edges=neumann_edges)
+    return replace(mesh,
+                   dirichlet_nodes=np.flatnonzero(boundary.is_dirichlet(x, y)))
 
 
 def mesh_from_arrays(nodes: Sequence, elements: Sequence) -> Mesh:
-    """Build a mesh (with incidence sets) from raw node/element arrays."""
-    nodes = np.asarray(nodes, dtype=float)
-    elements = np.asarray(elements, dtype=int)
-    node_to_elements, one_ring = build_incidence(elements, len(nodes))
-    return Mesh(nodes=nodes, elements=elements,
-                node_to_elements=node_to_elements, one_ring=one_ring)
+    """Build a mesh from raw node/element arrays."""
+    return Mesh(nodes=np.asarray(nodes, dtype=float),
+                elements=np.asarray(elements, dtype=int))

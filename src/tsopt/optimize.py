@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (AssembledSystem, ProblemParams, assemble, objective,
-                  solve_adjoint, solve_state)
-from .levelset import classify_nodes, interface_segments
+from .fem import (AssembledSystem, ProblemParams, _scatter_matrix, assemble,
+                  objective, solve_adjoint, solve_state)
+from .levelset import _FULL_MASS_REF, classify_nodes, interface_segments
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -67,6 +67,9 @@ class OptimizerConfig:
             raise ValueError("need 0 < kappa_min < kappa_init <= 1")
         if not (0.0 < self.kappa_shrink < 1.0):
             raise ValueError("need 0 < kappa_shrink < 1")
+        if self.patience < 0 or self.snapshot_cadence < 0:
+            raise ValueError("patience and snapshot_cadence must be "
+                             "non-negative")
 
 
 @dataclass
@@ -116,14 +119,8 @@ class History:
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix with unit coefficient over the whole domain."""
-    det = mesh.geometry.det_j
-    local = (np.ones((3, 3)) + np.eye(3)) / 24.0
-    vals = local[None, :, :] * det[:, None, None]
-    n = len(mesh.elements)
-    rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
-    cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)),
-                         shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+    return _scatter_matrix(_FULL_MASS_REF * mesh.geometry.det_j[:, None, None],
+                           mesh.scatter, (mesh.num_nodes, mesh.num_nodes))
 
 
 def l2_inner(m0: sp.csr_matrix, phi: np.ndarray, psi: np.ndarray) -> float:

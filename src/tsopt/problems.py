@@ -43,7 +43,6 @@ def experiment_boundary() -> BoundaryData:
         g_d=lambda x, y: y,
         is_dirichlet=lambda x, y: (np.abs(y) < _BOUNDARY_TOL)
         | (np.abs(y - 1.0) < _BOUNDARY_TOL),
-        g_n=0.0,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from tsopt import ldlt
 from tsopt.cli import main
 from tsopt.config import ConfigError, RunConfig, load_config
+from tsopt.verify import SLOPE_WINDOWS
 
 
 def test_default_round_trip_identity():
@@ -12,6 +13,7 @@ def test_default_round_trip_identity():
     text = cfg.dumps()
     again = RunConfig.from_dict(json.loads(text))
     assert again.dumps() == text
+    assert RunConfig().slope_windows() == SLOPE_WINDOWS
 
 
 def test_empty_file_reproduces_benchmark(tmp_path):
@@ -47,6 +49,10 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"optimize": {"kappa_shrink": 2.0}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"optimize": {"max_iter": -1}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"optimize": {"patience": -3}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"optimize": {"snapshot_cadence": -1}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"verify": {"uhat": "bogus"}})
     with pytest.raises(ConfigError):
@@ -86,6 +92,20 @@ def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "kappa_shrink" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,data", [
+    ("optimize", {"problem": {"lambda1": "1.0"}}),
+    ("verify", {"verify": {"mesh_level": "8"}}),
+])
+def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main([command, "--config", str(bad), "--mesh-level", "2",
+                 "--output", str(tmp_path / "run")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -31,36 +31,26 @@ def test_orientation_and_area_partition(n):
 
 
 def test_incidence_sets(mesh8):
+    indptr, indices = build_incidence(mesh8.elements, mesh8.num_nodes)
+    assert len(indptr) == mesh8.num_nodes + 1 and indptr[0] == 0
     tris = mesh8.elements
     for k in range(mesh8.num_nodes):
-        for l in mesh8.node_to_elements[k]:
-            assert k in tris[l]
-        ring = set(mesh8.one_ring[k])
+        ring = indices[indptr[k]:indptr[k + 1]]
+        assert np.all(np.diff(ring) > 0)   # sorted, no repeats
         expected = {k}
-        for l in mesh8.node_to_elements[k]:
-            expected.update(int(v) for v in tris[l])
-        assert ring == expected
-    # every element appears in the incidence of each of its vertices
-    for l, tri in enumerate(tris):
-        for k in tri:
-            assert l in mesh8.node_to_elements[k]
-
-
-def test_incidence_round_trip(mesh8):
-    rebuilt = set()
-    for k in range(mesh8.num_nodes):
-        for l in mesh8.node_to_elements[k]:
-            rebuilt.add(tuple(mesh8.elements[l]))
-    assert rebuilt == {tuple(t) for t in mesh8.elements}
+        for tri in tris[(tris == k).any(axis=1)]:
+            expected.update(int(v) for v in tri)
+        assert set(ring.tolist()) == expected
 
 
 def test_n1_mesh_structure():
     mesh = generate_crossed_mesh(1)
+    indptr, indices = build_incidence(mesh.elements, mesh.num_nodes)
     center = 4  # lattice nodes 0..3, then the single center
-    assert len(mesh.node_to_elements[center]) == 4
-    assert set(mesh.one_ring[center]) == {0, 1, 2, 3, 4}
-    # a square corner belongs to the two crossed triangles meeting there
-    assert len(mesh.node_to_elements[0]) == 2
+    ring = indices[indptr[center]:indptr[center + 1]]
+    assert ring.tolist() == [0, 1, 2, 3, 4]
+    # a square corner sees its two lattice neighbours and the center
+    assert indices[indptr[0]:indptr[1]].tolist() == [0, 1, 2, 4]
 
 
 def test_boundary_tags():
@@ -70,10 +60,6 @@ def test_boundary_tags():
     assert np.all((ys == 0.0) | (ys == 1.0))
     mesh1 = experiment_mesh(1)
     assert len(mesh1.dirichlet_nodes) == 4
-    # vertical sides carry the flux edges
-    for a, b in mesh1.neumann_edges:
-        xs = mesh1.nodes[[a, b], 0]
-        assert np.all(xs == 0.0) or np.all(xs == 1.0)
 
 
 def test_dirichlet_value_function():
@@ -82,20 +68,19 @@ def test_dirichlet_value_function():
     assert g_d(0.25, 0.0) == 0.0
 
 
-def _incidence_per_node(elements, num_nodes):
-    """Reference: the incidence sets built by loops over elements and nodes."""
+def _rings_per_node(elements, num_nodes):
+    """Reference: the one-rings built by loops over elements and nodes."""
     node_elems = [[] for _ in range(num_nodes)]
     for l, tri in enumerate(elements):
         for k in tri:
             node_elems[k].append(l)
-    node_to_elements = tuple(np.array(e, dtype=int) for e in node_elems)
     one_ring = []
     for k in range(num_nodes):
         ring = {k}
-        for l in node_to_elements[k]:
+        for l in node_elems[k]:
             ring.update(int(v) for v in elements[l])
         one_ring.append(np.array(sorted(ring), dtype=int))
-    return node_to_elements, tuple(one_ring)
+    return one_ring
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
@@ -106,12 +91,13 @@ def test_incidence_equals_per_node_loops(n):
     shuffled = mesh.elements[order]
     for elements, num_nodes in ((mesh.elements, mesh.num_nodes),
                                 (shuffled, mesh.num_nodes + 1)):
-        got = build_incidence(elements, num_nodes)
-        want = _incidence_per_node(elements, num_nodes)
-        for got_sets, want_sets in zip(got, want):
-            assert isinstance(got_sets, tuple) and len(got_sets) == num_nodes
-            for a, b in zip(got_sets, want_sets):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        indptr, indices = build_incidence(elements, num_nodes)
+        want = _rings_per_node(elements, num_nodes)
+        assert len(indptr) == num_nodes + 1 and indptr[-1] == len(indices)
+        for k, ring in enumerate(want):
+            got = indices[indptr[k]:indptr[k + 1]]
+            assert got.dtype == ring.dtype and np.array_equal(got, ring)
+    assert indices[indptr[-2]:].tolist() == [mesh.num_nodes]  # loose node
 
 
 def test_pivot_first_rotations_are_cached(mesh8):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tsopt.levelset import classify_nodes
-from tsopt.mesh import generate_crossed_mesh
+from tsopt.mesh import build_incidence, generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
                             _line_search, l2_inner, l2_norm, run,
                             slerp_update, smooth, unit_mass_matrix)
@@ -84,6 +85,21 @@ def test_slerp_degenerate_angles(mesh16, m0_16):
         slerp_update(phi, np.zeros(mesh16.num_nodes), 0.5, m0_16)
 
 
+@pytest.mark.parametrize("level", [1, 2, 8, 16])
+def test_unit_mass_matrix_equals_coo_conversion_bitwise(level):
+    mesh = experiment_mesh(level)
+    m = mesh.num_nodes
+    local = (np.ones((3, 3)) + np.eye(3)) / 24.0
+    vals = local * mesh.geometry.det_j[:, None, None]
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, 3).ravel()
+    want = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    got = unit_mass_matrix(mesh)
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_smoothing_leaves_constants_and_interface_nodes(mesh16, rng):
     const = np.full(mesh16.num_nodes, 0.7)
     assert np.allclose(smooth(mesh16, const), const)
@@ -92,8 +108,9 @@ def test_smoothing_leaves_constants_and_interface_nodes(mesh16, rng):
     smoothed = smooth(mesh16, psi)
     s_nodes = labels == 0
     assert np.array_equal(smoothed[s_nodes], psi[s_nodes])
+    indptr, indices = build_incidence(mesh16.elements, mesh16.num_nodes)
     for k in np.flatnonzero(labels != 0)[:10]:
-        ring = mesh16.one_ring[k]
+        ring = indices[indptr[k]:indptr[k + 1]]
         assert smoothed[k] == pytest.approx(psi[ring].mean())
 
 
@@ -107,9 +124,10 @@ def test_smoothing_averages_a_spike():
 def _smooth_per_node(mesh, psi):
     """Reference: the one-ring average written as a loop over the nodes."""
     labels = classify_nodes(mesh, psi).labels
+    indptr, indices = build_incidence(mesh.elements, mesh.num_nodes)
     out = np.array(psi, dtype=float)
     for k in np.flatnonzero(labels != 0):
-        ring = mesh.one_ring[k]
+        ring = indices[indptr[k]:indptr[k + 1]]
         out[k] = psi[ring].sum() / len(ring)
     return out
 

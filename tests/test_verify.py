@@ -117,14 +117,23 @@ def test_report_aggregation_and_csv(tmp_path, mesh8, phi_d8, params_zero8):
     assert float(rows[0]["step"]) == 1.0
 
     node_path = tmp_path / "nodes.csv"
-    write_node_table_csv(node_path, field.dj, field.labels, {"hd": rep})
+    fd = run_verification(mesh8, phi_d8, params_zero8, "fd",
+                          steps=(1e-4, 1e-5), field_=field)
+    write_node_table_csv(node_path, field.dj, field.labels,
+                         {"hd": rep, "fd": fd})
     node_rows = list(csv.DictReader(node_path.open()))
     assert len(node_rows) == mesh8.num_nodes
     assert set(node_rows[0]) == {"node", "class", "analytic", "fd_best",
                                  "cs_best", "hd"}
     k = int(node_rows[3]["node"])
     assert float(node_rows[3]["analytic"]) == pytest.approx(field.dj[k])
-    assert node_rows[3]["fd_best"] == ""
+    hd_best, fd_best = rep.best_estimates(), fd.best_estimates()
+    for k, row in enumerate(node_rows):
+        assert int(row["node"]) == k
+        assert row["analytic"] == f"{field.dj[k]:.17g}"
+        assert row["hd"] == f"{hd_best[k]:.17g}"
+        assert row["fd_best"] == f"{fd_best[k]:.17g}"
+        assert row["cs_best"] == ""
 
 
 def test_unknown_method_rejected(mesh8, phi_d8, params_zero8):

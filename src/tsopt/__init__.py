@@ -4,8 +4,7 @@ differentiation."""
 
 from .hdarray import HyperDualArray, scalar_sign
 from .mesh import BoundaryData, Mesh, generate_crossed_mesh
-from .levelset import (CutTag, NodeClassification, Perturbation,
-                       classify_nodes, interface_segments,
+from .levelset import (Perturbation, classify_nodes, interface_segments,
                        perturb, subdomain_area, symmetric_difference_area)
 from .fem import (AssembledSystem, ProblemParams, assemble, objective,
                   solve_adjoint, solve_state)
@@ -20,8 +19,7 @@ from .problems import default_params, experiment_mesh, interpolate_target, setup
 __all__ = [
     "HyperDualArray", "scalar_sign",
     "BoundaryData", "Mesh", "generate_crossed_mesh",
-    "CutTag", "NodeClassification", "Perturbation",
-    "classify_nodes", "interface_segments",
+    "Perturbation", "classify_nodes", "interface_segments",
     "perturb", "subdomain_area", "symmetric_difference_area",
     "AssembledSystem", "ProblemParams", "assemble", "objective",
     "solve_adjoint", "solve_state",

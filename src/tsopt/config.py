@@ -102,6 +102,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("configuration must be a JSON object")
         unknown = set(data) - {"problem", "verify", "optimize", "output_dir"}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -110,15 +112,20 @@ class RunConfig:
                                   ("verify", _VERIFY_DEFAULTS),
                                   ("optimize", _OPTIMIZE_DEFAULTS)):
             given = data.get(section, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{section} must be a JSON object")
             bad = set(given) - set(defaults)
             if bad:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
             target = getattr(cfg, section)
             for key, value in given.items():
-                if isinstance(target.get(key), dict) and isinstance(value, dict):
-                    target[key].update(value)
-                else:
+                if not isinstance(target.get(key), dict):
                     target[key] = value
+                elif isinstance(value, dict):
+                    # a new dict: the default one is shared with every config
+                    target[key] = {**target[key], **value}
+                else:
+                    raise ConfigError(f"{section}.{key} must be a JSON object")
         cfg.output_dir = data.get("output_dir", cfg.output_dir)
         return cfg.validate()
 

@@ -1,37 +1,39 @@
 """Level-set geometry on a fixed triangle mesh.
 
 A design domain is the region where a piecewise-linear nodal function is
-negative.  This module classifies nodes by the signs on their one-ring,
-applies the single-node perturbation operators, marks the sign of every
-element vertex, and integrates polynomials exactly over the negative part of
-each element.  All cut quantities are rational in the nodal values, so every
+negative.  This module labels nodes by the signs on their one-ring, applies
+the single-node perturbation operators, and cuts the elements along the
+zero level.  All cut quantities are rational in the nodal values, so every
 function here accepts real, complex or hyper-dual input.
 
-Sign conventions: a value of exactly zero counts as non-negative ('+') in
-cut classification, matching the limit of an infinitesimally positive
-perturbation; a node whose entire one-ring is zero is classified interior
-negative (checked first).
+A cut element has one vertex whose sign differs from the other two, the
+lone vertex.  One pass, :func:`_lone_cuts`, picks it, rotates it first (as
+:attr:`Mesh.pivot_first` does) and finds where the zero level crosses the
+two edges from it; the exact integrals over the negative part, the
+interface segments and the symmetric differences are all views of it.  A
+symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
+sign at every node, as after every single-node perturbation.
+
+Sign conventions: a value of exactly zero counts as '+' in the cuts, the
+limit of an infinitesimally positive perturbation; a node whose whole
+one-ring is zero is classified interior negative (checked first).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .hdarray import (GenericScalar, HyperDualArray, generic_zeros,
                       promote_like, real_part, scalar_sign, sign_array)
-from .mesh import Mesh
+from .mesh import _ROTATIONS, Mesh
 
 __all__ = [
     "DegenerateCut",
-    "NodeClassification",
     "Perturbation",
-    "CutTag",
     "classify_nodes",
     "perturb",
-    "element_plus_mask",
     "element_negative_integrals",
     "negative_region_integrals",
     "subdomain_area",
@@ -45,39 +47,14 @@ T_MINUS, SHAPE, T_PLUS = -1, 0, 1
 _FULL_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 24.0
 _FULL_LOAD_REF = np.full(3, 1.0 / 6.0)
 
+# slot of the lone vertex for each plus-bit pattern 4 p0 + 2 p1 + p2 of an
+# element; -1 where all three signs agree and the element is not cut
+_LONE = np.array([-1, 2, 1, 0, 0, 1, 2, -1])
+
 
 class DegenerateCut(ArithmeticError):
     """A cut ratio degenerated to 0/0 (coincident level-set values across a
     sign change)."""
-
-
-@dataclass(frozen=True)
-class NodeClassification:
-    """Partition of the mesh nodes by the signs on their one-rings.
-
-    Label -1: the whole ring is <= 0 (interior of the design domain),
-    +1: the whole ring is >= 0, 0: mixed signs (interface node).
-    """
-
-    labels: np.ndarray  # (M,) int8 in {-1, 0, +1}
-
-    @property
-    def t_minus(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == T_MINUS)
-
-    @property
-    def t_plus(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == T_PLUS)
-
-    @property
-    def shape_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == SHAPE)
-
-    def counts(self) -> tuple[int, int, int]:
-        """(n_tminus, n_tplus, n_shape)."""
-        return (int((self.labels == T_MINUS).sum()),
-                int((self.labels == T_PLUS).sum()),
-                int((self.labels == SHAPE).sum()))
 
 
 class Perturbation(Enum):
@@ -101,33 +78,10 @@ class Perturbation(Enum):
         return 1 if self is Perturbation.SHAPE else 2
 
 
-class CutTag(Enum):
-    """Sign pattern of an element's nodal values, pivot vertex first."""
-
-    ALL_NEG = "all_neg"
-    ALL_POS = "all_pos"
-    A_PLUS = "A+"    # (+, -, -)
-    A_MINUS = "A-"   # (-, +, +)
-    B_PLUS = "B+"    # (-, +, -)
-    B_MINUS = "B-"   # (+, -, +)
-    C_PLUS = "C+"    # (-, -, +)
-    C_MINUS = "C-"   # (+, +, -)
-
-
-_TAG_BY_BITS = {
-    0b000: CutTag.ALL_NEG,
-    0b111: CutTag.ALL_POS,
-    0b100: CutTag.A_PLUS,
-    0b011: CutTag.A_MINUS,
-    0b010: CutTag.B_PLUS,
-    0b101: CutTag.B_MINUS,
-    0b001: CutTag.C_PLUS,
-    0b110: CutTag.C_MINUS,
-}
-
-
-def classify_nodes(mesh: Mesh, phi) -> NodeClassification:
-    """Classify every node by the signs of its one-ring values."""
+def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
+    """Label every node by the signs of its one-ring values: (M,) int8,
+    -1 where the whole ring is <= 0 (interior of the design domain), +1
+    where it is >= 0, 0 where it holds both signs (interface node)."""
     s = sign_array(phi).astype(np.int8)
     if len(s) != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
@@ -142,7 +96,7 @@ def classify_nodes(mesh: Mesh, phi) -> NodeClassification:
     t_plus = ~t_minus & (ring_min >= 0)
     labels[t_minus] = T_MINUS
     labels[t_plus] = T_PLUS
-    return NodeClassification(labels)
+    return labels
 
 
 def perturb(phi, k: int, eps: GenericScalar, kind: Perturbation):
@@ -160,21 +114,67 @@ def perturb(phi, k: int, eps: GenericScalar, kind: Perturbation):
     return out
 
 
-def element_plus_mask(mesh: Mesh, phi) -> np.ndarray:
-    """(N, 3) bool: per element vertex, whether the value counts as '+'."""
-    s = sign_array(phi)
-    return s[mesh.elements] >= 0
-
-
 def _checked_ratio(num, den):
     """num / den, raising DegenerateCut on an exactly-zero denominator."""
-    if isinstance(den, HyperDualArray):
-        bad = np.any(den.re == 0.0)
-    else:
-        bad = np.any(den == 0)
-    if bad:
+    if np.any((den.re if isinstance(den, HyperDualArray) else den) == 0):
         raise DegenerateCut("cut ratio with vanishing level-set difference")
     return num / den
+
+
+def _lone_cuts(p):
+    """The lone-vertex pass over ``(n, 3)`` element values.
+
+    Returns ``(plus, cut, abc, tb, tc)``: the plus-mask of every vertex, the
+    rows of the cut elements, their vertex slots with the lone vertex first
+    ((m, 3), counter-clockwise), and the fractions of the edges ``ab`` and
+    ``ac`` at which the zero level crosses them.
+    """
+    plus = sign_array(p) >= 0
+    lone = _LONE[4 * plus[:, 0] + 2 * plus[:, 1] + plus[:, 2]]
+    cut = np.flatnonzero(lone >= 0)
+    abc = _ROTATIONS[lone[cut]]
+    pa, pb, pc = (p[cut, abc[:, i]] for i in range(3))
+    return (plus, cut, abc, _checked_ratio(pa, pa - pb),
+            _checked_ratio(pa, pa - pc))
+
+
+def _cut_integrals(p):
+    """:func:`negative_region_integrals` of ``(n, 3)`` element values."""
+    plus, cut, abc, tb, tc = _lone_cuts(p)
+    cap_area = tb * tc * 0.5
+
+    # P1 basis values at the cap corners (vertex a and the two edge cuts)
+    rows = np.arange(len(cut))
+    a, b, c = abc.T
+    vals = generic_zeros((len(cut), 3, 3), like=p)
+    vals[rows, a, 0] = 1.0
+    vals[rows, a, 1] = 1.0 - tb
+    vals[rows, a, 2] = 1.0 - tc
+    vals[rows, b, 1] = tb
+    vals[rows, c, 2] = tc
+    pair = (vals[:, :, None, :] * vals[:, None, :, :]).sum(axis=-1)
+    sums = vals.sum(axis=-1)
+    cap_mass = (pair + sums[:, :, None] * sums[:, None, :]) \
+        * (cap_area * (1.0 / 12.0))[:, None, None]
+    cap_load = sums * (cap_area * (1.0 / 3.0))[:, None]
+
+    n = len(plus)
+    neg_frac = generic_zeros(n, like=p)
+    neg_mass = generic_zeros((n, 3, 3), like=p)
+    neg_load = generic_zeros((n, 3), like=p)
+    full = np.flatnonzero(~plus.any(axis=1))
+    neg_frac[full] = 0.5
+    neg_mass[full] = _FULL_MASS_REF
+    neg_load[full] = _FULL_LOAD_REF
+    # a '+' lone vertex cuts off a positive cap, a '-' one a negative cap
+    pos = plus[cut, a]
+    neg_frac[cut[pos]] = 0.5 - cap_area[pos]
+    neg_mass[cut[pos]] = _FULL_MASS_REF - cap_mass[pos]
+    neg_load[cut[pos]] = _FULL_LOAD_REF - cap_load[pos]
+    neg_frac[cut[~pos]] = cap_area[~pos]
+    neg_mass[cut[~pos]] = cap_mass[~pos]
+    neg_load[cut[~pos]] = cap_load[~pos]
+    return neg_frac, neg_mass, neg_load
 
 
 def negative_region_integrals(mesh: Mesh, phi):
@@ -186,61 +186,7 @@ def negative_region_integrals(mesh: Mesh, phi):
     (multiply by ``|det J|`` for physical values).  Generic in the scalar
     type of ``phi``.
     """
-    tris = mesh.elements
-    n_elems = len(tris)
-    phin = phi[tris]
-    plus = element_plus_mask(mesh, phi)
-    n_plus = plus.sum(axis=1)
-
-    neg_frac = generic_zeros(n_elems, like=phi)
-    neg_mass = generic_zeros((n_elems, 3, 3), like=phi)
-    neg_load = generic_zeros((n_elems, 3), like=phi)
-
-    fully_neg = np.flatnonzero(n_plus == 0)
-    if len(fully_neg):
-        neg_frac[fully_neg] = 0.5
-        neg_mass[fully_neg] = np.broadcast_to(_FULL_MASS_REF, (len(fully_neg), 3, 3))
-        neg_load[fully_neg] = np.broadcast_to(_FULL_LOAD_REF, (len(fully_neg), 3))
-
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        lone_here = ((n_plus == 1) & plus[:, a]) | ((n_plus == 2) & ~plus[:, a])
-        idx = np.flatnonzero(lone_here)
-        if not len(idx):
-            continue
-        lone_is_plus = plus[idx, a]
-        pa, pb, pc = phin[idx, a], phin[idx, b], phin[idx, c]
-        tb = _checked_ratio(pa, pa - pb)
-        tc = _checked_ratio(pa, pa - pc)
-        cap_area = tb * tc * 0.5
-
-        # P1 basis values at the cap corners (vertex a and the two edge cuts)
-        vals = generic_zeros((len(idx), 3, 3), like=phi)
-        vals[:, a, 0] = 1.0
-        vals[:, a, 1] = 1.0 - tb
-        vals[:, a, 2] = 1.0 - tc
-        vals[:, b, 1] = tb
-        vals[:, c, 2] = tc
-        pair = (vals[:, :, None, :] * vals[:, None, :, :]).sum(axis=-1)
-        rows = vals.sum(axis=-1)
-        cap_mass = (pair + rows[:, :, None] * rows[:, None, :]) \
-            * (cap_area * (1.0 / 12.0))[:, None, None]
-        cap_load = rows * (cap_area * (1.0 / 3.0))[:, None]
-
-        pos_idx = idx[lone_is_plus]
-        if len(pos_idx):
-            sel = np.flatnonzero(lone_is_plus)
-            neg_frac[pos_idx] = 0.5 - cap_area[sel]
-            neg_mass[pos_idx] = _FULL_MASS_REF - cap_mass[sel]
-            neg_load[pos_idx] = _FULL_LOAD_REF - cap_load[sel]
-        neg_idx = idx[~lone_is_plus]
-        if len(neg_idx):
-            sel = np.flatnonzero(~lone_is_plus)
-            neg_frac[neg_idx] = cap_area[sel]
-            neg_mass[neg_idx] = cap_mass[sel]
-            neg_load[neg_idx] = cap_load[sel]
-
-    return neg_frac, neg_mass, neg_load
+    return _cut_integrals(phi[mesh.elements])
 
 
 def element_negative_integrals(phi_triple):
@@ -293,69 +239,27 @@ def subdomain_area(mesh: Mesh, phi, det_j: np.ndarray | None = None):
     return (neg_frac * det_j).sum()
 
 
-# ---------------------------------------------------------------------------
-# Real-valued polygon clipping, used for symmetric differences and as an
-# independent oracle for the rational cut formulas.
-# ---------------------------------------------------------------------------
-
-def _clip_negative(points, value_lists):
-    """Sutherland-Hodgman clip of a convex polygon to the region where the
-    first tracked linear function is <= 0; every tracked function is
-    interpolated onto the new vertices."""
-    fvals = value_lists[0]
-    out_pts = []
-    out_vals = [[] for _ in value_lists]
-    n = len(points)
-    for i in range(n):
-        j = (i + 1) % n
-        fi, fj = fvals[i], fvals[j]
-        if fi <= 0.0:
-            out_pts.append(points[i])
-            for vals, tracked in zip(out_vals, value_lists):
-                vals.append(tracked[i])
-        if (fi <= 0.0 < fj) or (fj <= 0.0 < fi):
-            t = fi / (fi - fj)
-            out_pts.append(points[i] + t * (points[j] - points[i]))
-            for vals, tracked in zip(out_vals, value_lists):
-                vals.append(tracked[i] + t * (tracked[j] - tracked[i]))
-    return out_pts, out_vals
-
-
-def _polygon_area(points) -> float:
-    if len(points) < 3:
-        return 0.0
-    pts = np.asarray(points)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
-    """Exact area of the region where two nodal level-set functions have
-    opposite sign."""
+    """Exact area of the region where two nested level sets have opposite
+    signs.
+
+    The pair must be nested: ``phi_b - phi_a`` has one sign at every node,
+    as for every single-node perturbation.  One negative region then holds
+    the other, and the area is the difference of the two, summed over the
+    elements whose values changed.  Raises ``ValueError`` on a pair that is
+    not nested.
+    """
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
+    step = phi_b - phi_a
+    if (step > 0.0).any() and (step < 0.0).any():
+        raise ValueError("the two level sets are not nested")
     tris = mesh.elements
-    va, vb = phi_a[tris], phi_b[tris]
-    neg_a, neg_b = va < 0.0, vb < 0.0
-    mixed_a = neg_a.any(axis=1) & ~neg_a.all(axis=1)
-    mixed_b = neg_b.any(axis=1) & ~neg_b.all(axis=1)
-    candidates = np.flatnonzero((neg_a != neg_b).any(axis=1) | mixed_a | mixed_b)
-
-    total = 0.0
-    for l in candidates:
-        if (va[l] == vb[l]).all():
-            continue
-        pts = [mesh.nodes[v] for v in tris[l]]
-        a_vals = list(va[l])
-        b_vals = list(vb[l])
-        pts_a, track_a = _clip_negative(pts, [a_vals, b_vals])
-        area_a = _polygon_area(pts_a)
-        pts_b, _ = _clip_negative(pts, [b_vals])
-        area_b = _polygon_area(pts_b)
-        pts_ab, _ = _clip_negative(pts_a, [track_a[1]])
-        area_ab = _polygon_area(pts_ab)
-        total += area_a + area_b - 2.0 * area_ab
-    return max(total, 0.0)
+    changed = np.flatnonzero((step[tris] != 0.0).any(axis=1))
+    frac_a = _cut_integrals(phi_a[tris[changed]])[0]
+    frac_b = _cut_integrals(phi_b[tris[changed]])[0]
+    return float(abs(((frac_a - frac_b)
+                      * mesh.geometry.det_j[changed]).sum()))
 
 
 def interface_segments(mesh: Mesh, phi):
@@ -366,19 +270,9 @@ def interface_segments(mesh: Mesh, phi):
     """
     phi = np.asarray(real_part(phi), dtype=float)
     tris = mesh.elements
-    plus = element_plus_mask(mesh, phi)
-    n_plus = plus.sum(axis=1)
-    segments = []
-    for l in np.flatnonzero((n_plus == 1) | (n_plus == 2)):
-        row = plus[l]
-        lone = int(np.argmax(row)) if n_plus[l] == 1 else int(np.argmin(row))
-        a, b, c = lone, (lone + 1) % 3, (lone + 2) % 3
-        pa, pb, pc = phi[tris[l, a]], phi[tris[l, b]], phi[tris[l, c]]
-        xa, xb, xc = mesh.nodes[tris[l, a]], mesh.nodes[tris[l, b]], mesh.nodes[tris[l, c]]
-        tb = pa / (pa - pb)
-        tc = pa / (pa - pc)
-        p0 = xa + tb * (xb - xa)
-        p1 = xa + tc * (xc - xa)
-        if np.hypot(*(p1 - p0)) > 1e-15:
-            segments.append((int(l), (p0, p1)))
-    return segments
+    _, cut, abc, tb, tc = _lone_cuts(phi[tris])
+    xa, xb, xc = (mesh.nodes[tris[cut, abc[:, i]]] for i in range(3))
+    p0 = xa + tb[:, None] * (xb - xa)
+    p1 = xa + tc[:, None] * (xc - xa)
+    keep = np.flatnonzero(np.hypot(*(p1 - p0).T) > 1e-15)
+    return [(int(cut[i]), (p0[i], p1[i])) for i in keep]

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# row s: the vertex slots rotated so slot s comes first, in CCW order
+_ROTATIONS = (np.arange(3)[:, None] + np.arange(3)) % 3
+
+
 class SingularElement(ArithmeticError):
     """Element with non-positive Jacobian determinant."""
 
@@ -239,8 +243,7 @@ class Mesh:
         """(3N, 3) read-only vertex triples of every (element, slot) pair:
         row ``3 l + s`` is element ``l`` rotated so its slot-``s`` vertex
         (the pivot) comes first, keeping the CCW order."""
-        rotations = (np.arange(3)[:, None] + np.arange(3)) % 3
-        triples = self.elements[:, rotations].reshape(-1, 3)
+        triples = self.elements[:, _ROTATIONS].reshape(-1, 3)
         triples.flags.writeable = False
         return triples
 

@@ -93,28 +93,32 @@ class History:
     slerp_norm_dev: list = field(default_factory=list)
     stalled: list = field(default_factory=list)
 
-    def append(self, iteration, j, norm_g, kappa, theta, counts,
+    def append(self, iteration, j, norm_g, kappa, theta, labels,
                norm_dev=0.0, stalled=False) -> None:
+        """Record one row; ``labels`` are the node classes of the design."""
         self.iteration.append(iteration)
         self.j.append(j)
         self.norm_g.append(norm_g)
         self.kappa.append(kappa)
         self.theta.append(theta)
-        self.n_tminus.append(counts[0])
-        self.n_tplus.append(counts[1])
-        self.n_shape.append(counts[2])
+        self.n_tminus.append(int((labels == -1).sum()))
+        self.n_tplus.append(int((labels == 1).sum()))
+        self.n_shape.append(int((labels == 0).sum()))
         self.slerp_norm_dev.append(norm_dev)
         self.stalled.append(stalled)
 
     def write_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
-            fh.write("iter,J,normG,kappa,theta,nTminus,nTplus,nS\n")
+            fh.write("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
+                     "stalled\n")
             for i in range(len(self.iteration)):
                 fh.write(f"{self.iteration[i]},{self.j[i]:.17g},"
                          f"{self.norm_g[i]:.17g},{self.kappa[i]:.17g},"
                          f"{self.theta[i]:.17g},{self.n_tminus[i]},"
-                         f"{self.n_tplus[i]},{self.n_shape[i]}\n")
+                         f"{self.n_tplus[i]},{self.n_shape[i]},"
+                         f"{self.slerp_norm_dev[i]:.17g},"
+                         f"{int(self.stalled[i])}\n")
 
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -164,7 +168,7 @@ def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
 
     Rings are averaged a whole size group at a time; each row sum runs in
     the order a sum over the single ring would take."""
-    interior = classify_nodes(mesh, psi).labels != 0
+    interior = classify_nodes(mesh, psi) != 0
     out = np.array(psi, dtype=float)
     for nodes, rings in mesh.ring_groups:
         sel = interior[nodes]
@@ -270,8 +274,7 @@ def run(mesh: Mesh, params: ProblemParams,
 
     history = History() if history is None else history
     ev = _evaluate(mesh, phi, params, m0)
-    history.append(0, ev.j, ev.norm_g, 0.0, 0.0,
-                   ev.field.classification.counts())
+    history.append(0, ev.j, ev.norm_g, 0.0, 0.0, ev.field.labels)
     _maybe_snapshot(mesh, phi, ev, 0, config, output_dir, on_snapshot,
                     uhat=params.uhat)
 
@@ -283,12 +286,12 @@ def run(mesh: Mesh, params: ProblemParams,
             # No decrease found anywhere on the ladder: keep the current
             # design so the cost stays monotone.
             history.append(it, ev.j, ev.norm_g, 0.0, 0.0,
-                           ev.field.classification.counts(), 0.0, True)
+                           ev.field.labels, 0.0, True)
             continue
         phi = best.phi
         ev = _evaluate(mesh, phi, params, m0, solved=best)
         history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,
-                       ev.field.classification.counts(), best.norm_dev, False)
+                       ev.field.labels, best.norm_dev, False)
         _maybe_snapshot(mesh, phi, ev, it, config, output_dir, on_snapshot,
                         uhat=params.uhat)
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ProblemParams
-from .levelset import (_TAG_BY_BITS, CutTag, NodeClassification, Perturbation,
-                       classify_nodes)
+from .levelset import Perturbation, classify_nodes
 from .mesh import Mesh
 
 __all__ = [
@@ -165,8 +164,8 @@ def _pair_rates(p, det_j, label, bits):
     n_plus = (bits >> 2) + ((bits >> 1) & 1) + (bits & 1)
     cut = np.flatnonzero((label == 0) & (n_plus % 3 != 0))
     sign = np.where(n_plus[cut] == 1, 1.0, -1.0)
-    # a 'minus' tag has the complement of its 'plus' tag's bits; the lone bit
-    # of the 'plus' form is the family: 4 for A, 2 for B, 1 for C
+    # a 'minus' configuration has the complement of its 'plus' form's bits;
+    # the lone bit of the 'plus' form is the family: 4 for A, 2 for B, 1 for C
     lone = np.where(sign > 0.0, bits[cut], 7 - bits[cut])
     fam_a, mirrored = lone == 4, lone == 1
     q1 = p[cut, 0]
@@ -263,50 +262,45 @@ class SensitivityField:
     symmetric-difference area rate that normalizes it."""
 
     dj: np.ndarray
-    classification: NodeClassification
+    labels: np.ndarray     # node classes, see classify_nodes
     g: np.ndarray
     dkatilde: np.ndarray
 
-    @property
-    def labels(self) -> np.ndarray:
-        return self.classification.labels
 
-
-def cut_matrices(tag: CutTag, phi_rotated, det_j: float) -> CutElementMatrices:
+def cut_matrices(phi_rotated, det_j: float) -> CutElementMatrices:
     """Mass/load rate matrices for one cut element.
 
     ``phi_rotated`` are the element's level-set values with the perturbed
-    node first, and their signs must be those of ``tag``.  Raises
+    node first; their signs give the configuration.  Raises ``ValueError``
+    if the values do not cut the element and
     :class:`DegenerateDenominator` if a rate is not finite.
     """
     p = np.array([phi_rotated], dtype=float)
-    bits = _plus_bits(p)
-    if _TAG_BY_BITS[bits[0]] is not tag:
-        raise ValueError(f"values {tuple(phi_rotated)} do not have the "
-                         f"signs of {tag}")
     _, cut, dm, df = _pair_rates(p, np.array([det_j], dtype=float),
-                                 np.zeros(1, dtype=int), bits)
+                                 np.zeros(1, dtype=int), _plus_bits(p))
     if not len(cut):
-        raise ValueError(f"element is not cut: {tag}")
+        raise ValueError(f"values {tuple(phi_rotated)} do not cut the "
+                         "element")
     return CutElementMatrices(dm=dm[0], df=df[0])
 
 
 def volume_derivative(mesh: Mesh, phi) -> np.ndarray:
     """Sensitivity of the design area: exactly -1 on interface and interior
     negative nodes, +1 on interior positive nodes."""
-    labels = classify_nodes(mesh, phi).labels
+    labels = classify_nodes(mesh, phi)
     return np.where(labels == 1, 1.0, -1.0)
 
 
 def area_derivative(mesh: Mesh, phi, k: int,
-                    classification: NodeClassification | None = None) -> AreaDerivative:
-    """Per-element rates of change of the cut area for node ``k``."""
-    if classification is None:
-        classification = classify_nodes(mesh, phi)
-    label = int(classification.labels[k])
+                    labels: np.ndarray | None = None) -> AreaDerivative:
+    """Per-element rates of change of the cut area for node ``k``;
+    ``labels`` are the node classes of ``phi``."""
+    if labels is None:
+        labels = classify_nodes(mesh, phi)
+    label = int(labels[k])
     pairs = _node_pairs(mesh, k)
     dka, cut, _, _ = _mesh_pair_rates(mesh, np.asarray(phi, dtype=float),
-                                      classification.labels, pairs)
+                                      labels, pairs)
     keep = cut if label == 0 else slice(None)
     values = dka[keep]
     # summed one element after another, as ts_derivative sums, so that
@@ -318,7 +312,7 @@ def area_derivative(mesh: Mesh, phi, k: int,
 
 
 def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
-                  classification: NodeClassification | None = None) -> SensitivityField:
+                  labels: np.ndarray | None = None) -> SensitivityField:
     """Nodal sensitivity field of the tracking cost at the solved state.
 
     ``u`` and ``p`` must be the state and adjoint for the same ``phi``.
@@ -328,9 +322,8 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    if classification is None:
-        classification = classify_nodes(mesh, phi)
-    labels = classification.labels
+    if labels is None:
+        labels = classify_nodes(mesh, phi)
     num_nodes = mesh.num_nodes
     node = mesh.pivot_first[:, 0]
     dka, cut, dm, df = _mesh_pair_rates(mesh, phi, labels,
@@ -355,7 +348,7 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
                                      minlength=num_nodes) / dkatilde
     dj = np.where(labels == 0, shape, topological)
     g = generalized_derivative(dj, labels)
-    return SensitivityField(dj=dj, classification=classification, g=g,
+    return SensitivityField(dj=dj, labels=labels, g=g,
                             dkatilde=dkatilde)
 
 
@@ -374,23 +367,22 @@ def generalized_derivative(dj: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
                               k: int,
-                              classification: NodeClassification | None = None) -> float:
+                              labels: np.ndarray | None = None) -> float:
     """Interface-node sensitivity obtained by discretizing the classical
     boundary-form shape derivative.
 
     Differs from the direct discrete sensitivity by a normal-flux term that
     the non-interface-fitted discretization cannot see.
     """
-    if classification is None:
-        classification = classify_nodes(mesh, phi)
-    if classification.labels[k] != 0:
+    if labels is None:
+        labels = classify_nodes(mesh, phi)
+    if labels[k] != 0:
         raise ValueError("defined for interface nodes only")
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     pairs = _node_pairs(mesh, k)
-    dka, cut, dm, df = _mesh_pair_rates(mesh, phi, classification.labels,
-                                        pairs)
+    dka, cut, dm, df = _mesh_pair_rates(mesh, phi, labels, pairs)
     dka, pairs = dka[cut], pairs[cut]
     elements = pairs // 3
     terms = _interface_terms(params, mesh.pivot_first[pairs],

@@ -3,12 +3,35 @@
 Everything here deliberately avoids the package's rational closed forms:
 areas come from polygon clipping, integrals from exact degree-2 quadrature
 over clipped polygons, derivatives from finite differences or hyper-dual
-evaluation of those primitives.
+evaluation of those primitives.  The polygon clipper lives here and nowhere
+else: the package computes every cut with its rational lone-vertex formulas,
+and this second geometry is the tests' check on them.
 """
 
 import numpy as np
 
-from tsopt.levelset import _clip_negative
+
+def _clip_negative(points, value_lists):
+    """Sutherland-Hodgman clip of a convex polygon to the region where the
+    first tracked linear function is <= 0; every tracked function is
+    interpolated onto the new vertices."""
+    fvals = value_lists[0]
+    out_pts = []
+    out_vals = [[] for _ in value_lists]
+    n = len(points)
+    for i in range(n):
+        j = (i + 1) % n
+        fi, fj = fvals[i], fvals[j]
+        if fi <= 0.0:
+            out_pts.append(points[i])
+            for vals, tracked in zip(out_vals, value_lists):
+                vals.append(tracked[i])
+        if (fi <= 0.0 < fj) or (fj <= 0.0 < fi):
+            t = fi / (fi - fj)
+            out_pts.append(points[i] + t * (points[j] - points[i]))
+            for vals, tracked in zip(out_vals, value_lists):
+                vals.append(tracked[i] + t * (tracked[j] - tracked[i]))
+    return out_pts, out_vals
 
 
 def clip_negative_region(points, phi_vals, tracked=()):

@@ -12,12 +12,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from helpers import exact_negative_area
+from helpers import clip_negative_region, exact_negative_area
 from tsopt.fem import assemble, element_geometry, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (CutTag, classify_nodes, element_negative_integrals,
-                            interface_segments, symmetric_difference_area,
-                            _clip_negative)
+from tsopt.levelset import (classify_nodes, element_negative_integrals,
+                            interface_segments, symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, setup_problem
@@ -93,7 +92,7 @@ def test_criterion_4_volume_derivative_exactness(mesh8):
     worst = 0.0
     for _ in range(100):
         phi = rng.uniform(-1.0, 1.0, mesh8.num_nodes)
-        labels = classify_nodes(mesh8, phi).labels
+        labels = classify_nodes(mesh8, phi)
         dv = volume_derivative(mesh8, phi)
         expected = np.where(labels == 1, 1.0, -1.0)
         worst = max(worst, float(np.abs(dv - expected).max()))
@@ -103,11 +102,10 @@ def test_criterion_4_volume_derivative_exactness(mesh8):
 
 def test_criterion_5_cut_rate_oracles():
     rng = np.random.default_rng(5)
-    patterns = {
-        CutTag.A_PLUS: (1, -1, -1), CutTag.A_MINUS: (-1, 1, 1),
-        CutTag.B_PLUS: (-1, 1, -1), CutTag.B_MINUS: (1, -1, 1),
-        CutTag.C_PLUS: (-1, -1, 1), CutTag.C_MINUS: (1, 1, -1),
-    }
+    # pivot-first sign patterns of the six cut configurations A+, A-, B+,
+    # B-, C+, C-
+    patterns = [(1, -1, -1), (-1, 1, 1), (-1, 1, -1), (1, -1, 1),
+                (-1, -1, 1), (1, 1, -1)]
     eps = 1e-6
     h = 0.37
     worst_fd = worst_hd = 0.0
@@ -119,12 +117,12 @@ def test_criterion_5_cut_rate_oracles():
         flat += list(load)
         return flat
 
-    for tag, pattern in patterns.items():
+    for pattern in patterns:
         for _ in range(200):
             vals = tuple(s * m for s, m in
                          zip(pattern, rng.uniform(0.1, 2.0, 3)))
-            der = area_derivative_reference(tag, vals)
-            mats = cut_matrices(tag, vals, det_j=1.0)
+            der = area_derivative_reference(vals)
+            mats = cut_matrices(vals, det_j=1.0)
             closed = [der]
             closed += [mats.dm[i, j] for i in range(3) for j in range(i, 3)]
             closed += list(mats.df)
@@ -162,7 +160,7 @@ def test_criterion_5_cut_rate_oracles():
             ok, f"fd {worst_fd:.1e}, hd {worst_hd:.1e}, topo {worst_topo:.1e}")
 
 
-def area_derivative_reference(tag, vals):
+def area_derivative_reference(vals):
     """Single-element signed area rate via the public per-node routine."""
     from tsopt.mesh import mesh_from_arrays
     mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -186,10 +184,10 @@ def test_criterion_6_discretized_continuous_identity(verification_point):
             n = -n
         normals[l] = n
     worst = 0.0
-    for k in field.classification.shape_nodes:
+    for k in np.flatnonzero(field.labels == 0):
         ghat = continuous_sd_discretized(mesh, phi, u, p, params, int(k),
-                                         field.classification)
-        der = area_derivative(mesh, phi, int(k), field.classification)
+                                         field.labels)
+        der = area_derivative(mesh, phi, int(k), field.labels)
         flux = 0.0
         for l, dka_l in zip(der.elements, der.values):
             if dka_l == 0.0 or l not in normals:
@@ -275,7 +273,7 @@ def _negative_component_centroids(mesh, phi):
         comp = labels[tri[local_neg][0]]
         pts = [mesh.nodes[v] for v in tri]
         vals = [phi[v] for v in tri]
-        poly, _ = _clip_negative(pts, [vals])
+        poly, _ = clip_negative_region(pts, vals)
         if len(poly) < 3:
             continue
         pts_arr = np.asarray(poly)

@@ -40,6 +40,15 @@ def test_partial_override(tmp_path):
     assert cfg.output_dir == "elsewhere"
 
 
+def test_nested_override_leaves_the_defaults_alone():
+    # a partial slope-window table merges into a copy of the default one
+    cfg = RunConfig.from_dict(
+        {"verify": {"slope_windows": {"fd_e_s": [1e-6, 1e-3]}}})
+    assert cfg.slope_windows()[("fd", "e_s")] == (1e-6, 1e-3)
+    assert cfg.slope_windows()[("fd", "e_t")] == SLOPE_WINDOWS[("fd", "e_t")]
+    assert RunConfig().slope_windows() == SLOPE_WINDOWS
+
+
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"problem": {"lambda2": 0.0}})
@@ -98,6 +107,9 @@ def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command,data", [
     ("optimize", {"problem": {"lambda1": "1.0"}}),
     ("verify", {"verify": {"mesh_level": "8"}}),
+    ("optimize", []),
+    ("optimize", {"optimize": 5}),
+    ("verify", {"verify": {"slope_windows": [1, 2]}}),
 ])
 def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data):
     bad = tmp_path / "bad.json"

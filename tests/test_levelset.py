@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from helpers import exact_negative_area
-from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (Perturbation, classify_nodes,
-                            element_negative_integrals, element_plus_mask,
+from tsopt.hdarray import HyperDualArray, generic_zeros, sign_array
+from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
+                            Perturbation, _checked_ratio, _lone_cuts,
+                            classify_nodes, element_negative_integrals,
                             interface_segments, negative_region_integrals,
                             perturb, subdomain_area, symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
@@ -14,24 +17,25 @@ REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_uniform_classification(mesh8):
-    labels = classify_nodes(mesh8, np.ones(mesh8.num_nodes)).labels
+    labels = classify_nodes(mesh8, np.ones(mesh8.num_nodes))
     assert (labels == 1).all()
-    labels = classify_nodes(mesh8, -np.ones(mesh8.num_nodes)).labels
+    labels = classify_nodes(mesh8, -np.ones(mesh8.num_nodes))
     assert (labels == -1).all()
 
 
 def test_all_zero_ring_is_interior_negative(mesh8):
-    labels = classify_nodes(mesh8, np.zeros(mesh8.num_nodes)).labels
+    labels = classify_nodes(mesh8, np.zeros(mesh8.num_nodes))
     assert (labels == -1).all()
 
 
 def test_mixed_ring_classification_on_smallest_mesh():
     mesh = generate_crossed_mesh(1)
     phi = np.array([-1.0, 1.0, 1.0, 1.0, 0.0])
-    cls = classify_nodes(mesh, phi)
-    assert cls.labels[4] == 0           # center sees both signs
-    assert cls.labels[0] == 0           # its ring contains the center & node 1
-    assert cls.counts() == (0, 1, 4)    # only node 3 has a sign-pure ring
+    labels = classify_nodes(mesh, phi)
+    assert labels[4] == 0           # center sees both signs
+    assert labels[0] == 0           # its ring contains the center & node 1
+    # only node 3 has a sign-pure ring
+    assert [int((labels == c).sum()) for c in (-1, 1, 0)] == [0, 1, 4]
 
 
 def _labels_by_element_loop(mesh, phi):
@@ -51,12 +55,12 @@ def test_classification_equals_element_loop(n, rng):
     for _ in range(20):
         phi = rng.uniform(-1.0, 1.0, mesh.num_nodes)
         phi[rng.uniform(size=mesh.num_nodes) < 0.2] = 0.0   # snapped zeros
-        assert np.array_equal(classify_nodes(mesh, phi).labels,
+        assert np.array_equal(classify_nodes(mesh, phi),
                               _labels_by_element_loop(mesh, phi))
     # a node outside every element has only itself in its ring
     loose = mesh_from_arrays([(0, 0), (1, 0), (0, 1), (2, 2)], [(0, 1, 2)])
     phi = np.array([1.0, -1.0, 0.0, -2.0])
-    assert np.array_equal(classify_nodes(loose, phi).labels,
+    assert np.array_equal(classify_nodes(loose, phi),
                           _labels_by_element_loop(loose, phi))
 
 
@@ -76,8 +80,8 @@ def test_perturbation_operators():
 
 
 def test_element_cut_classification():
-    def mask(phi):
-        return element_plus_mask(REF, phi)[0].tolist()
+    def mask(phi):   # the plus-mask of the cut kernel
+        return _lone_cuts(phi[REF.elements])[0][0].tolist()
 
     assert mask(np.array([1.0, -1.0, -1.0])) == [True, False, False]
     assert mask(np.array([-1.0, -1.0, -1.0])) == [False, False, False]
@@ -145,6 +149,170 @@ def test_degenerate_values_keep_exact_areas():
     assert subdomain_area(REF, np.array([0.0, 0.0, 1.0])) == 0.0
 
 
+def _integrals_by_lone_position(mesh, phi):
+    # reference: one vectorized pass per position of the lone vertex, with
+    # the kernel's arithmetic, so the two must agree bit for bit
+    phin = phi[mesh.elements]
+    plus = sign_array(phi)[mesh.elements] >= 0
+    n_plus = plus.sum(axis=1)
+    n = len(mesh.elements)
+    frac = generic_zeros(n, like=phi)
+    mass = generic_zeros((n, 3, 3), like=phi)
+    load = generic_zeros((n, 3), like=phi)
+    full = np.flatnonzero(n_plus == 0)
+    frac[full] = 0.5
+    mass[full] = _FULL_MASS_REF
+    load[full] = _FULL_LOAD_REF
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        idx = np.flatnonzero(((n_plus == 1) & plus[:, a])
+                             | ((n_plus == 2) & ~plus[:, a]))
+        pa, pb, pc = phin[idx, a], phin[idx, b], phin[idx, c]
+        tb = _checked_ratio(pa, pa - pb)
+        tc = _checked_ratio(pa, pa - pc)
+        cap_area = tb * tc * 0.5
+        vals = generic_zeros((len(idx), 3, 3), like=phi)
+        vals[:, a, 0] = 1.0
+        vals[:, a, 1] = 1.0 - tb
+        vals[:, a, 2] = 1.0 - tc
+        vals[:, b, 1] = tb
+        vals[:, c, 2] = tc
+        pair = (vals[:, :, None, :] * vals[:, None, :, :]).sum(axis=-1)
+        rows = vals.sum(axis=-1)
+        cap_mass = (pair + rows[:, :, None] * rows[:, None, :]) \
+            * (cap_area * (1.0 / 12.0))[:, None, None]
+        cap_load = rows * (cap_area * (1.0 / 3.0))[:, None]
+        pos = plus[idx, a]
+        frac[idx[pos]] = 0.5 - cap_area[pos]
+        mass[idx[pos]] = _FULL_MASS_REF - cap_mass[pos]
+        load[idx[pos]] = _FULL_LOAD_REF - cap_load[pos]
+        frac[idx[~pos]] = cap_area[~pos]
+        mass[idx[~pos]] = cap_mass[~pos]
+        load[idx[~pos]] = cap_load[~pos]
+    return frac, mass, load
+
+
+def _lanes_bytes(x):
+    lanes = x.lanes if isinstance(x, HyperDualArray) else (x,)
+    return [(lane.dtype.str, lane.shape, lane.tobytes()) for lane in lanes]
+
+
+def _snapped(mesh, rng):
+    phi = rng.uniform(-1.0, 1.0, mesh.num_nodes)
+    phi[rng.uniform(size=mesh.num_nodes) < 0.2] = 0.0
+    return phi
+
+
+def test_integrals_equal_the_lone_position_loop_bitwise(rng):
+    outcomes = set()
+    for n in (1, 2, 4, 8, 16, 32):
+        mesh = generate_crossed_mesh(n)
+        m = mesh.num_nodes
+        for _ in range(5):
+            phi = _snapped(mesh, rng)
+            k = int(rng.integers(m))
+            some = rng.uniform(size=m)
+            seed = HyperDualArray(0.0, 0.5, 0.0)
+            inputs = [
+                phi,
+                phi + 1j * rng.normal(size=m) * (some < 0.5),
+                HyperDualArray(phi, rng.normal(size=m) * (some < 0.3),
+                               rng.normal(size=m)),
+                perturb(phi, k, seed, Perturbation.SHAPE),
+                perturb(phi, k, seed, Perturbation.TOPO_MINUS),
+                perturb(phi, k, complex(0.0, 1e-3), Perturbation.TOPO_PLUS),
+            ]
+            for x in inputs:
+                try:
+                    want = _integrals_by_lone_position(mesh, x)
+                except DegenerateCut:
+                    with pytest.raises(DegenerateCut):
+                        negative_region_integrals(mesh, x)
+                    outcomes.add("raised")
+                    continue
+                got = negative_region_integrals(mesh, x)
+                for g, w in zip(got, want):
+                    assert type(g) is type(w)
+                    assert _lanes_bytes(g) == _lanes_bytes(w)
+                outcomes.add("equal")
+    assert outcomes == {"raised", "equal"}
+
+
+def _segments_by_element(mesh, phi):
+    # one element at a time, lone vertex first
+    tris = mesh.elements
+    plus = sign_array(phi)[tris] >= 0
+    n_plus = plus.sum(axis=1)
+    segments = []
+    for l in np.flatnonzero((n_plus == 1) | (n_plus == 2)):
+        lone = (int(np.argmax(plus[l])) if n_plus[l] == 1
+                else int(np.argmin(plus[l])))
+        a, b, c = tris[l, [lone, (lone + 1) % 3, (lone + 2) % 3]]
+        tb = phi[a] / (phi[a] - phi[b])
+        tc = phi[a] / (phi[a] - phi[c])
+        p0 = mesh.nodes[a] + tb * (mesh.nodes[b] - mesh.nodes[a])
+        p1 = mesh.nodes[a] + tc * (mesh.nodes[c] - mesh.nodes[a])
+        if np.hypot(*(p1 - p0)) > 1e-15:
+            segments.append((int(l), (p0, p1)))
+    return segments
+
+
+def test_interface_segments_equal_the_element_loop_bitwise(rng, mesh8,
+                                                           phi_d8):
+    cases = [(mesh8, phi_d8)]
+    for n in (1, 2, 4, 8, 16, 32):
+        mesh = generate_crossed_mesh(n)
+        cases += [(mesh, _snapped(mesh, rng)) for _ in range(3)]
+    for mesh, phi in cases:
+        got = interface_segments(mesh, phi)
+        want = _segments_by_element(mesh, phi)
+        assert [l for l, _ in got] == [l for l, _ in want]
+        for (_, ends), (_, ends_want) in zip(got, want):
+            for p, q in zip(ends, ends_want):
+                assert p.tobytes() == q.tobytes()
+
+
+def _exact_negative_fraction(vals):
+    """Negative area of the reference triangle, in rational arithmetic."""
+    v = [Fraction(x) for x in vals]
+    plus = [x >= 0 for x in v]
+    n_plus = sum(plus)
+    if n_plus in (0, 3):
+        return Fraction(1, 2) if n_plus == 0 else Fraction(0)
+    a = plus.index(n_plus == 1)
+    b, c = (a + 1) % 3, (a + 2) % 3
+    cap = v[a] / (v[a] - v[b]) * v[a] / (v[a] - v[c]) / 2
+    return Fraction(1, 2) - cap if n_plus == 1 else cap
+
+
+def test_symmetric_difference_matches_exact_rationals(mesh8, phi_d8):
+    labels = classify_nodes(mesh8, phi_d8)
+    tris = mesh8.elements
+    det_j = mesh8.geometry.det_j
+    steps = [10.0 ** -(k / 2.0) for k in range(8, 16)]   # 1e-4 .. 3.16e-8
+    worst = 0.0
+    for k in range(mesh8.num_nodes):
+        kind = Perturbation.for_label(int(labels[k]))
+        ring = np.flatnonzero((tris == k).any(axis=1))
+        for eps in steps:
+            phi2 = perturb(phi_d8, k, eps, kind)
+            exact = abs(sum((_exact_negative_fraction(phi_d8[tris[l]])
+                             - _exact_negative_fraction(phi2[tris[l]]))
+                            * Fraction(det_j[l]) for l in ring))
+            got = symmetric_difference_area(mesh8, phi_d8, phi2)
+            worst = max(worst, float(abs(Fraction(got) - exact) / exact))
+    assert worst <= 1e-6
+
+
+def test_symmetric_difference_rejects_a_pair_that_is_not_nested(mesh8,
+                                                                phi_d8):
+    other = phi_d8.copy()
+    other[0] += 1e-3
+    other[1] -= 1e-3
+    with pytest.raises(ValueError, match="nested"):
+        symmetric_difference_area(mesh8, phi_d8, other)
+
+
 def test_symmetric_difference_basics(mesh8, phi_d8):
     assert symmetric_difference_area(mesh8, phi_d8, phi_d8) == 0.0
     mesh16 = generate_crossed_mesh(16)
@@ -158,8 +326,7 @@ def test_symmetric_difference_basics(mesh8, phi_d8):
 
 
 def test_nested_perturbation_matches_area_difference(mesh8, phi_d8):
-    cls = classify_nodes(mesh8, phi_d8)
-    k = int(cls.shape_nodes[0])
+    k = int(np.flatnonzero(classify_nodes(mesh8, phi_d8) == 0)[0])
     phi2 = perturb(phi_d8, k, 1e-3, Perturbation.SHAPE)
     sym = symmetric_difference_area(mesh8, phi_d8, phi2)
     diff = abs(subdomain_area(mesh8, phi_d8) - subdomain_area(mesh8, phi2))
@@ -167,9 +334,10 @@ def test_nested_perturbation_matches_area_difference(mesh8, phi_d8):
 
 
 def test_symdiff_rate_approaches_analytic_rate(mesh8, phi_d8):
-    cls = classify_nodes(mesh8, phi_d8)
-    for k in (int(cls.shape_nodes[0]), int(cls.shape_nodes[5])):
-        rate = area_derivative(mesh8, phi_d8, k, cls).total_abs
+    labels = classify_nodes(mesh8, phi_d8)
+    shape_nodes = np.flatnonzero(labels == 0)
+    for k in (int(shape_nodes[0]), int(shape_nodes[5])):
+        rate = area_derivative(mesh8, phi_d8, k, labels).total_abs
         errs = []
         for eps in (1e-3, 5e-4, 2.5e-4):
             phi2 = perturb(phi_d8, k, eps, Perturbation.SHAPE)
@@ -182,10 +350,12 @@ def test_symdiff_rate_approaches_analytic_rate(mesh8, phi_d8):
 def test_symdiff_rate_for_interior_nodes_scales_quadratically(mesh8, phi_d8):
     # interior nodes: the symmetric difference shrinks like the square of
     # the perturbation, with the analytic rate as the leading coefficient
-    cls = classify_nodes(mesh8, phi_d8)
-    for k, kind in ((int(cls.t_minus[0]), Perturbation.TOPO_PLUS),
-                    (int(cls.t_plus[7]), Perturbation.TOPO_MINUS)):
-        rate = area_derivative(mesh8, phi_d8, k, cls).total_abs
+    labels = classify_nodes(mesh8, phi_d8)
+    for k, kind in ((int(np.flatnonzero(labels == -1)[0]),
+                     Perturbation.TOPO_PLUS),
+                    (int(np.flatnonzero(labels == 1)[7]),
+                     Perturbation.TOPO_MINUS)):
+        rate = area_derivative(mesh8, phi_d8, k, labels).total_abs
         errs = []
         for eps in (1e-4, 5e-5):
             phi2 = perturb(phi_d8, k, eps, kind)
@@ -220,12 +390,12 @@ def test_uncut_elements_have_no_segment():
 
 
 def test_generic_area_linearizes_like_real(mesh8, phi_d8):
-    cls = classify_nodes(mesh8, phi_d8)
-    k = int(cls.shape_nodes[3])
+    labels = classify_nodes(mesh8, phi_d8)
+    k = int(np.flatnonzero(labels == 0)[3])
     h = 1e-2
     hd = perturb(phi_d8, k, HyperDualArray(0.0, h, 0.0), Perturbation.SHAPE)
     area_hd = subdomain_area(mesh8, hd)
     # the linear part must match the signed area rate
-    rate = area_derivative(mesh8, phi_d8, k, cls).total
+    rate = area_derivative(mesh8, phi_d8, k, labels).total
     assert area_hd.e1 / h == pytest.approx(rate, rel=1e-10)
     assert area_hd.re == pytest.approx(subdomain_area(mesh8, phi_d8), rel=1e-14)

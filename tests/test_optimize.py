@@ -104,7 +104,7 @@ def test_smoothing_leaves_constants_and_interface_nodes(mesh16, rng):
     const = np.full(mesh16.num_nodes, 0.7)
     assert np.allclose(smooth(mesh16, const), const)
     psi = rng.normal(size=mesh16.num_nodes)
-    labels = classify_nodes(mesh16, psi).labels
+    labels = classify_nodes(mesh16, psi)
     smoothed = smooth(mesh16, psi)
     s_nodes = labels == 0
     assert np.array_equal(smoothed[s_nodes], psi[s_nodes])
@@ -123,7 +123,7 @@ def test_smoothing_averages_a_spike():
 
 def _smooth_per_node(mesh, psi):
     """Reference: the one-ring average written as a loop over the nodes."""
-    labels = classify_nodes(mesh, psi).labels
+    labels = classify_nodes(mesh, psi)
     indptr, indices = build_incidence(mesh.elements, mesh.num_nodes)
     out = np.array(psi, dtype=float)
     for k in np.flatnonzero(labels != 0):
@@ -241,8 +241,14 @@ def test_history_csv_format(tmp_path, mesh8, params_target8):
     path = tmp_path / "history.csv"
     history.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,J,normG,kappa,theta,nTminus,nTplus,nS"
+    assert lines[0] == ("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
+                        "stalled")
     assert len(lines) == len(history.j) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == pytest.approx(history.j[0], rel=1e-15)
+    for line, dev, stalled in zip(lines[1:], history.slerp_norm_dev,
+                                  history.stalled):
+        cols = line.split(",")
+        assert sum(map(int, cols[5:8])) == mesh8.num_nodes
+        assert float(cols[8]) == dev and cols[9] == str(int(stalled))

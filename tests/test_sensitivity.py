@@ -3,7 +3,7 @@ import pytest
 
 from tsopt.fem import assemble, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (CutTag, Perturbation, classify_nodes,
+from tsopt.levelset import (Perturbation, classify_nodes,
                             element_negative_integrals, perturb,
                             subdomain_area)
 from tsopt.mesh import mesh_from_arrays
@@ -77,9 +77,9 @@ def test_field_rates_equal_per_node_rates(level, rng):
     snapped = [_snap_zeros(mesh, phi, rng) for phi in designs]
     assert all((phi == 0.0).sum() >= 3 for phi in snapped)
     for phi in designs + snapped:
-        cls = classify_nodes(mesh, phi)
-        field = ts_derivative(mesh, phi, u, p, params, cls)
-        per_node = [area_derivative(mesh, phi, k, cls).total_abs
+        labels = classify_nodes(mesh, phi)
+        field = ts_derivative(mesh, phi, u, p, params, labels)
+        per_node = [area_derivative(mesh, phi, k, labels).total_abs
                     for k in range(mesh.num_nodes)]
         assert field.dkatilde.tolist() == per_node
 
@@ -87,10 +87,10 @@ def test_field_rates_equal_per_node_rates(level, rng):
 def test_area_rate_sign_structure(mesh8, rng):
     for _ in range(10):
         phi = rng.uniform(-1, 1, mesh8.num_nodes)
-        cls = classify_nodes(mesh8, phi)
+        labels = classify_nodes(mesh8, phi)
         for k in rng.choice(mesh8.num_nodes, size=12, replace=False):
-            der = area_derivative(mesh8, phi, int(k), cls)
-            label = cls.labels[k]
+            der = area_derivative(mesh8, phi, int(k), labels)
+            label = labels[k]
             if label == -1:
                 assert (der.values < 0).all()
             elif label == 1:
@@ -103,7 +103,7 @@ def test_area_rate_sign_structure(mesh8, rng):
 
 def test_volume_derivative_piecewise_constant(mesh8, rng):
     phi = rng.uniform(-1, 1, mesh8.num_nodes)
-    labels = classify_nodes(mesh8, phi).labels
+    labels = classify_nodes(mesh8, phi)
     dv = volume_derivative(mesh8, phi)
     assert np.all(dv[labels == 1] == 1.0)
     assert np.all(dv[labels != 1] == -1.0)
@@ -112,51 +112,44 @@ def test_volume_derivative_piecewise_constant(mesh8, rng):
 
 
 def test_cut_matrix_printed_entries():
-    mats = cut_matrices(CutTag.B_PLUS, (-1.0, 1.0, -1.0), det_j=1.0)
+    mats = cut_matrices((-1.0, 1.0, -1.0), det_j=1.0)        # B+
     assert mats.dm[0, 0] == pytest.approx(-1.0 / 128.0)
-    mats_a = cut_matrices(CutTag.A_PLUS, (1.0, -1.0, -1.0), det_j=1.0)
+    mats_a = cut_matrices((1.0, -1.0, -1.0), det_j=1.0)      # A+
     assert mats_a.df[1] == pytest.approx(-0.03125)
 
 
 def test_cut_matrix_symmetry_and_sign_flip(rng):
-    patterns = {
-        CutTag.A_PLUS: (1, -1, -1), CutTag.A_MINUS: (-1, 1, 1),
-        CutTag.B_PLUS: (-1, 1, -1), CutTag.B_MINUS: (1, -1, 1),
-        CutTag.C_PLUS: (-1, -1, 1), CutTag.C_MINUS: (1, 1, -1),
-    }
-    mirror = {
-        CutTag.A_PLUS: CutTag.A_MINUS, CutTag.B_PLUS: CutTag.B_MINUS,
-        CutTag.C_PLUS: CutTag.C_MINUS,
-    }
-    for plus_tag, minus_tag in mirror.items():
+    # pivot-first sign patterns of the 'plus' configurations A+, B+, C+;
+    # negating one gives its 'minus' configuration
+    for pattern in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
         for _ in range(10):
             mags = rng.uniform(0.1, 2.0, 3)
-            vals = tuple(s * m for s, m in zip(patterns[plus_tag], mags))
-            m_plus = cut_matrices(plus_tag, vals, det_j=0.7)
+            vals = tuple(s * m for s, m in zip(pattern, mags))
+            m_plus = cut_matrices(vals, det_j=0.7)
             assert np.allclose(m_plus.dm, m_plus.dm.T)
             # negated values swap the two regions and the direction of the
             # pivot's perturbation, so the two sign flips cancel
             flipped = tuple(-v for v in vals)
-            m_minus = cut_matrices(minus_tag, flipped, det_j=0.7)
+            m_minus = cut_matrices(flipped, det_j=0.7)
             assert np.allclose(m_minus.dm, m_plus.dm)
             assert np.allclose(m_minus.df, m_plus.df)
 
 
 def test_cut_matrix_degenerate_denominator():
     # sign-consistent near-ties whose fourth-power denominators underflow
-    near_ties = {CutTag.A_PLUS: (1e-80, -1e-80, -2e-80),
-                 CutTag.B_PLUS: (-2e-80, 1e-80, -1e-80),
-                 CutTag.C_MINUS: (1e-80, 2e-80, -1e-80)}
-    for tag, vals in near_ties.items():
+    # configurations A+, B+ and C-
+    near_ties = [(1e-80, -1e-80, -2e-80), (-2e-80, 1e-80, -1e-80),
+                 (1e-80, 2e-80, -1e-80)]
+    for vals in near_ties:
         with pytest.raises(DegenerateDenominator):
-            cut_matrices(tag, vals, det_j=1.0)
+            cut_matrices(vals, det_j=1.0)
 
 
-def test_cut_matrix_rejects_a_tag_that_contradicts_the_signs():
-    with pytest.raises(ValueError, match="signs"):
-        cut_matrices(CutTag.B_PLUS, (1.0, 1.0, -1.0), det_j=1.0)
-    with pytest.raises(ValueError, match="not cut"):
-        cut_matrices(CutTag.ALL_POS, (1.0, 0.0, 2.0), det_j=1.0)
+def test_cut_matrix_rejects_an_uncut_element():
+    # zero counts as '+', so these signs agree
+    for vals in ((1.0, 0.0, 2.0), (-1.0, -2.0, -0.5)):
+        with pytest.raises(ValueError, match="do not cut"):
+            cut_matrices(vals, det_j=1.0)
 
 
 def test_near_tie_design_raises_instead_of_nan():
@@ -170,17 +163,15 @@ def test_near_tie_design_raises_instead_of_nan():
 
 
 def test_cut_matrices_match_hyperdual_oracle(rng):
-    patterns = {
-        CutTag.A_PLUS: (1, -1, -1), CutTag.A_MINUS: (-1, 1, 1),
-        CutTag.B_PLUS: (-1, 1, -1), CutTag.B_MINUS: (1, -1, 1),
-        CutTag.C_PLUS: (-1, -1, 1), CutTag.C_MINUS: (1, 1, -1),
-    }
+    # pivot-first sign patterns of A+, A-, B+, B-, C+, C-
+    patterns = [(1, -1, -1), (-1, 1, 1), (-1, 1, -1), (1, -1, 1),
+                (-1, -1, 1), (1, 1, -1)]
     h = 0.5
-    for tag, pattern in patterns.items():
+    for pattern in patterns:
         for _ in range(10):
             vals = tuple(s * m for s, m in
                          zip(pattern, rng.uniform(0.1, 2.0, 3)))
-            mats = cut_matrices(tag, vals, det_j=1.0)
+            mats = cut_matrices(vals, det_j=1.0)
             hd = (HyperDualArray(vals[0], h, 0.0), vals[1], vals[2])
             _, mass, load = element_negative_integrals(hd)
             for i in range(3):
@@ -226,9 +217,9 @@ def test_sensitivity_is_scale_invariant(mesh8, phi_d8, params_zero8):
 def test_matches_hyperdual_pipeline_on_sample_nodes(mesh8, phi_d8, params_zero8):
     field = analytic_field(mesh8, phi_d8, params_zero8)
     labels = field.labels
-    sample = [int(field.classification.shape_nodes[0]),
-              int(field.classification.t_plus[0]),
-              int(field.classification.t_minus[0])]
+    sample = [int(np.flatnonzero(labels == 0)[0]),
+              int(np.flatnonzero(labels == 1)[0]),
+              int(np.flatnonzero(labels == -1)[0])]
     for k in sample:
         est = hd_derivative(mesh8, phi_d8, params_zero8, k, 0.7,
                             int(labels[k]), field.dkatilde[k])
@@ -275,7 +266,7 @@ def test_generalized_derivative_branches():
 
 
 def test_optimality_iff_descent_field_vanishes(mesh8, rng):
-    labels = classify_nodes(mesh8, rng.uniform(-1, 1, mesh8.num_nodes)).labels
+    labels = classify_nodes(mesh8, rng.uniform(-1, 1, mesh8.num_nodes))
     dj = np.abs(rng.normal(size=mesh8.num_nodes))  # nonnegative everywhere
     dj[labels == 0] = 0.0
     g = generalized_derivative(dj, labels)
@@ -290,7 +281,7 @@ def test_continuous_comparison_reduces_to_discrete_without_diffusion_contrast(
     u = solve_state(system)
     p = solve_adjoint(system, u, params)
     field = ts_derivative(mesh8, phi_d8, u, p, params)
-    for k in field.classification.shape_nodes:
+    for k in np.flatnonzero(field.labels == 0):
         ghat = continuous_sd_discretized(mesh8, phi_d8, u, p, params, int(k))
         assert ghat == pytest.approx(field.dj[k], rel=1e-12, abs=1e-14)
 
@@ -300,18 +291,19 @@ def test_continuous_comparison_pure_volume(mesh8, phi_d8):
     system = assemble(mesh8, phi_d8, params)
     u = solve_state(system)
     p = solve_adjoint(system, u, params)
-    cls = classify_nodes(mesh8, phi_d8)
-    for k in cls.shape_nodes[:8]:
+    labels = classify_nodes(mesh8, phi_d8)
+    for k in np.flatnonzero(labels == 0)[:8]:
         assert continuous_sd_discretized(mesh8, phi_d8, u, p, params,
-                                         int(k), cls) == pytest.approx(-1.0)
+                                         int(k), labels) == pytest.approx(-1.0)
 
 
 def test_continuous_comparison_rejects_interior_nodes(mesh8, phi_d8,
                                                       params_zero8):
-    cls = classify_nodes(mesh8, phi_d8)
+    labels = classify_nodes(mesh8, phi_d8)
     system = assemble(mesh8, phi_d8, params_zero8)
     u = solve_state(system)
     p = solve_adjoint(system, u, params_zero8)
     with pytest.raises(ValueError):
         continuous_sd_discretized(mesh8, phi_d8, u, p, params_zero8,
-                                  int(cls.t_plus[0]), cls)
+                                  int(np.flatnonzero(labels == 1)[0]),
+                                  labels)

@@ -26,16 +26,16 @@ def test_fd_quotient_is_minus_one_for_pure_volume(mesh8, phi_d8,
     # both sides of the quotient are exact areas, so the only deviation is
     # float cancellation in their difference
     params, j0 = volume_setup
-    cls = classify_nodes(mesh8, phi_d8)
-    for k in cls.shape_nodes[:5]:
+    labels = classify_nodes(mesh8, phi_d8)
+    for k in np.flatnonzero(labels == 0)[:5]:
         for eps in (1e-3, 1e-4, 1e-5):
             q = fd_quotient(mesh8, phi_d8, params, int(k), eps, 0, j0)
             assert q == pytest.approx(-1.0, abs=1e-8)
     # interior nodes: quotient of exact areas is the sign table value
-    k = int(cls.t_minus[0])
+    k = int(np.flatnonzero(labels == -1)[0])
     assert fd_quotient(mesh8, phi_d8, params, k, 1e-4, -1, j0) == \
         pytest.approx(-1.0, abs=1e-7)
-    k = int(cls.t_plus[0])
+    k = int(np.flatnonzero(labels == 1)[0])
     assert fd_quotient(mesh8, phi_d8, params, k, 1e-4, 1, j0) == \
         pytest.approx(1.0, abs=1e-7)
 
@@ -43,8 +43,7 @@ def test_fd_quotient_is_minus_one_for_pure_volume(mesh8, phi_d8,
 def test_cs_recovers_pure_volume(mesh8, phi_d8, volume_setup):
     params, j0 = volume_setup
     field = analytic_field(mesh8, phi_d8, params)
-    cls = field.classification
-    for k in cls.shape_nodes[:3]:
+    for k in np.flatnonzero(field.labels == 0)[:3]:
         errs = [abs(cs_derivative(mesh8, phi_d8, params, int(k), h, 0,
                                   field.dkatilde[k], j0) + 1.0)
                 for h in (1e-3, 1e-5)]
@@ -55,8 +54,8 @@ def test_cs_recovers_pure_volume(mesh8, phi_d8, volume_setup):
 
 def test_hd_estimate_is_step_independent(mesh8, phi_d8, params_zero8):
     field = analytic_field(mesh8, phi_d8, params_zero8)
-    for k in (int(field.classification.shape_nodes[2]),
-              int(field.classification.t_plus[5])):
+    for k in (int(np.flatnonzero(field.labels == 0)[2]),
+              int(np.flatnonzero(field.labels == 1)[5])):
         label = int(field.labels[k])
         v1 = hd_derivative(mesh8, phi_d8, params_zero8, k, 1.0, label,
                            field.dkatilde[k])
@@ -70,8 +69,8 @@ def test_three_schemes_agree_at_their_best_steps(mesh8, phi_d8, params_zero8):
     system = assemble(mesh8, phi_d8, params_zero8)
     u = solve_state(system)
     j0 = float(objective(mesh8, phi_d8, u, params_zero8, system=system))
-    for k in (int(field.classification.shape_nodes[4]),
-              int(field.classification.t_plus[10])):
+    for k in (int(np.flatnonzero(field.labels == 0)[4]),
+              int(np.flatnonzero(field.labels == 1)[10])):
         label = int(field.labels[k])
         dkat = field.dkatilde[k]
         fd_best = min(abs(fd_quotient(mesh8, phi_d8, params_zero8, k, eps,
@@ -82,7 +81,7 @@ def test_three_schemes_agree_at_their_best_steps(mesh8, phi_d8, params_zero8):
         assert hd == pytest.approx(field.dj[k], rel=1e-10, abs=1e-12)
     # the interface-node complex-step estimate is cancellation free and
     # reaches 1e-10 agreement at small steps
-    k = int(field.classification.shape_nodes[4])
+    k = int(np.flatnonzero(field.labels == 0)[4])
     cs = cs_derivative(mesh8, phi_d8, params_zero8, k, 1e-8, 0,
                        field.dkatilde[k], j0)
     assert cs == pytest.approx(field.dj[k], abs=1e-10)

@@ -5,8 +5,10 @@
 ``tsopt mesh-info``  print node, element and Dirichlet node counts for a
                     mesh level
 
-Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
-1 criterion not met (verification tolerance or cost-reduction target).
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (any
+``ArithmeticError``: a solver breakdown, a degenerate cut, denominator or
+angle, a singular element, a hyper-dual division by zero), 1 criterion not
+met (verification tolerance or cost-reduction target).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
 from .fem import ProblemParams
-from .ldlt import SolverBreakdown
 from .optimize import History, run as run_optimizer
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
 from .verify import (analytic_field, run_verification, write_node_table_csv,
@@ -86,7 +87,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     try:
         history, phi = run_optimizer(mesh, params, cfg.optimizer_config(),
                                      output_dir=str(out), history=history)
-    except SolverBreakdown:
+    except ArithmeticError:
         history.write_csv(out / "history.csv")  # flush partial progress
         raise
     history.write_csv(out / "history.csv")
@@ -148,8 +149,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args, cfg)
         return cmd_optimize(args, cfg)
-    except SolverBreakdown as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"solver failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 3
 
 

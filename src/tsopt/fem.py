@@ -8,25 +8,30 @@ nodal level-set values and run unchanged on real, complex and hyper-dual
 input.  Dirichlet conditions are imposed by row/column elimination with a
 right-hand-side correction, which preserves symmetry.
 
-Every scalar type is scattered straight into sparse free x free and
-free x fixed matrices through the blocks of the mesh's one cached scatter
-map, and solved by banded LU on the mesh's reverse Cuthill-McKee ordering
-(see :mod:`.ldlt`), one factor per system shared by its state and adjoint
-solves.  A system keeps its mesh and reads every per-mesh array from it.
+Only the cut elements are integrated and evaluated on each call; every
+other element lies wholly in one material and takes its local data from a
+per-mesh cache built once per material.  The matrix entries of every
+scalar type are summed straight into the free x free CSR data through the
+mesh's one cached scatter map, the free x fixed coupling straight into the
+right-hand side, both in the order scipy's conversions would sum them.
+Each system is solved by banded LU on the mesh's reverse Cuthill-McKee
+ordering (see :mod:`.ldlt`), one factor per system shared by its state and
+adjoint solves.  A system keeps its mesh and reads every per-mesh array
+from it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
 from .ldlt import ldlt_factor, ldlt_solve
-from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
-                       negative_region_integrals)
+from .levelset import _FULL_LOAD_REF, _FULL_MASS_REF, cut_integrals
 from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
                    SingularElement)
 
@@ -106,14 +111,14 @@ class AssembledSystem:
     :class:`~tsopt.hdarray.HyperDualMatrix` of three CSR lanes for
     hyper-dual data, in the numbering of ``mesh.reduced_index``; the factor
     is made on the first solve and kept.  ``mt_local`` holds the
-    per-element tracking mass matrices (coefficient included), from which
-    the tracking quadratic form and the adjoint right-hand side are
-    evaluated without a global scatter.
+    per-element tracking mass matrices (coefficient included, element axis
+    last), from which the tracking quadratic form and the adjoint
+    right-hand side are evaluated without a global scatter.
     """
 
     matrix: object                 # free x free
     rhs: object                    # free
-    mt_local: object               # (N, 3, 3)
+    mt_local: object               # (3, 3, N)
     mesh: Mesh
     fixed_values: np.ndarray
     neg_frac: object               # (N,) reference-units negative area
@@ -123,8 +128,9 @@ class AssembledSystem:
 def _summed(vals, slot, size):
     """Sum ``vals`` into ``size`` slots.  ``np.bincount`` adds the entries of
     each slot one after another in input order, as scipy's COO-to-CSR
-    conversion and ``np.add.at`` would; complex data is summed as its real
-    and imaginary parts, and hyper-dual data lane by lane."""
+    conversion, its CSR matrix-vector product and ``np.add.at`` would;
+    complex data is summed as its real and imaginary parts, and hyper-dual
+    data lane by lane."""
     if isinstance(vals, HyperDualArray):
         return HyperDualArray(*(_summed(lane, slot, size)
                                 for lane in vals.lanes))
@@ -137,18 +143,30 @@ def _summed(vals, slot, size):
     return np.bincount(slot, vals, size)
 
 
-def _scatter_matrix(values, block: ScatterBlock, shape):
-    """Sum the local (N,3,3) entries that a block of the mesh's scatter map
-    (:attr:`~tsopt.mesh.Mesh.scatter` or a :class:`~tsopt.mesh.ReducedIndex`
-    block) selects into CSR (one CSR matrix per hyper-dual lane)."""
+def _block_csr(entries, block: ScatterBlock):
+    """Sum element-matrix entries listed in the order of a block of the
+    mesh's scatter map (:attr:`~tsopt.mesh.Mesh.scatter` or a
+    :class:`~tsopt.mesh.ReducedIndex` block) into CSR (one CSR matrix per
+    hyper-dual lane).
+
+    Each matrix is a shallow copy of the block's pattern with data of its
+    own: the read-only index arrays are shared, as the CSR constructor
+    would share them, without being checked again on every call."""
 
     def csr(vals):
-        data = _summed(vals.reshape(-1)[block.pos], block.slot, block.nnz)
-        return sp.csr_matrix((data, block.indices, block.indptr), shape=shape)
+        matrix = copy.copy(block.pattern)
+        matrix.data = _summed(vals, block.slot, block.nnz)
+        return matrix
 
-    if isinstance(values, HyperDualArray):
-        return HyperDualMatrix(*(csr(lane) for lane in values.lanes))
-    return csr(np.asarray(values))
+    if isinstance(entries, HyperDualArray):
+        return HyperDualMatrix(*(csr(lane) for lane in entries.lanes))
+    return csr(entries)
+
+
+def _scatter_matrix(values, block: ScatterBlock):
+    """:func:`_block_csr` of the local ``(N, 3, 3)`` entries that ``block``
+    selects."""
+    return _block_csr(values.reshape(-1)[block.pos], block)
 
 
 def _scatter_vector(values, tris, num_nodes):
@@ -156,35 +174,125 @@ def _scatter_vector(values, tris, num_nodes):
     return _summed(values, tris.reshape(-1), num_nodes)
 
 
+def _local_matrices(params: ProblemParams, k0, dj, neg_frac, neg_mass,
+                    neg_load):
+    """System matrices, tracking mass matrices and load vectors of elements
+    from the reference integrals over their negative parts, with the
+    element axis last: ``k0`` and ``neg_mass`` are (3, 3, n), ``neg_load``
+    (3, n), ``dj`` and ``neg_frac`` (n,)."""
+    lam_int = params.lambda2 * 0.5 + params.d_lambda * neg_frac
+    k_loc = k0 * (dj * lam_int)
+    full_mass = _FULL_MASS_REF[:, :, None]
+    m_loc = (params.alpha2 * full_mass + params.d_alpha * neg_mass) * dj
+    mt_loc = (params.atilde2 * full_mass + params.d_atilde * neg_mass) * dj
+    f_loc = (params.f2 * _FULL_LOAD_REF[:, None] + params.d_f * neg_load) * dj
+    return k_loc + m_loc, mt_loc, f_loc
+
+
+_material = attrgetter("lambda1", "lambda2", "alpha1", "alpha2", "atilde1",
+                       "atilde2", "f1", "f2")
+
+
+class _UncutLocals(NamedTuple):
+    """Local data of every element for one material, with the element axis
+    last: the gradient products, and, stacked as (fully positive, fully
+    negative), the system matrix entries that land in the ``ff`` and then
+    the ``fd`` block of the reduced scatter map, in its order, the tracking
+    mass matrices and the load vectors.  ``element`` is the element of each
+    of those entries, ``entry`` the position in them of every entry of the
+    flattened ``(N, 3, 3)`` element matrices (-1 for a fixed row), and
+    ``fd_rows`` the CSR row of every ``fd`` data slot."""
+
+    k0: np.ndarray         # (3, 3, N)
+    entries: np.ndarray    # (2, L)
+    element: np.ndarray    # (L,)
+    entry: np.ndarray      # (9 N,)
+    fd_rows: np.ndarray    # (fd.nnz,)
+    mt: np.ndarray         # (2, 3, 3, N)
+    f: np.ndarray          # (2, 3, N)
+
+
+def _uncut_locals(mesh: Mesh, params: ProblemParams) -> _UncutLocals:
+    """The mesh's :class:`_UncutLocals` for the material of ``params``,
+    built on first use by :func:`_local_matrices` at the two uncut states."""
+    key = _material(params)
+    cached = mesh.uncut_locals.get(key)
+    if cached is None:
+        geo, n = mesh.geometry, mesh.num_elements
+        k0 = np.ascontiguousarray(geo.k0.transpose(1, 2, 0))
+        a, mt, f = _local_matrices(
+            params, k0, geo.det_j, np.array([0.0, 0.5])[:, None, None, None],
+            np.stack([np.zeros((3, 3)), _FULL_MASS_REF])[..., None],
+            np.stack([np.zeros(3), _FULL_LOAD_REF])[..., None])
+        index = mesh.reduced_index
+        pos = np.concatenate([index.ff.pos, index.fd.pos])
+        element = pos // 9
+        entry = np.full(9 * n, -1)
+        entry[pos] = np.arange(len(pos))
+        fd_rows = np.repeat(np.arange(len(index.free)),
+                            np.diff(index.fd.indptr))
+        cached = _UncutLocals(
+            k0=k0, entries=np.take(a.reshape(2, -1),
+                                   (pos - 9 * element) * n + element, axis=1),
+            element=element, entry=entry, fd_rows=fd_rows, mt=mt, f=f)
+        for array in cached:
+            array.flags.writeable = False
+        mesh.uncut_locals[key] = cached
+    return cached
+
+
+def _with_cut(base, cut, values):
+    """The real array ``base`` in the scalar type of ``values``, which
+    replace its entries at ``cut`` along the last axis."""
+    if isinstance(values, HyperDualArray):
+        base = HyperDualArray(base)
+    elif np.iscomplexobj(values):
+        base = base.astype(values.dtype)
+    base[..., cut] = values
+    return base
+
+
 def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
-    """Assemble the reduced system ``A_ff u_f = rhs`` for the given design."""
+    """Assemble the reduced system ``A_ff u_f = rhs`` for the given design.
+
+    Only the cut elements are integrated and evaluated; every other element
+    takes its cached local data (:func:`_uncut_locals`), the matrix entries
+    already in scatter order."""
     if phi.shape[0] != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
-    geo = mesh.geometry
-    dj = geo.det_j
-    neg_frac, neg_mass, neg_load = negative_region_integrals(mesh, phi)
+    full, cut, frac, mass, load = cut_integrals(mesh, phi)
+    uncut = _uncut_locals(mesh, params)
+    a_cut, mt_cut, f_cut = _local_matrices(
+        params, uncut.k0[:, :, cut], mesh.geometry.det_j[cut], frac, mass,
+        load)
 
-    lam_int = params.lambda2 * 0.5 + params.d_lambda * neg_frac
-    k_loc = geo.k0 * (dj * lam_int)[:, None, None]
-    m_loc = (params.alpha2 * _FULL_MASS_REF + params.d_alpha * neg_mass) \
-        * dj[:, None, None]
-    a_loc = k_loc + m_loc
-    mt_loc = (params.atilde2 * _FULL_MASS_REF + params.d_atilde * neg_mass) \
-        * dj[:, None, None]
-    f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
+    # matrix entries: cached, or from a_cut for the entries of cut elements
+    cut_entries = uncut.entry[(9 * cut)[:, None] + np.arange(9)]
+    kept = cut_entries >= 0
+    from_cut = np.arange(9) * len(cut) + np.arange(len(cut))[:, None]
+    entries = _with_cut(np.where(full[uncut.element], uncut.entries[1],
+                                 uncut.entries[0]),
+                        cut_entries[kept], a_cut.reshape(-1)[from_cut[kept]])
 
     index = mesh.reduced_index
-    free, fixed = index.free, index.fixed
-    a_ff = _scatter_matrix(a_loc, index.ff, (len(free), len(free)))
-    a_fd = _scatter_matrix(a_loc, index.fd, (len(free), len(fixed)))
-    f_glob = _scatter_vector(f_loc, mesh.elements, mesh.num_nodes)
+    free, ff, fd = index.free, index.ff, index.fd
+    a_ff = _block_csr(entries[:len(ff.pos)], ff)
+    fd_data = _summed(entries[len(ff.pos):], fd.slot, fd.nnz)
+    f_loc = _with_cut(np.where(full, uncut.f[1], uncut.f[0]), cut, f_cut)
+    f_glob = _scatter_vector(f_loc.transpose(), mesh.elements, mesh.num_nodes)
 
-    x, y = mesh.nodes[fixed, 0], mesh.nodes[fixed, 1]
+    # Dirichlet coupling A_fd g, summed row by row in CSR order
+    x, y = mesh.nodes[index.fixed, 0], mesh.nodes[index.fixed, 1]
     g = np.asarray(params.boundary.g_d(x, y), dtype=float)
-    rhs = f_glob[free] - a_fd @ g
+    rhs = f_glob[free] - _summed(fd_data * g[fd.indices], uncut.fd_rows,
+                                 len(free))
 
-    return AssembledSystem(matrix=a_ff, rhs=rhs, mt_local=mt_loc, mesh=mesh,
-                           fixed_values=g, neg_frac=neg_frac)
+    return AssembledSystem(
+        matrix=a_ff, rhs=rhs,
+        mt_local=_with_cut(np.where(full, uncut.mt[1], uncut.mt[0]), cut,
+                           mt_cut),
+        mesh=mesh, fixed_values=g,
+        neg_frac=_with_cut(np.where(full, 0.5, 0.0), cut, frac))
 
 
 def _apply_factor(system: AssembledSystem, rhs):
@@ -209,11 +317,18 @@ def solve_state(system: AssembledSystem):
     return _embed(system, u_free, system.fixed_values)
 
 
+def _element_matvec(mt, w_loc):
+    """``mt @ w`` of every element's (3, 3) matrix and 3-vector, element
+    axis last, each row summed left to right as ``(mt * w).sum(axis=-1)``
+    sums it in the (N, 3, 3) layout."""
+    return (mt[:, 0] * w_loc[0] + mt[:, 1] * w_loc[1]) + mt[:, 2] * w_loc[2]
+
+
 def tracking_matvec(system: AssembledSystem, w):
     """Global product of the tracking mass matrix with a nodal vector."""
     tris = system.mesh.elements
-    local = (system.mt_local * w[tris][:, None, :]).sum(axis=-1)
-    return _scatter_vector(local, tris, system.mesh.num_nodes)
+    local = _element_matvec(system.mt_local, w[tris.T])
+    return _scatter_vector(local.transpose(), tris, system.mesh.num_nodes)
 
 
 def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
@@ -234,9 +349,10 @@ def objective(mesh: Mesh, phi, u, params: ProblemParams,
     if params.uhat is None:
         raise ValueError("params.uhat is not set")
     w = u - params.uhat
-    w_loc = w[mesh.elements]
-    tmp = (system.mt_local * w_loc[:, None, :]).sum(axis=-1)
-    tracking = (tmp * w_loc).sum(axis=-1).sum()
+    w_loc = w[mesh.elements.T]
+    tmp = _element_matvec(system.mt_local, w_loc)
+    tracking = ((tmp[0] * w_loc[0] + tmp[1] * w_loc[1])
+                + tmp[2] * w_loc[2]).sum()
     value = params.c2 * tracking
     if params.c1 != 0.0:
         value = value + params.c1 * (system.neg_frac

@@ -152,6 +152,12 @@ class HyperDualArray:
     def __neg__(self):
         return HyperDualArray(-self.re, -self.e1, -self.e12)
 
+    def reshape(self, *shape) -> "HyperDualArray":
+        return HyperDualArray(*(lane.reshape(*shape) for lane in self.lanes))
+
+    def transpose(self, *axes) -> "HyperDualArray":
+        return HyperDualArray(*(lane.transpose(*axes) for lane in self.lanes))
+
     def sum(self, axis=None):
         return HyperDualArray(*(lane.sum(axis=axis) for lane in self.lanes))
 
@@ -223,11 +229,10 @@ def sign_array(x) -> np.ndarray:
     else:
         x = np.asarray(x)
         parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    sign = np.zeros(parts[0].shape, dtype=np.int8)
+    sign = None
     for p in parts:
-        undecided = sign == 0
-        sign[undecided & (p > 0.0)] = 1
-        sign[undecided & (p < 0.0)] = -1
+        part = (p > 0.0).view(np.int8) - (p < 0.0).view(np.int8)
+        sign = part if sign is None else np.where(sign == 0, part, sign)
     return sign
 
 

@@ -7,11 +7,14 @@ zero level.  All cut quantities are rational in the nodal values, so every
 function here accepts real, complex or hyper-dual input.
 
 A cut element has one vertex whose sign differs from the other two, the
-lone vertex.  One pass, :func:`_lone_cuts`, picks it, rotates it first (as
-:attr:`Mesh.pivot_first` does) and finds where the zero level crosses the
-two edges from it; the exact integrals over the negative part, the
-interface segments and the symmetric differences are all views of it.  A
-symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
+lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
+once, picks each cut element's lone vertex from its plus-bit pattern,
+rotates it first (as :attr:`Mesh.pivot_first` does) and finds where the
+zero level crosses the two edges from it; the exact integrals over the
+negative part, the interface segments and the symmetric differences are
+all views of it.  The integrals are a closed form over the cut elements
+only (:func:`cut_integrals`); every other element is whole on one side.
+A symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
 sign at every node, as after every single-node perturbation.
 
 Sign conventions: a value of exactly zero counts as '+' in the cuts, the
@@ -35,6 +38,7 @@ __all__ = [
     "classify_nodes",
     "perturb",
     "element_negative_integrals",
+    "cut_integrals",
     "negative_region_integrals",
     "subdomain_area",
     "symmetric_difference_area",
@@ -47,9 +51,25 @@ T_MINUS, SHAPE, T_PLUS = -1, 0, 1
 _FULL_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 24.0
 _FULL_LOAD_REF = np.full(3, 1.0 / 6.0)
 
+# the reference integrals of a full element (mass flattened, load, area),
+# and for each row of them the row it comes from once lone vertex slot s
+# (the column) is rotated first
+_FULL_REF = np.concatenate([_FULL_MASS_REF.reshape(-1), _FULL_LOAD_REF, [0.5]])
+_ROTATED = _ROTATIONS[-np.arange(3) % 3]
+_FROM_LONE_FIRST = np.vstack([
+    (3 * _ROTATED[:, :, None] + _ROTATED[:, None, :]).reshape(3, 9).T,
+    9 + _ROTATED.T, np.full((1, 3), 12)])
+
+# the factor pairs (of 1-tb, 1-tc, tb, tc) of the lone-first corner
+# products, and where the last six land in the flattened (3, 3) block
+_LEFT = np.array([0, 1, 0, 1, 2, 2, 3, 3])
+_RIGHT = np.array([0, 1, 2, 3, 0, 2, 1, 3])
+_PAIR_ENTRIES = np.array([1, 2, 3, 4, 6, 8])
+
 # slot of the lone vertex for each plus-bit pattern 4 p0 + 2 p1 + p2 of an
 # element; -1 where all three signs agree and the element is not cut
 _LONE = np.array([-1, 2, 1, 0, 0, 1, 2, -1])
+_BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.uint8)
 
 
 class DegenerateCut(ArithmeticError):
@@ -81,21 +101,18 @@ class Perturbation(Enum):
 def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
     """Label every node by the signs of its one-ring values: (M,) int8,
     -1 where the whole ring is <= 0 (interior of the design domain), +1
-    where it is >= 0, 0 where it holds both signs (interface node)."""
-    s = sign_array(phi).astype(np.int8)
+    where it is >= 0, 0 where it holds both signs (interface node).
+
+    The ring counts of positive and negative values are two products of
+    the mesh's one-ring adjacency matrix."""
+    s = sign_array(phi)
     if len(s) != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
-    ring_min = np.empty_like(s)
-    ring_max = np.empty_like(s)
-    for nodes, rings in mesh.ring_groups:
-        ring_signs = s[rings]
-        ring_min[nodes] = ring_signs.min(axis=1)
-        ring_max[nodes] = ring_signs.max(axis=1)
+    has_plus = mesh.ring_matrix @ (s > 0).astype(float) > 0.0
+    has_minus = mesh.ring_matrix @ (s < 0).astype(float) > 0.0
     labels = np.zeros(mesh.num_nodes, dtype=np.int8)
-    t_minus = ring_max <= 0
-    t_plus = ~t_minus & (ring_min >= 0)
-    labels[t_minus] = T_MINUS
-    labels[t_plus] = T_PLUS
+    labels[~has_plus] = T_MINUS
+    labels[has_plus & ~has_minus] = T_PLUS
     return labels
 
 
@@ -121,60 +138,83 @@ def _checked_ratio(num, den):
     return num / den
 
 
-def _lone_cuts(p):
-    """The lone-vertex pass over ``(n, 3)`` element values.
+def _lone_cuts(phi, tris):
+    """The lone-vertex pass over the elements ``tris`` ((n, 3) node ids) of
+    the nodal values ``phi``.
 
-    Returns ``(plus, cut, abc, tb, tc)``: the plus-mask of every vertex, the
-    rows of the cut elements, their vertex slots with the lone vertex first
-    ((m, 3), counter-clockwise), and the fractions of the edges ``ab`` and
-    ``ac`` at which the zero level crosses them.
+    Returns ``(plus, bits, cut, lone, abc, t)``: the plus-mask of every
+    node, the plus-bit pattern ``4 p0 + 2 p1 + p2`` of every element, the
+    rows of the cut elements, the slot of their lone vertex, their node ids
+    with the lone vertex first ((3, m), counter-clockwise), and the
+    fractions ``t = [tb, tc]`` (2, m) of the edges ``ab`` and ``ac`` at
+    which the zero level crosses them.
     """
-    plus = sign_array(p) >= 0
-    lone = _LONE[4 * plus[:, 0] + 2 * plus[:, 1] + plus[:, 2]]
+    plus = sign_array(phi) >= 0
+    bits = plus[tris].view(np.uint8) @ _BIT_WEIGHTS
+    lone = _LONE[bits]
     cut = np.flatnonzero(lone >= 0)
-    abc = _ROTATIONS[lone[cut]]
-    pa, pb, pc = (p[cut, abc[:, i]] for i in range(3))
-    return (plus, cut, abc, _checked_ratio(pa, pa - pb),
-            _checked_ratio(pa, pa - pc))
+    lone = lone[cut]
+    abc = tris[cut[:, None], _ROTATIONS[lone]].T
+    pa = phi[abc[0]]
+    return plus, bits, cut, lone, abc, _checked_ratio(pa, pa - phi[abc[1:]])
 
 
-def _cut_integrals(p):
-    """:func:`negative_region_integrals` of ``(n, 3)`` element values."""
-    plus, cut, abc, tb, tc = _lone_cuts(p)
+def _cap_integrals(t, lone, pos):
+    """Integrals over the negative part of cut elements from their edge
+    fractions ``t`` and lone vertex slots (see :func:`_lone_cuts`) and
+    whether the lone vertex is '+': the area fraction (m,), the P1 mass
+    (3, 3, m) and the P1 load (3, m), in reference coordinates and slot
+    order, with the element axis last."""
+    tb, tc = t[0], t[1]
     cap_area = tb * tc * 0.5
 
-    # P1 basis values at the cap corners (vertex a and the two edge cuts)
-    rows = np.arange(len(cut))
-    a, b, c = abc.T
-    vals = generic_zeros((len(cut), 3, 3), like=p)
-    vals[rows, a, 0] = 1.0
-    vals[rows, a, 1] = 1.0 - tb
-    vals[rows, a, 2] = 1.0 - tc
-    vals[rows, b, 1] = tb
-    vals[rows, c, 2] = tc
-    pair = (vals[:, :, None, :] * vals[:, None, :, :]).sum(axis=-1)
-    sums = vals.sum(axis=-1)
-    cap_mass = (pair + sums[:, :, None] * sums[:, None, :]) \
-        * (cap_area * (1.0 / 12.0))[:, None, None]
-    cap_load = sums * (cap_area * (1.0 / 3.0))[:, None]
+    # With the lone vertex a first, the P1 basis values at the cap corners
+    # (a and the cuts of ab and ac) are the rows [1, 1-tb, 1-tc], [0, tb, 0]
+    # and [0, 0, tc].  Their pair products and row sums are written out as
+    # the sums over the three corners, left to right from +0, give them in
+    # every scalar type: a product or sum with an exact 0 or 1 changes no
+    # bit, except that a sum from +0 turns a -0 part into +0, as adding 0.0
+    # does.
+    m = len(lone)
+    factors = generic_zeros((4, m), like=t)          # 1-tb, 1-tc, tb, tc
+    factors[:2] = 1.0 - t
+    factors[2:] = t
+    prod = factors[_LEFT] * factors[_RIGHT]
+    pair = generic_zeros((9, m), like=t)
+    pair[0] = (1.0 + prod[0]) + prod[1]
+    pair[_PAIR_ENTRIES] = prod[2:]
+    sums = generic_zeros((3, m), like=t)
+    sums[0] = (1.0 + factors[0]) + factors[1]
+    sums[1:] = t
+    sums = sums + 0.0
 
-    n = len(plus)
-    neg_frac = generic_zeros(n, like=p)
-    neg_mass = generic_zeros((n, 3, 3), like=p)
-    neg_load = generic_zeros((n, 3), like=p)
-    full = np.flatnonzero(~plus.any(axis=1))
-    neg_frac[full] = 0.5
-    neg_mass[full] = _FULL_MASS_REF
-    neg_load[full] = _FULL_LOAD_REF
-    # a '+' lone vertex cuts off a positive cap, a '-' one a negative cap
-    pos = plus[cut, a]
-    neg_frac[cut[pos]] = 0.5 - cap_area[pos]
-    neg_mass[cut[pos]] = _FULL_MASS_REF - cap_mass[pos]
-    neg_load[cut[pos]] = _FULL_LOAD_REF - cap_load[pos]
-    neg_frac[cut[~pos]] = cap_area[~pos]
-    neg_mass[cut[~pos]] = cap_mass[~pos]
-    neg_load[cut[~pos]] = cap_load[~pos]
-    return neg_frac, neg_mass, neg_load
+    # rows: the cap's mass (9, flattened), load (3) and area (1); a '+'
+    # lone vertex cuts off a positive cap, whose complement is the negative
+    # part, a '-' one a negative cap
+    caps = generic_zeros((13, m), like=t)
+    caps[:9] = ((pair + 0.0) + (sums[:, None] * sums[None, :]).reshape(9, m)) \
+        * (cap_area * (1.0 / 12.0))
+    caps[9:12] = sums * (cap_area * (1.0 / 3.0))
+    caps[12] = cap_area
+    caps[:, pos] = _FULL_REF[:, None] - caps[:, pos]
+    # back to slot order; the full-element integrals read the same in
+    # every vertex order
+    caps = caps.reshape(-1)[_FROM_LONE_FIRST[:, lone] * m + np.arange(m)]
+    return caps[12], caps[:9].reshape(3, 3, m), caps[9:12]
+
+
+def cut_integrals(mesh: Mesh, phi):
+    """One sign pass over the nodes, then the exact integrals over the
+    negative part of the cut elements only.
+
+    Returns ``(full, cut, frac, mass, load)``: the (N,) mask of the fully
+    negative elements, the ids of the cut elements, and the
+    :func:`negative_region_integrals` of those with the element axis last
+    ((m,), (3, 3, m), (3, m)), generic in the scalar type of ``phi``.
+    Every other element is fully positive.
+    """
+    plus, bits, cut, lone, abc, t = _lone_cuts(phi, mesh.elements)
+    return (bits == 0, cut) + _cap_integrals(t, lone, plus[abc[0]])
 
 
 def negative_region_integrals(mesh: Mesh, phi):
@@ -186,7 +226,18 @@ def negative_region_integrals(mesh: Mesh, phi):
     (multiply by ``|det J|`` for physical values).  Generic in the scalar
     type of ``phi``.
     """
-    return _cut_integrals(phi[mesh.elements])
+    full, cut, frac, mass, load = cut_integrals(mesh, phi)
+    n = mesh.num_elements
+    neg_frac = generic_zeros(n, like=phi)
+    neg_mass = generic_zeros((n, 3, 3), like=phi)
+    neg_load = generic_zeros((n, 3), like=phi)
+    neg_frac[full] = 0.5
+    neg_mass[full] = _FULL_MASS_REF
+    neg_load[full] = _FULL_LOAD_REF
+    neg_frac[cut] = frac
+    neg_mass[cut] = mass.transpose(2, 0, 1)
+    neg_load[cut] = load.transpose()
+    return neg_frac, neg_mass, neg_load
 
 
 def element_negative_integrals(phi_triple):
@@ -239,6 +290,22 @@ def subdomain_area(mesh: Mesh, phi, det_j: np.ndarray | None = None):
     return (neg_frac * det_j).sum()
 
 
+def _split_fractions(phi, tris):
+    """Negative area fractions of the elements ``tris`` of real nodal
+    values as ``base + cap``: ``base`` is 0.5 where the element is fully
+    negative or cut with a '+' lone vertex, 0 elsewhere, and ``cap`` is the
+    signed cap area (-cap for a '+' lone vertex, +cap for a '-' one, 0 if
+    uncut)."""
+    plus, bits, cut, _, abc, t = _lone_cuts(phi, tris)
+    cap_area = t[0] * t[1] * 0.5
+    pos = plus[abc[0]]
+    base = np.where(bits == 0, 0.5, 0.0)
+    base[cut[pos]] = 0.5
+    cap = np.zeros(len(tris))
+    cap[cut] = np.where(pos, -cap_area, cap_area)
+    return base, cap
+
+
 def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
     """Exact area of the region where two nested level sets have opposite
     signs.
@@ -246,19 +313,20 @@ def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
     The pair must be nested: ``phi_b - phi_a`` has one sign at every node,
     as for every single-node perturbation.  One negative region then holds
     the other, and the area is the difference of the two, summed over the
-    elements whose values changed.  Raises ``ValueError`` on a pair that is
-    not nested.
+    elements whose values changed.  Each element's difference is taken
+    between its halves and its caps separately, so a small cap change is
+    not lost to the rounding of ``0.5 - cap``.  Raises ``ValueError`` on a
+    pair that is not nested.
     """
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
     step = phi_b - phi_a
     if (step > 0.0).any() and (step < 0.0).any():
         raise ValueError("the two level sets are not nested")
-    tris = mesh.elements
-    changed = np.flatnonzero((step[tris] != 0.0).any(axis=1))
-    frac_a = _cut_integrals(phi_a[tris[changed]])[0]
-    frac_b = _cut_integrals(phi_b[tris[changed]])[0]
-    return float(abs(((frac_a - frac_b)
+    changed = np.flatnonzero((step[mesh.elements] != 0.0).any(axis=1))
+    base_a, cap_a = _split_fractions(phi_a, mesh.elements[changed])
+    base_b, cap_b = _split_fractions(phi_b, mesh.elements[changed])
+    return float(abs((((base_a - base_b) + (cap_a - cap_b))
                       * mesh.geometry.det_j[changed]).sum()))
 
 
@@ -269,10 +337,9 @@ def interface_segments(mesh: Mesh, phi):
     element edges.  Degenerate (pointlike) intersections are skipped.
     """
     phi = np.asarray(real_part(phi), dtype=float)
-    tris = mesh.elements
-    _, cut, abc, tb, tc = _lone_cuts(phi[tris])
-    xa, xb, xc = (mesh.nodes[tris[cut, abc[:, i]]] for i in range(3))
-    p0 = xa + tb[:, None] * (xb - xa)
-    p1 = xa + tc[:, None] * (xc - xa)
+    _, _, cut, _, abc, t = _lone_cuts(phi, mesh.elements)
+    xa, xb, xc = mesh.nodes[abc]
+    p0 = xa + t[0][:, None] * (xb - xa)
+    p1 = xa + t[1][:, None] * (xc - xa)
     keep = np.flatnonzero(np.hypot(*(p1 - p0).T) > 1e-15)
     return [(int(cut[i]), (p0[i], p1[i])) for i in keep]

@@ -5,10 +5,11 @@ center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 
 A mesh is three arrays: nodes, elements and Dirichlet nodes.  Everything
 derived from them (element geometry, the scatter map of every P1 matrix
-and its reduced blocks with their band ordering, the pivot-first rotation
-of every element vertex, the one-rings the nodal sensitivity formulas and
-the smoothing need, grouped by size) is computed on first use and cached
-on the mesh instance, so a new mesh never sees another mesh's data.
+and its reduced blocks with their band ordering, the local matrices of
+uncut elements per material, the pivot-first rotation of every element
+vertex, the one-rings the nodal sensitivity formulas, the classification
+and the smoothing need) is computed on first use and cached on the mesh
+instance, so a new mesh never sees another mesh's data.
 """
 
 from __future__ import annotations
@@ -63,19 +64,27 @@ class ElementGeometry:
 
 @dataclass(frozen=True)
 class ScatterBlock:
-    """One block of the reduced matrix as a CSR pattern (``indptr``,
-    ``indices``) and, for every entry of the flattened ``(N, 3, 3)`` element
-    matrices that lands in it, its position ``pos`` and the CSR data
-    ``slot`` it is added to.  Entries are listed in summation order."""
+    """One block of the reduced matrix as a CSR ``pattern`` (a matrix of
+    zeros with read-only arrays) and, for every entry of the flattened
+    ``(N, 3, 3)`` element matrices that lands in it, its position ``pos``
+    and the CSR data ``slot`` it is added to.  Entries are listed in
+    summation order."""
 
     pos: np.ndarray
     slot: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: sp.csr_matrix
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return len(self.pattern.indices)
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,9 @@ def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
     # let scipy pick its index dtype once, so no scatter has to convert
     pattern = sp.csr_matrix((np.zeros(int(new.sum())), cols[new], indptr),
                             shape=shape)
-    for array in (pos, slot, pattern.indptr, pattern.indices):
+    for array in (pos, slot, pattern.data, pattern.indptr, pattern.indices):
         array.flags.writeable = False
-    return ScatterBlock(pos=pos, slot=slot, indptr=pattern.indptr,
-                        indices=pattern.indices)
+    return ScatterBlock(pos=pos, slot=slot, pattern=pattern)
 
 
 def band_layout(indptr, indices) -> BandLayout:
@@ -187,7 +195,8 @@ class Mesh:
         grads[:, 2, 1] = e1[:, 0]
         grads[:, 1:] /= det[:, None, None]
         grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        k0 = np.einsum("eid,ejd->eij", grads, grads)
+        k0 = grads[:, :, None, 0] * grads[:, None, :, 0] \
+            + grads[:, :, None, 1] * grads[:, None, :, 1]
         for array in (det, k0, grads):
             array.flags.writeable = False
         return ElementGeometry(det_j=det, k0=k0, grads=grads)
@@ -239,6 +248,12 @@ class Mesh:
                             band=band_layout(ff.indptr, ff.indices))
 
     @cached_property
+    def uncut_locals(self) -> dict:
+        """Store of the local matrices of uncut elements, one entry per set
+        of material constants, filled by :func:`tsopt.fem.assemble`."""
+        return {}
+
+    @cached_property
     def pivot_first(self) -> np.ndarray:
         """(3N, 3) read-only vertex triples of every (element, slot) pair:
         row ``3 l + s`` is element ``l`` rotated so its slot-``s`` vertex
@@ -248,11 +263,22 @@ class Mesh:
         return triples
 
     @cached_property
+    def ring_matrix(self) -> sp.csr_matrix:
+        """One-ring adjacency, built once: the ``M x M`` CSR matrix of ones
+        whose row ``k`` holds the sorted one-ring of node ``k`` (see
+        :func:`build_incidence`)."""
+        m = self.num_nodes
+        indptr, indices = build_incidence(self.elements, m)
+        return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                             shape=(m, m))
+
+    @cached_property
     def ring_groups(self) -> tuple:
         """One-rings grouped by size: ``(nodes, rings)`` pairs where row
         ``i`` of the ``(n, L)`` array ``rings`` is the sorted one-ring of
-        node ``nodes[i]`` (see :func:`build_incidence`)."""
-        indptr, indices = build_incidence(self.elements, self.num_nodes)
+        node ``nodes[i]`` (see :attr:`ring_matrix`)."""
+        indptr = self.ring_matrix.indptr
+        indices = self.ring_matrix.indices.astype(int)  # native fancy index
         sizes = np.diff(indptr)
         groups = []
         for size in np.unique(sizes):

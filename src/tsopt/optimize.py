@@ -79,7 +79,9 @@ class History:
     Row 0 describes the initial design (kappa and theta are zero there).
     ``slerp_norm_dev`` tracks how far the pre-smoothing update drifted from
     norm preservation; ``stalled`` flags iterations whose line search found
-    no decrease (the design is then kept unchanged).
+    no decrease (the design is then kept unchanged); ``n_evals`` counts the
+    cost evaluations of each row: 1 for the initial design, then the line
+    search's candidates (the accepted one is not evaluated again).
     """
 
     iteration: list = field(default_factory=list)
@@ -92,10 +94,12 @@ class History:
     n_shape: list = field(default_factory=list)
     slerp_norm_dev: list = field(default_factory=list)
     stalled: list = field(default_factory=list)
+    n_evals: list = field(default_factory=list)
 
     def append(self, iteration, j, norm_g, kappa, theta, labels,
-               norm_dev=0.0, stalled=False) -> None:
-        """Record one row; ``labels`` are the node classes of the design."""
+               norm_dev=0.0, stalled=False, n_evals=1) -> None:
+        """Record one row; ``labels`` are the node classes of the design
+        and ``n_evals`` the number of cost evaluations it took."""
         self.iteration.append(iteration)
         self.j.append(j)
         self.norm_g.append(norm_g)
@@ -106,25 +110,26 @@ class History:
         self.n_shape.append(int((labels == 0).sum()))
         self.slerp_norm_dev.append(norm_dev)
         self.stalled.append(stalled)
+        self.n_evals.append(n_evals)
 
     def write_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
             fh.write("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
-                     "stalled\n")
+                     "stalled,nEvals\n")
             for i in range(len(self.iteration)):
                 fh.write(f"{self.iteration[i]},{self.j[i]:.17g},"
                          f"{self.norm_g[i]:.17g},{self.kappa[i]:.17g},"
                          f"{self.theta[i]:.17g},{self.n_tminus[i]},"
                          f"{self.n_tplus[i]},{self.n_shape[i]},"
                          f"{self.slerp_norm_dev[i]:.17g},"
-                         f"{int(self.stalled[i])}\n")
+                         f"{int(self.stalled[i])},{self.n_evals[i]}\n")
 
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix with unit coefficient over the whole domain."""
     return _scatter_matrix(_FULL_MASS_REF * mesh.geometry.det_j[:, None, None],
-                           mesh.scatter, (mesh.num_nodes, mesh.num_nodes))
+                           mesh.scatter)
 
 
 def l2_inner(m0: sp.csr_matrix, phi: np.ndarray, psi: np.ndarray) -> float:
@@ -137,6 +142,32 @@ def l2_norm(m0: sp.csr_matrix, phi: np.ndarray) -> float:
     return math.sqrt(max(float(phi @ (m0 @ phi)), 0.0))
 
 
+def _slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
+                 theta_tol: float):
+    """The quantities of a slerp that do not depend on the rotation
+    fraction: ``(norm_phi, g_unit, theta)``, the L2 norm of ``phi``, the
+    normalized field and the L2 angle between the two.  Unless they are
+    aligned (``theta < theta_tol``), anti-alignment leaves no rotation plane
+    and raises :class:`DegenerateAngle`."""
+    norm_phi = l2_norm(m0, phi)
+    norm_g = l2_norm(m0, g)
+    if norm_phi == 0.0 or norm_g == 0.0:
+        raise DegenerateAngle("zero-norm argument")
+    g_unit = g / norm_g
+    cos_theta = l2_inner(m0, phi / norm_phi, g_unit)
+    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+    if theta_tol <= theta > math.pi - theta_tol:
+        raise DegenerateAngle("level set anti-parallel to the descent field")
+    return norm_phi, g_unit, theta
+
+
+def _rotate(phi, g_unit, theta: float, kappa: float) -> np.ndarray:
+    """``phi`` rotated toward ``g_unit`` by the fraction ``kappa`` of their
+    angle ``theta``."""
+    return (math.sin((1.0 - kappa) * theta) * phi
+            + math.sin(kappa * theta) * g_unit) / math.sin(theta)
+
+
 def slerp_update(phi: np.ndarray, g: np.ndarray, kappa: float,
                  m0: sp.csr_matrix, theta_tol: float = 1e-8):
     """Rotate ``phi`` toward the normalized field ``g`` by the fraction
@@ -146,20 +177,10 @@ def slerp_update(phi: np.ndarray, g: np.ndarray, kappa: float,
     is returned unchanged; anti-alignment leaves no rotation plane and
     raises :class:`DegenerateAngle`.
     """
-    norm_phi = l2_norm(m0, phi)
-    norm_g = l2_norm(m0, g)
-    if norm_phi == 0.0 or norm_g == 0.0:
-        raise DegenerateAngle("zero-norm argument")
-    cos_theta = l2_inner(m0, phi / norm_phi, g / norm_g)
-    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+    _, g_unit, theta = _slerp_frame(phi, g, m0, theta_tol)
     if theta < theta_tol:
         return phi.copy(), theta
-    if theta > math.pi - theta_tol:
-        raise DegenerateAngle("level set anti-parallel to the descent field")
-    s = math.sin(theta)
-    phi_new = (math.sin((1.0 - kappa) * theta) * phi
-               + math.sin(kappa * theta) * (g / norm_g)) / s
-    return phi_new, theta
+    return _rotate(phi, g_unit, theta, kappa), theta
 
 
 def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
@@ -219,21 +240,28 @@ def _evaluate(mesh, phi, params, m0,
     return _Evaluation(j=j, u=u, p=p, field=fld, norm_g=l2_norm(m0, fld.g))
 
 
-def _line_search(mesh, params, config, m0, phi, ev) -> _Candidate | None:
-    """Walk the rotation fraction down a geometric ladder and return the
-    best improving candidate, or None if no candidate decreases the cost."""
+def _line_search(mesh, params, config, m0, phi,
+                 ev) -> tuple[_Candidate | None, int]:
+    """Walk the rotation fraction down a geometric ladder.
+
+    Returns ``(best, n_evals)``: the best improving candidate, or None if
+    no candidate decreases the cost, and the number of candidates whose
+    cost was evaluated.  The slerp's norms and angle are computed once."""
+    norm_phi, g_unit, theta = _slerp_frame(phi, ev.field.g, m0,
+                                           config.theta_tol)
+    if theta < config.theta_tol:
+        return None, 0  # aligned with the descent field: no rotation possible
     kappa = config.kappa_init
     best = None
     since_best = 0
+    n_evals = 0
     while kappa >= config.kappa_min:
-        psi, theta = slerp_update(phi, ev.field.g, kappa, m0,
-                                  config.theta_tol)
-        if theta < config.theta_tol:
-            break  # aligned with the descent field: no rotation possible
-        norm_dev = abs(l2_norm(m0, psi) - l2_norm(m0, phi))
+        psi = _rotate(phi, g_unit, theta, kappa)
+        norm_dev = abs(l2_norm(m0, psi) - norm_phi)
         psi_hat = smooth(mesh, psi) if config.smoothing else psi
         candidate = psi_hat / l2_norm(m0, psi_hat)
         j_cand, system, u = _cost_only(mesh, candidate, params)
+        n_evals += 1
         if best is None or j_cand < best.j:
             best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,
                               system, u)
@@ -244,8 +272,8 @@ def _line_search(mesh, params, config, m0, phi, ev) -> _Candidate | None:
             break
         kappa *= config.kappa_shrink
     if best is None or best.j >= ev.j:
-        return None
-    return best
+        return None, n_evals
+    return best, n_evals
 
 
 def run(mesh: Mesh, params: ProblemParams,
@@ -281,17 +309,17 @@ def run(mesh: Mesh, params: ProblemParams,
     for it in range(1, config.max_iter + 1):
         if ev.norm_g <= 1e-14:
             break  # locally optimal: every admissible move increases the cost
-        best = _line_search(mesh, params, config, m0, phi, ev)
+        best, n_evals = _line_search(mesh, params, config, m0, phi, ev)
         if best is None:
             # No decrease found anywhere on the ladder: keep the current
             # design so the cost stays monotone.
             history.append(it, ev.j, ev.norm_g, 0.0, 0.0,
-                           ev.field.labels, 0.0, True)
+                           ev.field.labels, 0.0, True, n_evals)
             continue
         phi = best.phi
         ev = _evaluate(mesh, phi, params, m0, solved=best)
         history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,
-                       ev.field.labels, best.norm_dev, False)
+                       ev.field.labels, best.norm_dev, False, n_evals)
         _maybe_snapshot(mesh, phi, ev, it, config, output_dir, on_snapshot,
                         uhat=params.uhat)
 

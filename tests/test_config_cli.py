@@ -1,9 +1,16 @@
+import importlib
 import json
 
 import pytest
 
 from tsopt import ldlt
 from tsopt.cli import main
+from tsopt.hdarray import DivisionByZeroRealPart
+from tsopt.ldlt import SolverBreakdown
+from tsopt.levelset import DegenerateCut
+from tsopt.mesh import SingularElement
+from tsopt.optimize import DegenerateAngle
+from tsopt.sensitivity import DegenerateDenominator
 from tsopt.config import ConfigError, RunConfig, load_config
 from tsopt.verify import SLOPE_WINDOWS
 
@@ -214,3 +221,53 @@ def test_optimize_solver_failure_exits_3_with_partial_history(
     lines = (out / "history.csv").read_text().splitlines()
     assert lines[0].startswith("iter,J,")
     assert 2 <= len(lines) < 27   # the initial state, then the run cut short
+
+
+# every numerical failure the package raises is an ArithmeticError
+NUMERICAL_FAILURES = [SolverBreakdown, DegenerateCut, DegenerateDenominator,
+                      DegenerateAngle, SingularElement, DivisionByZeroRealPart]
+
+
+def _failing_on_call(real, failure, at):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= at:
+            raise failure("injected failure")
+        return real(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("failure", NUMERICAL_FAILURES,
+                         ids=lambda cls: cls.__name__)
+def test_numerical_failure_in_optimize_exits_3_with_partial_history(
+        tmp_path, monkeypatch, capsys, failure):
+    # the sensitivity of the fourth evaluated design fails, mid-run
+    module = importlib.import_module("tsopt.optimize")
+    monkeypatch.setattr(module, "ts_derivative",
+                        _failing_on_call(module.ts_derivative, failure, 4))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
+                                            "snapshot_cadence": 0}}))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and failure.__name__ in err
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,J,")
+    assert 4 <= len(lines) < 27   # rows 0-2 at least, then the run cut short
+
+
+@pytest.mark.parametrize("failure", NUMERICAL_FAILURES,
+                         ids=lambda cls: cls.__name__)
+def test_numerical_failure_in_verify_exits_3(tmp_path, monkeypatch, capsys,
+                                             failure):
+    module = importlib.import_module("tsopt.verify")
+    monkeypatch.setattr(module, "ts_derivative",
+                        _failing_on_call(module.ts_derivative, failure, 1))
+    out = tmp_path / "run"
+    assert main(["verify", "--method", "hd", "--mesh-level", "2",
+                 "--output", str(out)]) == 3
+    assert failure.__name__ in capsys.readouterr().err

@@ -8,8 +8,10 @@ from tsopt.fem import (_scatter_matrix, _scatter_vector, assemble,
                        objective, solve_adjoint, solve_state, tracking_matvec,
                        SingularElement)
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
-from tsopt.levelset import element_negative_integrals
-from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
+from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
+                            Perturbation, element_negative_integrals,
+                            negative_region_integrals, perturb)
+from tsopt.mesh import BoundaryData, generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import (default_params, experiment_boundary,
                             experiment_mesh, interpolate_target,
                             setup_problem)
@@ -209,10 +211,10 @@ def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
         full = sp.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(m, m)).tocsr()
         want = full[free][:, free].tocsr()
-        got = _scatter_matrix(local, index.ff, (len(free), len(free)))
+        got = _scatter_matrix(local, index.ff)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        coupling = _scatter_matrix(local, index.fd, (len(free), len(fixed)))
+        coupling = _scatter_matrix(local, index.fd)
         assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
 
 
@@ -228,7 +230,6 @@ def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
     n, m = mesh.num_elements, mesh.num_nodes
     rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
     cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
-    shape = (len(free), len(free))
 
     def reference(local):
         full = sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -242,9 +243,9 @@ def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
         assert got.data.tobytes() == want.data.tobytes()
 
     local = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-    assert_same(_scatter_matrix(local, index.ff, shape), reference(local))
+    assert_same(_scatter_matrix(local, index.ff), reference(local))
     parts = [rng.normal(size=(n, 3, 3)) for _ in range(3)]
-    got = _scatter_matrix(HyperDualArray(*parts), index.ff, shape)
+    got = _scatter_matrix(HyperDualArray(*parts), index.ff)
     assert isinstance(got, HyperDualMatrix)
     for comp, part in zip(got, parts):
         assert_same(comp, reference(part))
@@ -344,3 +345,106 @@ def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
         assert np.array_equal(comp.indptr, real.indptr)
         assert np.array_equal(comp.indices, real.indices)
     assert np.allclose(matrix.re.data, real.data, rtol=1e-14, atol=0.0)
+
+
+def _assemble_every_element(mesh, phi, params):
+    # the full-element assembly: every element through the integrals and
+    # the local formulas, the Dirichlet coupling as a free x fixed matrix
+    geo = mesh.geometry
+    dj = geo.det_j
+    neg_frac, neg_mass, neg_load = negative_region_integrals(mesh, phi)
+    lam_int = params.lambda2 * 0.5 + params.d_lambda * neg_frac
+    k_loc = geo.k0 * (dj * lam_int)[:, None, None]
+    m_loc = (params.alpha2 * _FULL_MASS_REF + params.d_alpha * neg_mass) \
+        * dj[:, None, None]
+    a_loc = k_loc + m_loc
+    mt_loc = (params.atilde2 * _FULL_MASS_REF + params.d_atilde * neg_mass) \
+        * dj[:, None, None]
+    f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
+    index = mesh.reduced_index
+    free, fixed = index.free, index.fixed
+    a_ff = _scatter_matrix(a_loc, index.ff)
+    a_fd = _scatter_matrix(a_loc, index.fd)
+    f_glob = _scatter_vector(f_loc, mesh.elements, mesh.num_nodes)
+    g = np.asarray(params.boundary.g_d(mesh.nodes[fixed, 0],
+                                       mesh.nodes[fixed, 1]), dtype=float)
+    return a_ff, f_glob[free] - a_fd @ g, mt_loc, neg_frac
+
+
+def _lanes(x):
+    if isinstance(x, HyperDualArray):
+        return x.lanes
+    x = np.asarray(x)
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+def _assert_same(got, want, bytewise):
+    # real data byte for byte; complex and hyper-dual data lane by lane,
+    # where an exact zero may differ in its sign
+    assert type(got) is type(want)
+    got_lanes, want_lanes = _lanes(got), _lanes(want)
+    assert len(got_lanes) == len(want_lanes)
+    for g, w in zip(got_lanes, want_lanes):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        if bytewise:
+            assert np.ascontiguousarray(g).tobytes() == w.tobytes()
+        else:
+            assert np.array_equal(g, w)
+
+
+def test_cut_local_assembly_equals_the_full_element_body(rng):
+    outcomes = set()
+    # a second material, with Dirichlet values that make the order of the
+    # coupling sums matter
+    rough = BoundaryData(g_d=lambda x, y: np.exp(3.1 * x) * (0.3 + y),
+                         is_dirichlet=experiment_boundary().is_dirichlet)
+    second = default_params(lambda1=2.5, lambda2=0.3, alpha1=0.05,
+                            alpha2=1.7, atilde1=0.0, atilde2=2.0, f1=-1.0,
+                            f2=3.0, boundary=rough)
+    for n in (1, 2, 4, 8, 16, 32):
+        mesh = experiment_mesh(n)
+        m = mesh.num_nodes
+        designs = [np.ones(m), -np.ones(m)]
+        for _ in range(4):
+            phi = rng.uniform(-1.0, 1.0, m)
+            phi[rng.uniform(size=m) < 0.2] = 0.0     # snapped zeros
+            designs.append(phi)
+        for phi in designs:
+            k = int(rng.integers(m))
+            some = rng.uniform(size=m)
+            seed = HyperDualArray(0.0, 0.5, 0.0)
+            inputs = [
+                phi,
+                phi + 1j * rng.normal(size=m) * (some < 0.5),
+                HyperDualArray(phi, rng.normal(size=m) * (some < 0.3),
+                               rng.normal(size=m)),
+                perturb(phi, k, seed, Perturbation.SHAPE),
+                perturb(phi, k, seed, Perturbation.TOPO_MINUS),
+                perturb(phi, k, complex(0.0, 1e-3), Perturbation.TOPO_PLUS),
+            ]
+            for x in inputs:
+                for params in (default_params(), second):
+                    try:
+                        want = _assemble_every_element(mesh, x, params)
+                    except DegenerateCut:
+                        with pytest.raises(DegenerateCut):
+                            assemble(mesh, x, params)
+                        outcomes.add("raised")
+                        continue
+                    got = assemble(mesh, x, params)
+                    real = isinstance(x, np.ndarray) and x.dtype == float
+                    a_ff, rhs, mt_loc, neg_frac = want
+                    parts = zip(got.matrix, a_ff) \
+                        if isinstance(a_ff, HyperDualMatrix) \
+                        else [(got.matrix, a_ff)]
+                    for g, w in parts:
+                        assert np.array_equal(g.indptr, w.indptr)
+                        assert np.array_equal(g.indices, w.indices)
+                        _assert_same(g.data, w.data, real)
+                    _assert_same(got.rhs, rhs, real)
+                    _assert_same(got.mt_local.transpose(2, 0, 1), mt_loc,
+                                 real)
+                    _assert_same(got.neg_frac, neg_frac, real)
+                    outcomes.add("equal")
+        assert len(mesh.uncut_locals) == 2    # one entry per material
+    assert outcomes == {"raised", "equal"}

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import exact_negative_area
 from tsopt.hdarray import HyperDualArray, generic_zeros, sign_array
@@ -64,6 +66,39 @@ def test_classification_equals_element_loop(n, rng):
                           _labels_by_element_loop(loose, phi))
 
 
+def _labels_by_ring_groups(mesh, phi):
+    # the classification as the minimum and maximum sign over each ring,
+    # a whole size group of rings at a time
+    s = sign_array(phi).astype(np.int8)
+    ring_min, ring_max = np.empty_like(s), np.empty_like(s)
+    for nodes, rings in mesh.ring_groups:
+        ring_min[nodes] = s[rings].min(axis=1)
+        ring_max[nodes] = s[rings].max(axis=1)
+    labels = np.zeros(mesh.num_nodes, dtype=np.int8)
+    t_minus = ring_max <= 0
+    labels[t_minus] = -1
+    labels[~t_minus & (ring_min >= 0)] = 1
+    return labels
+
+
+_RING_MESHES = [generate_crossed_mesh(n) for n in (1, 2, 3, 5)]
+_TIES = st.sampled_from([-1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0])
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(st.data())
+def test_classification_equals_the_ring_group_loop(data):
+    mesh = data.draw(st.sampled_from(_RING_MESHES))
+    m = mesh.num_nodes
+    parts = [np.array(data.draw(st.lists(_TIES, min_size=m, max_size=m)))
+             for _ in range(3)]
+    kind = data.draw(st.sampled_from(["real", "complex", "hyper-dual"]))
+    phi = {"real": parts[0], "complex": parts[0] + 1j * parts[1],
+           "hyper-dual": HyperDualArray(*parts)}[kind]
+    assert np.array_equal(classify_nodes(mesh, phi),
+                          _labels_by_ring_groups(mesh, phi))
+
+
 def test_perturbation_operators():
     phi = np.array([0.3, -0.7, 0.7])
     shaped = perturb(phi, 0, 0.1, Perturbation.SHAPE)
@@ -81,7 +116,7 @@ def test_perturbation_operators():
 
 def test_element_cut_classification():
     def mask(phi):   # the plus-mask of the cut kernel
-        return _lone_cuts(phi[REF.elements])[0][0].tolist()
+        return _lone_cuts(phi, REF.elements)[0].tolist()
 
     assert mask(np.array([1.0, -1.0, -1.0])) == [True, False, False]
     assert mask(np.array([-1.0, -1.0, -1.0])) == [False, False, False]
@@ -289,7 +324,7 @@ def test_symmetric_difference_matches_exact_rationals(mesh8, phi_d8):
     labels = classify_nodes(mesh8, phi_d8)
     tris = mesh8.elements
     det_j = mesh8.geometry.det_j
-    steps = [10.0 ** -(k / 2.0) for k in range(8, 16)]   # 1e-4 .. 3.16e-8
+    steps = [10.0 ** -(k / 2.0) for k in range(8, 16)] + [1e-8, 1e-9]
     worst = 0.0
     for k in range(mesh8.num_nodes):
         kind = Perturbation.for_label(int(labels[k]))

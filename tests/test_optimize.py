@@ -1,15 +1,20 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tsopt.fem import assemble
 from tsopt.levelset import classify_nodes
 from tsopt.mesh import build_incidence, generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
                             _line_search, l2_inner, l2_norm, run,
                             slerp_update, smooth, unit_mass_matrix)
-from tsopt.problems import experiment_mesh
+from tsopt.problems import experiment_mesh, setup_problem
+
+# the module itself: the package exports its ``run`` under the same name
+optimize = importlib.import_module("tsopt.optimize")
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +159,7 @@ def test_accepted_candidate_reuse_equals_fresh_evaluation(mesh8,
     phi /= l2_norm(m0, phi)
     ev = _evaluate(mesh8, phi, params_target8, m0)
     for _ in range(3):
-        best = _line_search(mesh8, params_target8, config, m0, phi, ev)
+        best, _ = _line_search(mesh8, params_target8, config, m0, phi, ev)
         assert best is not None
         reused = _evaluate(mesh8, best.phi, params_target8, m0, solved=best)
         fresh = _evaluate(mesh8, best.phi, params_target8, m0)
@@ -242,13 +247,79 @@ def test_history_csv_format(tmp_path, mesh8, params_target8):
     history.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
-                        "stalled")
+                        "stalled,nEvals")
     assert len(lines) == len(history.j) + 1
     first = lines[1].split(",")
-    assert first[0] == "0"
+    assert first[0] == "0" and first[10] == "1"
     assert float(first[1]) == pytest.approx(history.j[0], rel=1e-15)
-    for line, dev, stalled in zip(lines[1:], history.slerp_norm_dev,
-                                  history.stalled):
+    for line, dev, stalled, n_evals in zip(lines[1:], history.slerp_norm_dev,
+                                           history.stalled, history.n_evals):
         cols = line.split(",")
         assert sum(map(int, cols[5:8])) == mesh8.num_nodes
         assert float(cols[8]) == dev and cols[9] == str(int(stalled))
+        assert cols[10] == str(n_evals)
+
+
+def test_n_evals_sum_to_the_assemble_calls(monkeypatch):
+    # every cost evaluation assembles once, and the accepted candidate's
+    # system is reused, so the column adds up to the assemble calls
+    mesh = experiment_mesh(4)
+    params = setup_problem(mesh)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return assemble(*args)
+
+    monkeypatch.setattr(optimize, "assemble", counted)
+    history, _ = run(mesh, params,
+                     OptimizerConfig(max_iter=12, snapshot_cadence=0))
+    assert history.n_evals[0] == 1
+    assert all(n >= 1 for n in history.n_evals[1:])
+    assert sum(history.n_evals) == len(calls)
+
+
+def _line_search_by_slerp_update(mesh, params, config, m0, phi, ev):
+    # the ladder with one full slerp_update per candidate: norms and angle
+    # recomputed for every kappa
+    kappa = config.kappa_init
+    best, since_best, n_evals = None, 0, 0
+    while kappa >= config.kappa_min:
+        psi, theta = slerp_update(phi, ev.field.g, kappa, m0,
+                                  config.theta_tol)
+        if theta < config.theta_tol:
+            break
+        norm_dev = abs(l2_norm(m0, psi) - l2_norm(m0, phi))
+        psi_hat = smooth(mesh, psi) if config.smoothing else psi
+        candidate = psi_hat / l2_norm(m0, psi_hat)
+        j_cand, system, u = optimize._cost_only(mesh, candidate, params)
+        n_evals += 1
+        if best is None or j_cand < best.j:
+            best = optimize._Candidate(j_cand, candidate, kappa, theta,
+                                       norm_dev, system, u)
+            since_best = 0
+        else:
+            since_best += 1
+        if best.j < ev.j and since_best >= config.patience:
+            break
+        kappa *= config.kappa_shrink
+    if best is None or best.j >= ev.j:
+        return None, n_evals
+    return best, n_evals
+
+
+def test_line_search_equals_the_slerp_update_loop_bitwise(monkeypatch,
+                                                          mesh8,
+                                                          params_target8):
+    config = OptimizerConfig(max_iter=20, snapshot_cadence=0)
+    runs = []
+    for search in (optimize._line_search, _line_search_by_slerp_update):
+        monkeypatch.setattr(optimize, "_line_search", search)
+        runs.append(run(mesh8, params_target8, config))
+    (got, got_phi), (want, want_phi) = runs
+    assert len(got.j) == 21
+    for name in ("j", "norm_g", "kappa", "theta", "slerp_norm_dev",
+                 "stalled", "n_evals"):
+        assert np.array(getattr(got, name)).tobytes() \
+            == np.array(getattr(want, name)).tobytes()
+    assert got_phi.tobytes() == want_phi.tobytes()

@@ -14,10 +14,12 @@ per-mesh cache built once per material.  The matrix entries of every
 scalar type are summed straight into the free x free CSR data through the
 mesh's one cached scatter map, the free x fixed coupling straight into the
 right-hand side, both in the order scipy's conversions would sum them.
-Each system is solved by banded LU on the mesh's reverse Cuthill-McKee
-ordering (see :mod:`.ldlt`), one factor per system shared by its state and
-adjoint solves.  A system keeps its mesh and reads every per-mesh array
-from it.
+Each system is solved on the mesh's reverse Cuthill-McKee ordering (see
+:mod:`.ldlt`): a real system, symmetric positive definite after the
+elimination, and the real part of a hyper-dual one by banded Cholesky, a
+complex-step system by banded LU, one factor per system shared by its
+state and adjoint solves.  A system keeps its mesh and reads every
+per-mesh array from it.
 """
 
 from __future__ import annotations

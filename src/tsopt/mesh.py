@@ -92,19 +92,34 @@ class BandLayout:
     """Band form of a structurally symmetric ``n x n`` CSR pattern.
 
     ``perm`` is a reverse Cuthill-McKee ordering: ``B = A[perm][:, perm]``
-    has half-bandwidth ``width`` (LAPACK's ``kl = ku``).  ``slot[s]`` is the
-    flat position of CSR data slot ``s`` in the Fortran-ordered
-    :attr:`shape` array that LAPACK's banded LU (``?gbtrf``) factors, where
-    ``B[i, j]`` sits in row ``2 width + i - j`` of column ``j``; the top
-    ``width`` rows are room for the fill-in of row pivoting."""
+    has half-bandwidth ``width`` (LAPACK's ``kl = ku = kd``).  Two slot
+    maps place CSR data in the Fortran-ordered arrays LAPACK's banded
+    factorizations take:
+
+    * ``slot[s]`` is the flat position of CSR data slot ``s`` in the
+      :attr:`shape` array of banded LU (``zgbtrf``, for complex-symmetric
+      systems), where ``B[i, j]`` sits in row ``2 width + i - j`` of column
+      ``j``; the top ``width`` rows are room for the fill-in of row
+      pivoting.
+    * ``lower`` lists the CSR data slots with ``i >= j`` and
+      ``lower_slot`` their flat positions in the :attr:`lower_shape` array
+      of banded Cholesky in lower storage (``dpbtrf``, for real symmetric
+      positive definite systems), where ``B[i, j]`` sits in row ``i - j``
+      of column ``j``."""
 
     perm: np.ndarray
     width: int
     slot: np.ndarray
+    lower: np.ndarray
+    lower_slot: np.ndarray
 
     @property
     def shape(self) -> tuple:
         return (3 * self.width + 1, len(self.perm))
+
+    @property
+    def lower_shape(self) -> tuple:
+        return (self.width + 1, len(self.perm))
 
 
 @dataclass(frozen=True)
@@ -156,9 +171,12 @@ def band_layout(indptr, indices) -> BandLayout:
     cols = inverse[indices]
     width = int(np.abs(rows - cols).max(initial=0))
     slot = 2 * width + rows - cols + cols * (3 * width + 1)
-    for array in (perm, slot):
+    lower = np.flatnonzero(rows >= cols)
+    lower_slot = rows[lower] - cols[lower] + cols[lower] * (width + 1)
+    for array in (perm, slot, lower, lower_slot):
         array.flags.writeable = False
-    return BandLayout(perm=perm, width=width, slot=slot)
+    return BandLayout(perm=perm, width=width, slot=slot, lower=lower,
+                      lower_slot=lower_slot)
 
 
 @dataclass(frozen=True)

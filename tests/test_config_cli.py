@@ -201,17 +201,17 @@ def test_optimize_command_meets_reduction_target(tmp_path):
 
 def test_optimize_solver_failure_exits_3_with_partial_history(
         tmp_path, monkeypatch, capsys):
-    # the banded LU of the real path finds a zero pivot on its 12th call,
-    # mid-run
+    # the banded Cholesky of the real path finds a non-positive pivot on
+    # its 12th call, mid-run
     calls = []
-    real_dgbtrf = ldlt.dgbtrf
+    real_dpbtrf = ldlt.dpbtrf
 
-    def failing_dgbtrf(*args, **kwargs):
+    def failing_dpbtrf(*args, **kwargs):
         calls.append(None)
-        lu, ipiv, info = real_dgbtrf(*args, **kwargs)
-        return lu, ipiv, 1 if len(calls) >= 12 else info
+        c, info = real_dpbtrf(*args, **kwargs)
+        return c, 1 if len(calls) >= 12 else info
 
-    monkeypatch.setattr(ldlt, "dgbtrf", failing_dgbtrf)
+    monkeypatch.setattr(ldlt, "dpbtrf", failing_dpbtrf)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
                                             "snapshot_cadence": 0}}))

@@ -284,15 +284,16 @@ def test_band_layout_is_cached_per_mesh():
     assert np.array_equal(np.sort(band.perm),
                           np.arange(len(mesh.reduced_index.free)))
     # cached arrays are shared, so they refuse in-place writes
-    for array in (band.perm, band.slot):
+    for array in (band.perm, band.slot, band.lower, band.lower_slot):
         with pytest.raises(ValueError):
             array[0] = 0
 
 
 @pytest.mark.parametrize("level", [4, 8, 16, 32])
 def test_bandwidth_grows_linearly_with_level(level):
-    # a half-bandwidth of O(level) keeps the banded LU at O(n level^2); a
-    # broken ordering would make it as costly as a dense factor
+    # a half-bandwidth of O(level) keeps the banded factors at
+    # O(n level^2); a broken ordering would make them as costly as a dense
+    # factor
     assert experiment_mesh(level).reduced_index.band.width <= 2.5 * level
 
 

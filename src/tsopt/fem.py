@@ -10,10 +10,11 @@ right-hand-side correction, which preserves symmetry.
 
 Only the cut elements are integrated and evaluated on each call; every
 other element lies wholly in one material and takes its local data from a
-per-mesh cache built once per material.  The matrix entries of every
-scalar type are summed straight into the free x free CSR data through the
-mesh's one cached scatter map, the free x fixed coupling straight into the
-right-hand side, both in the order scipy's conversions would sum them.
+per-mesh cache built once per material.  Every local array has the element
+axis last.  The mesh's one cached scatter map sums the matrix entries of
+every scalar type straight into the free x free and free x fixed CSR data,
+in the order scipy's COO-to-CSR conversion would sum them; the Dirichlet
+coupling is the free x fixed block times the boundary values.
 Each system is solved on the mesh's reverse Cuthill-McKee ordering (see
 :mod:`.ldlt`): a real system, symmetric positive definite after the
 elimination, and the real part of a hyper-dual one by banded Cholesky, a
@@ -47,6 +48,7 @@ __all__ = [
     "solve_state",
     "solve_adjoint",
     "objective",
+    "evaluate_cost",
 ]
 
 
@@ -56,7 +58,8 @@ class ProblemParams:
 
     Subscript 1 applies on the design domain, subscript 2 on its
     complement.  ``uhat`` is the nodal target vector; it is mesh-bound and
-    usually filled in by the experiment setup.
+    usually filled in by the experiment setup.  The benchmark values live
+    in :func:`tsopt.problems.default_params`.
     """
 
     lambda1: float
@@ -68,8 +71,8 @@ class ProblemParams:
     f1: float
     f2: float
     boundary: BoundaryData
-    c1: float = 0.0
-    c2: float = 1.0
+    c1: float
+    c2: float
     uhat: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -145,11 +148,12 @@ def _summed(vals, slot, size):
     return np.bincount(slot, vals, size)
 
 
-def _block_csr(entries, block: ScatterBlock):
-    """Sum element-matrix entries listed in the order of a block of the
-    mesh's scatter map (:attr:`~tsopt.mesh.Mesh.scatter` or a
-    :class:`~tsopt.mesh.ReducedIndex` block) into CSR (one CSR matrix per
-    hyper-dual lane).
+def _scatter_matrix(values, block: ScatterBlock):
+    """Sum the entries of the element-last ``(3, 3, N)`` local matrices
+    ``values`` that ``block`` of the mesh's scatter map
+    (:attr:`~tsopt.mesh.Mesh.scatter` or a
+    :class:`~tsopt.mesh.ReducedIndex` block) selects into CSR (one CSR
+    matrix per hyper-dual lane).
 
     Each matrix is a shallow copy of the block's pattern with data of its
     own: the read-only index arrays are shared, as the CSR constructor
@@ -157,18 +161,13 @@ def _block_csr(entries, block: ScatterBlock):
 
     def csr(vals):
         matrix = copy.copy(block.pattern)
-        matrix.data = _summed(vals, block.slot, block.nnz)
+        matrix.data = _summed(vals.reshape(-1)[block.pos], block.slot,
+                              block.nnz)
         return matrix
 
-    if isinstance(entries, HyperDualArray):
-        return HyperDualMatrix(*(csr(lane) for lane in entries.lanes))
-    return csr(entries)
-
-
-def _scatter_matrix(values, block: ScatterBlock):
-    """:func:`_block_csr` of the local ``(N, 3, 3)`` entries that ``block``
-    selects."""
-    return _block_csr(values.reshape(-1)[block.pos], block)
+    if isinstance(values, HyperDualArray):
+        return HyperDualMatrix(*(csr(lane) for lane in values.lanes))
+    return csr(values)
 
 
 def _scatter_vector(values, tris, num_nodes):
@@ -197,19 +196,10 @@ _material = attrgetter("lambda1", "lambda2", "alpha1", "alpha2", "atilde1",
 
 class _UncutLocals(NamedTuple):
     """Local data of every element for one material, with the element axis
-    last: the gradient products, and, stacked as (fully positive, fully
-    negative), the system matrix entries that land in the ``ff`` and then
-    the ``fd`` block of the reduced scatter map, in its order, the tracking
-    mass matrices and the load vectors.  ``element`` is the element of each
-    of those entries, ``entry`` the position in them of every entry of the
-    flattened ``(N, 3, 3)`` element matrices (-1 for a fixed row), and
-    ``fd_rows`` the CSR row of every ``fd`` data slot."""
+    last, each stacked as (fully positive, fully negative): the system
+    matrices, the tracking mass matrices and the load vectors."""
 
-    k0: np.ndarray         # (3, 3, N)
-    entries: np.ndarray    # (2, L)
-    element: np.ndarray    # (L,)
-    entry: np.ndarray      # (9 N,)
-    fd_rows: np.ndarray    # (fd.nnz,)
+    a: np.ndarray          # (2, 3, 3, N)
     mt: np.ndarray         # (2, 3, 3, N)
     f: np.ndarray          # (2, 3, N)
 
@@ -220,81 +210,54 @@ def _uncut_locals(mesh: Mesh, params: ProblemParams) -> _UncutLocals:
     key = _material(params)
     cached = mesh.uncut_locals.get(key)
     if cached is None:
-        geo, n = mesh.geometry, mesh.num_elements
-        k0 = np.ascontiguousarray(geo.k0.transpose(1, 2, 0))
-        a, mt, f = _local_matrices(
-            params, k0, geo.det_j, np.array([0.0, 0.5])[:, None, None, None],
+        geo = mesh.geometry
+        cached = _UncutLocals(*_local_matrices(
+            params, geo.k0.transpose(1, 2, 0), geo.det_j,
+            np.array([0.0, 0.5])[:, None, None, None],
             np.stack([np.zeros((3, 3)), _FULL_MASS_REF])[..., None],
-            np.stack([np.zeros(3), _FULL_LOAD_REF])[..., None])
-        index = mesh.reduced_index
-        pos = np.concatenate([index.ff.pos, index.fd.pos])
-        element = pos // 9
-        entry = np.full(9 * n, -1)
-        entry[pos] = np.arange(len(pos))
-        fd_rows = np.repeat(np.arange(len(index.free)),
-                            np.diff(index.fd.indptr))
-        cached = _UncutLocals(
-            k0=k0, entries=np.take(a.reshape(2, -1),
-                                   (pos - 9 * element) * n + element, axis=1),
-            element=element, entry=entry, fd_rows=fd_rows, mt=mt, f=f)
+            np.stack([np.zeros(3), _FULL_LOAD_REF])[..., None]))
         for array in cached:
             array.flags.writeable = False
         mesh.uncut_locals[key] = cached
     return cached
 
 
-def _with_cut(base, cut, values):
-    """The real array ``base`` in the scalar type of ``values``, which
-    replace its entries at ``cut`` along the last axis."""
-    if isinstance(values, HyperDualArray):
-        base = HyperDualArray(base)
-    elif np.iscomplexobj(values):
-        base = base.astype(values.dtype)
-    base[..., cut] = values
-    return base
-
-
 def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     """Assemble the reduced system ``A_ff u_f = rhs`` for the given design.
 
     Only the cut elements are integrated and evaluated; every other element
-    takes its cached local data (:func:`_uncut_locals`), the matrix entries
-    already in scatter order."""
+    takes its cached local data (:func:`_uncut_locals`)."""
     if phi.shape[0] != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
     full, cut, frac, mass, load = cut_integrals(mesh, phi)
     uncut = _uncut_locals(mesh, params)
+    geo = mesh.geometry
     a_cut, mt_cut, f_cut = _local_matrices(
-        params, uncut.k0[:, :, cut], mesh.geometry.det_j[cut], frac, mass,
+        params, geo.k0[cut].transpose(1, 2, 0), geo.det_j[cut], frac, mass,
         load)
 
-    # matrix entries: cached, or from a_cut for the entries of cut elements
-    cut_entries = uncut.entry[(9 * cut)[:, None] + np.arange(9)]
-    kept = cut_entries >= 0
-    from_cut = np.arange(9) * len(cut) + np.arange(len(cut))[:, None]
-    entries = _with_cut(np.where(full[uncut.element], uncut.entries[1],
-                                 uncut.entries[0]),
-                        cut_entries[kept], a_cut.reshape(-1)[from_cut[kept]])
+    def merged(stacked, values):
+        # uncut data by material along the last axis, in the scalar type of
+        # the cut elements' ``values``, which replace it at ``cut``
+        base = np.where(full, stacked[1], stacked[0])
+        if isinstance(values, HyperDualArray):
+            base = HyperDualArray(base)
+        elif np.iscomplexobj(values):
+            base = base.astype(values.dtype)
+        base[..., cut] = values
+        return base
 
+    a_loc = merged(uncut.a, a_cut)
+    f_loc = merged(uncut.f, f_cut)
     index = mesh.reduced_index
-    free, ff, fd = index.free, index.ff, index.fd
-    a_ff = _block_csr(entries[:len(ff.pos)], ff)
-    fd_data = _summed(entries[len(ff.pos):], fd.slot, fd.nnz)
-    f_loc = _with_cut(np.where(full, uncut.f[1], uncut.f[0]), cut, f_cut)
-    f_glob = _scatter_vector(f_loc.transpose(), mesh.elements, mesh.num_nodes)
-
-    # Dirichlet coupling A_fd g, summed row by row in CSR order
     x, y = mesh.nodes[index.fixed, 0], mesh.nodes[index.fixed, 1]
     g = np.asarray(params.boundary.g_d(x, y), dtype=float)
-    rhs = f_glob[free] - _summed(fd_data * g[fd.indices], uncut.fd_rows,
-                                 len(free))
-
+    f_glob = _scatter_vector(f_loc.transpose(), mesh.elements, mesh.num_nodes)
     return AssembledSystem(
-        matrix=a_ff, rhs=rhs,
-        mt_local=_with_cut(np.where(full, uncut.mt[1], uncut.mt[0]), cut,
-                           mt_cut),
-        mesh=mesh, fixed_values=g,
-        neg_frac=_with_cut(np.where(full, 0.5, 0.0), cut, frac))
+        matrix=_scatter_matrix(a_loc, index.ff),
+        rhs=f_glob[index.free] - _scatter_matrix(a_loc, index.fd) @ g,
+        mt_local=merged(uncut.mt, mt_cut), mesh=mesh, fixed_values=g,
+        neg_frac=merged((0.0, 0.5), frac))
 
 
 def _apply_factor(system: AssembledSystem, rhs):
@@ -360,3 +323,12 @@ def objective(mesh: Mesh, phi, u, params: ProblemParams,
         value = value + params.c1 * (system.neg_frac
                                      * mesh.geometry.det_j).sum()
     return value
+
+
+def evaluate_cost(mesh: Mesh, phi, params: ProblemParams):
+    """Cost of the design ``phi`` in its scalar type, with the system it
+    assembled (factored by the state solve) and the state: ``(j, system,
+    u)``."""
+    system = assemble(mesh, phi, params)
+    u = solve_state(system)
+    return objective(mesh, phi, u, params, system=system), system, u

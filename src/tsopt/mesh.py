@@ -65,10 +65,10 @@ class ElementGeometry:
 @dataclass(frozen=True)
 class ScatterBlock:
     """One block of the reduced matrix as a CSR ``pattern`` (a matrix of
-    zeros with read-only arrays) and, for every entry of the flattened
-    ``(N, 3, 3)`` element matrices that lands in it, its position ``pos``
-    and the CSR data ``slot`` it is added to.  Entries are listed in
-    summation order."""
+    zeros with read-only arrays) and, for every entry of the element
+    matrices that lands in it, its position ``pos`` in the flattened
+    element-last ``(3, 3, N)`` local array and the CSR data ``slot`` it is
+    added to.  Entries are listed in summation order."""
 
     pos: np.ndarray
     slot: np.ndarray
@@ -221,15 +221,16 @@ class Mesh:
 
     @cached_property
     def scatter(self) -> ScatterBlock:
-        """Scatter map of the flattened ``(N, 3, 3)`` element matrices into
-        the full ``M x M`` CSR matrix, built once.
+        """Scatter map of the element matrices, element axis last, into the
+        full ``M x M`` CSR matrix, built once.
 
         Entries are listed in the order in which scipy's COO-to-CSR
-        conversion sums duplicates: rows bucketed in input order, then each
-        row's (unstable) index sort.  Summing the entries one after another
-        in this order, or any subset of them, gives every entry the bits the
-        conversion gives it."""
-        m = self.num_nodes
+        conversion of the flattened ``(N, 3, 3)`` element matrices sums
+        duplicates: rows bucketed in input order, then each row's (unstable)
+        index sort.  Summing the entries one after another in this order, or
+        any subset of them, gives every entry the bits the conversion gives
+        it."""
+        m, n = self.num_nodes, self.num_elements
         rows, cols = _entry_nodes(self.elements)
         by_row = np.argsort(rows, kind="stable")
         indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
@@ -237,15 +238,16 @@ class Mesh:
                              shape=(m, m))
         full.sort_indices()
         order = full.data.astype(int)
-        return _scatter_block(order, rows[order], cols[order], (m, m))
+        return _scatter_block((order % 9) * n + order // 9, rows[order],
+                              cols[order], (m, m))
 
     @cached_property
     def reduced_index(self) -> ReducedIndex:
         """The :attr:`scatter` split at the Dirichlet nodes, with the band
         layout of the free x free block, built once."""
-        m = self.num_nodes
-        rows, cols = _entry_nodes(self.elements)
-        order = self.scatter.pos
+        m, scatter = self.num_nodes, self.scatter
+        rows = np.repeat(np.arange(m), np.diff(scatter.indptr))[scatter.slot]
+        cols = scatter.indices[scatter.slot]
         fixed = self.dirichlet_nodes
         is_free = np.ones(m, dtype=bool)
         is_free[fixed] = False
@@ -253,16 +255,15 @@ class Mesh:
         number = np.empty(m, dtype=int)
         number[free] = np.arange(len(free))
         number[fixed] = np.arange(len(fixed))
-        row_free = is_free[rows[order]]
-        col_free = is_free[cols[order]]
 
-        def block(pos, num_cols):
-            return _scatter_block(pos, number[rows[pos]], number[cols[pos]],
-                                  (len(free), num_cols))
+        def block(keep, num_cols):
+            return _scatter_block(scatter.pos[keep], number[rows[keep]],
+                                  number[cols[keep]], (len(free), num_cols))
 
-        ff = block(order[row_free & col_free], len(free))
+        ff = block(is_free[rows] & is_free[cols], len(free))
         return ReducedIndex(free=free, fixed=fixed, ff=ff,
-                            fd=block(order[row_free & ~col_free], len(fixed)),
+                            fd=block(is_free[rows] & ~is_free[cols],
+                                     len(fixed)),
                             band=band_layout(ff.indptr, ff.indices))
 
     @cached_property

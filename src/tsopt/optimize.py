@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (AssembledSystem, ProblemParams, _scatter_matrix, assemble,
-                  objective, solve_adjoint, solve_state)
+from .fem import (AssembledSystem, ProblemParams, _scatter_matrix,
+                  evaluate_cost, solve_adjoint)
 from .levelset import _FULL_MASS_REF, classify_nodes, interface_segments
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
@@ -128,7 +128,7 @@ class History:
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix with unit coefficient over the whole domain."""
-    return _scatter_matrix(_FULL_MASS_REF * mesh.geometry.det_j[:, None, None],
+    return _scatter_matrix(_FULL_MASS_REF[:, :, None] * mesh.geometry.det_j,
                            mesh.scatter)
 
 
@@ -220,24 +220,18 @@ class _Candidate:
     u: np.ndarray
 
 
-def _cost_only(mesh, phi, params):
-    """Cost of a design, with the factored system and the state it took."""
-    system = assemble(mesh, phi, params)
-    u = solve_state(system)
-    return float(objective(mesh, phi, u, params, system=system)), system, u
-
-
 def _evaluate(mesh, phi, params, m0,
               solved: _Candidate | None = None) -> _Evaluation:
     """Cost, state, adjoint and sensitivity of a design; ``solved`` reuses
     a candidate's system and state for the same design."""
     if solved is None:
-        j, system, u = _cost_only(mesh, phi, params)
+        j, system, u = evaluate_cost(mesh, phi, params)
     else:
         j, system, u = solved.j, solved.system, solved.u
     p = solve_adjoint(system, u, params)
     fld = ts_derivative(mesh, phi, u, p, params)
-    return _Evaluation(j=j, u=u, p=p, field=fld, norm_g=l2_norm(m0, fld.g))
+    return _Evaluation(j=float(j), u=u, p=p, field=fld,
+                       norm_g=l2_norm(m0, fld.g))
 
 
 def _line_search(mesh, params, config, m0, phi,
@@ -260,7 +254,8 @@ def _line_search(mesh, params, config, m0, phi,
         norm_dev = abs(l2_norm(m0, psi) - norm_phi)
         psi_hat = smooth(mesh, psi) if config.smoothing else psi
         candidate = psi_hat / l2_norm(m0, psi_hat)
-        j_cand, system, u = _cost_only(mesh, candidate, params)
+        j_cand, system, u = evaluate_cost(mesh, candidate, params)
+        j_cand = float(j_cand)
         n_evals += 1
         if best is None or j_cand < best.j:
             best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,

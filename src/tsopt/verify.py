@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import ProblemParams, assemble, objective, solve_adjoint, solve_state
+from .fem import (ProblemParams, assemble, evaluate_cost, solve_adjoint,
+                  solve_state)
 from .hdarray import HyperDualArray
 from .levelset import Perturbation, perturb, symmetric_difference_area
 from .mesh import Mesh
@@ -73,7 +74,6 @@ class VerificationReport:
     analytic: np.ndarray               # (M,)
     labels: np.ndarray                 # (M,)
     slopes: dict = field(default_factory=dict)
-    windows: dict = field(default_factory=dict)
 
     def worst_node(self) -> tuple[int, float]:
         """Node with the largest best-step error and that error."""
@@ -101,12 +101,6 @@ def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
     return ts_derivative(mesh, phi, u, p, params)
 
 
-def _evaluate_cost(mesh: Mesh, phi, params: ProblemParams):
-    system = assemble(mesh, phi, params)
-    u = solve_state(system)
-    return objective(mesh, phi, u, params, system=system)
-
-
 def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
                 label: int, j0: float) -> float:
     """Finite-difference quotient: cost change over the exact symmetric
@@ -117,7 +111,7 @@ def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
     phi = np.asarray(phi, dtype=float)
     kind = Perturbation.for_label(label)
     phi_eps = perturb(phi, k, eps, kind)
-    j_eps = _evaluate_cost(mesh, phi_eps, params)
+    j_eps = evaluate_cost(mesh, phi_eps, params)[0]
     denom = symmetric_difference_area(mesh, phi, phi_eps)
     if denom == 0.0:
         raise ZeroDivisionError("perturbation produced no area change")
@@ -132,7 +126,7 @@ def cs_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
     phi = np.asarray(phi, dtype=float)
     kind = Perturbation.for_label(label)
     phi_h = perturb(phi, k, complex(0.0, h), kind)
-    j_h = _evaluate_cost(mesh, phi_h, params)
+    j_h = evaluate_cost(mesh, phi_h, params)[0]
     if kind is Perturbation.SHAPE:
         return j_h.imag / (h * dkatilde)
     return (j_h.real - j0) / (-h * h * dkatilde)
@@ -147,7 +141,7 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
     phi = np.asarray(phi, dtype=float)
     kind = Perturbation.for_label(label)
     phi_h = perturb(phi, k, HyperDualArray(0.0, h, 0.0), kind)
-    j_h = _evaluate_cost(mesh, phi_h, params)
+    j_h = evaluate_cost(mesh, phi_h, params)[0]
     if kind is Perturbation.SHAPE:
         return j_h.e1 / (h * dkatilde)
     return j_h.e12 / (2.0 * h * h * dkatilde)
@@ -166,7 +160,7 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
     field_ = analytic_field(mesh, phi, params) if field_ is None else field_
     labels = field_.labels
     dkat = field_.dkatilde
-    j0 = float(_evaluate_cost(mesh, phi, params)) if method in ("fd", "cs") else 0.0
+    j0 = float(evaluate_cost(mesh, phi, params)[0]) if method != "hd" else 0.0
 
     def one(k, step):
         label = int(labels[k])
@@ -192,7 +186,6 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
                                 labels=labels.copy())
     for name, errors in (("e_s", e_s), ("e_t", e_t)):
         window = _slope_window(method, name, steps, errors, windows)
-        report.windows[name] = window
         report.slopes[name] = _loglog_slope(steps[window], errors[window])
     return report
 

@@ -211,10 +211,10 @@ def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
         full = sp.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(m, m)).tocsr()
         want = full[free][:, free].tocsr()
-        got = _scatter_matrix(local, index.ff)
+        got = _scatter_matrix(local.transpose(1, 2, 0), index.ff)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        coupling = _scatter_matrix(local, index.fd)
+        coupling = _scatter_matrix(local.transpose(1, 2, 0), index.fd)
         assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
 
 
@@ -243,9 +243,11 @@ def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
         assert got.data.tobytes() == want.data.tobytes()
 
     local = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-    assert_same(_scatter_matrix(local, index.ff), reference(local))
+    assert_same(_scatter_matrix(local.transpose(1, 2, 0), index.ff),
+                reference(local))
     parts = [rng.normal(size=(n, 3, 3)) for _ in range(3)]
-    got = _scatter_matrix(HyperDualArray(*parts), index.ff)
+    got = _scatter_matrix(HyperDualArray(*parts).transpose(1, 2, 0),
+                          index.ff)
     assert isinstance(got, HyperDualMatrix)
     for comp, part in zip(got, parts):
         assert_same(comp, reference(part))
@@ -364,8 +366,8 @@ def _assemble_every_element(mesh, phi, params):
     f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
     index = mesh.reduced_index
     free, fixed = index.free, index.fixed
-    a_ff = _scatter_matrix(a_loc, index.ff)
-    a_fd = _scatter_matrix(a_loc, index.fd)
+    a_ff = _scatter_matrix(a_loc.transpose(1, 2, 0), index.ff)
+    a_fd = _scatter_matrix(a_loc.transpose(1, 2, 0), index.fd)
     f_glob = _scatter_vector(f_loc, mesh.elements, mesh.num_nodes)
     g = np.asarray(params.boundary.g_d(mesh.nodes[fixed, 0],
                                        mesh.nodes[fixed, 1]), dtype=float)

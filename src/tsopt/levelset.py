@@ -9,11 +9,13 @@ function here accepts real, complex or hyper-dual input.
 A cut element has one vertex whose sign differs from the other two, the
 lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
 once, picks each cut element's lone vertex from its plus-bit pattern,
-rotates it first (as :attr:`Mesh.pivot_first` does) and finds where the
-zero level crosses the two edges from it; the exact integrals over the
-negative part, the interface segments and the symmetric differences are
-all views of it.  The integrals are a closed form over the cut elements
-only (:func:`cut_integrals`); every other element is whole on one side.
+rotates it first, keeping the CCW order, and finds where the zero level
+crosses the two edges from it; the exact integrals over the negative part,
+the interface segments and the symmetric differences are all views of it,
+and the closed-form sensitivity rates of :mod:`tsopt.sensitivity` read
+each cut element's configuration from it.  The integrals are a closed form
+over the cut elements only (:func:`cut_integrals`); every other element is
+whole on one side.
 A symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
 sign at every node, as after every single-node perturbation.
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .hdarray import (GenericScalar, HyperDualArray, generic_zeros,
                       promote_like, real_part, scalar_sign, sign_array)
-from .mesh import _ROTATIONS, Mesh
+from .mesh import Mesh
 
 __all__ = [
     "DegenerateCut",
@@ -50,6 +52,9 @@ T_MINUS, SHAPE, T_PLUS = -1, 0, 1
 # Exact integrals of P1 products over the reference triangle.
 _FULL_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 24.0
 _FULL_LOAD_REF = np.full(3, 1.0 / 6.0)
+
+# row s: the vertex slots rotated so slot s comes first, in CCW order
+_ROTATIONS = (np.arange(3)[:, None] + np.arange(3)) % 3
 
 # the reference integrals of a full element (mass flattened, load, area),
 # and for each row of them the row it comes from once lone vertex slot s
@@ -282,12 +287,10 @@ def element_negative_integrals(phi_triple):
     return cap_area, cap_mass, cap_load
 
 
-def subdomain_area(mesh: Mesh, phi, det_j: np.ndarray | None = None):
+def subdomain_area(mesh: Mesh, phi):
     """Exact area of the negative region, generic in the scalar type."""
-    if det_j is None:
-        det_j = mesh.geometry.det_j
     neg_frac, _, _ = negative_region_integrals(mesh, phi)
-    return (neg_frac * det_j).sum()
+    return (neg_frac * mesh.geometry.det_j).sum()
 
 
 def _split_fractions(phi, tris):

@@ -6,9 +6,8 @@ center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 A mesh is three arrays: nodes, elements and Dirichlet nodes.  Everything
 derived from them (element geometry, the scatter map of every P1 matrix
 and its reduced blocks with their band ordering, the local matrices of
-uncut elements per material, the pivot-first rotation of every element
-vertex, the one-rings the nodal sensitivity formulas, the classification
-and the smoothing need) is computed on first use and cached on the mesh
+uncut elements per material, the one-rings the classification and the
+smoothing need) is computed on first use and cached on the mesh
 instance, so a new mesh never sees another mesh's data.
 """
 
@@ -35,10 +34,6 @@ __all__ = [
     "build_incidence",
     "tag_boundary",
 ]
-
-
-# row s: the vertex slots rotated so slot s comes first, in CCW order
-_ROTATIONS = (np.arange(3)[:, None] + np.arange(3)) % 3
 
 
 class SingularElement(ArithmeticError):
@@ -271,15 +266,6 @@ class Mesh:
         """Store of the local matrices of uncut elements, one entry per set
         of material constants, filled by :func:`tsopt.fem.assemble`."""
         return {}
-
-    @cached_property
-    def pivot_first(self) -> np.ndarray:
-        """(3N, 3) read-only vertex triples of every (element, slot) pair:
-        row ``3 l + s`` is element ``l`` rotated so its slot-``s`` vertex
-        (the pivot) comes first, keeping the CCW order."""
-        triples = self.elements[:, _ROTATIONS].reshape(-1, 3)
-        triples.flags.writeable = False
-        return triples
 
     @cached_property
     def ring_matrix(self) -> sp.csr_matrix:

@@ -79,8 +79,9 @@ class History:
     Row 0 describes the initial design (kappa and theta are zero there).
     ``slerp_norm_dev`` tracks how far the pre-smoothing update drifted from
     norm preservation; ``stalled`` flags iterations whose line search found
-    no decrease (the design is then kept unchanged); ``n_evals`` counts the
-    cost evaluations of each row: 1 for the initial design, then the line
+    no decrease (the design is then kept unchanged and the run ends there,
+    so only the last row can be stalled); ``n_evals`` counts the cost
+    evaluations of each row: 1 for the initial design, then the line
     search's candidates (the accepted one is not evaluated again).
     """
 
@@ -307,10 +308,11 @@ def run(mesh: Mesh, params: ProblemParams,
         best, n_evals = _line_search(mesh, params, config, m0, phi, ev)
         if best is None:
             # No decrease found anywhere on the ladder: keep the current
-            # design so the cost stays monotone.
+            # design so the cost stays monotone, and stop, since every
+            # later iteration would walk the same ladder from it.
             history.append(it, ev.j, ev.norm_g, 0.0, 0.0,
                            ev.field.labels, 0.0, True, n_evals)
-            continue
+            break
         phi = best.phi
         ev = _evaluate(mesh, phi, params, m0, solved=best)
         history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,

@@ -1,22 +1,28 @@
 """Closed-form nodal sensitivities of the discretized tracking problem.
 
 For every mesh node the cost's derivative with respect to a single-node
-level-set perturbation is assembled from exact rational expressions: the
-rate of change of the cut area per element, and the rates of change of the
-cut mass/load integrals (6 independent matrix entries and 3 vector entries
-per cut configuration).  Interior nodes of either material use the
-second-order (topological) limit, interface nodes the first-order (shape)
-limit; both are normalized by the rate of change of the symmetric
-difference area, which makes the two cases directly comparable.
+level-set perturbation is assembled from exact rational expressions.
+Interior nodes of either material use the second-order (topological)
+limit, with one area rate per element of the ring.  Interface nodes use
+the first-order (shape) limit, with the rates of change of the cut P1 mass
+integrals (6 independent entries per cut configuration).  The P1 basis
+sums to one on every element, so the cut area is the total of the cut mass
+integrals and each cut load integral a row sum of them; the area and load
+rates are therefore the total and the row sums of the mass rates.  Both
+limits are normalized by the rate of change of the symmetric difference
+area, which makes the two cases directly comparable.
 
-One kernel, :func:`_pair_rates`, evaluates these rates on (node, element)
-pairs, with the element's values rotated so the perturbed node (the pivot)
-comes first.  :func:`ts_derivative` (every pair of the mesh),
-:func:`area_derivative` (the pairs of one node), :func:`cut_matrices` (one
-element) and :func:`continuous_sd_discretized` are views of it.  The closed
-forms are stated for the 'plus' configurations of families A and B.  A
-'minus' configuration differs by an overall sign, and family C is family B
-mirrored: B evaluated with the two non-pivot vertices swapped.
+One kernel, :func:`_pair_rates`, evaluates these rates on (element, slot)
+pairs, whose vertex (the pivot) is the perturbed node.  It reads each cut
+element's lone vertex ``a`` and the CCW order ``(a, b, c)`` from the
+lone-vertex pass of :mod:`tsopt.levelset`.  The closed forms are stated for
+the 'plus' configurations, a '+' lone vertex, of families A and B: a pivot
+at ``a`` is family A on ``(a, b, c)``, at ``c`` family B on ``(c, a, b)``,
+and at ``b`` family C, which is B on ``(b, a, c)``.  A 'minus'
+configuration differs by an overall sign.  :func:`ts_derivative` (every
+pair of the mesh), :func:`area_derivative` (the pairs of one node),
+:func:`cut_matrices` (one element) and :func:`continuous_sd_discretized`
+are views of it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ProblemParams
-from .levelset import Perturbation, classify_nodes
+from .levelset import _ROTATIONS, Perturbation, _lone_cuts, classify_nodes
 from .mesh import Mesh
 
 __all__ = [
@@ -49,18 +55,9 @@ class DegenerateDenominator(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms, 'plus' sign convention, pivot-first ordering.  p1, p2, p3 may
-# be scalars or arrays.
+# Mass-rate closed forms, 'plus' sign convention, pivot first.  p1, p2, p3
+# may be scalars or arrays.
 # ---------------------------------------------------------------------------
-
-def _area_rate_a(p1, p2, p3):
-    return (p1 * (p1 * (p2 + p3) - 2.0 * p2 * p3)
-            / (2.0 * (p1 - p2) ** 2 * (p1 - p3) ** 2))
-
-
-def _area_rate_b(p1, p2, p3):
-    return -p2 ** 2 / (2.0 * (p2 - p3) * (p2 - p1) ** 2)
-
 
 def _mass_rate_a(p1, p2, p3):
     d12, d13 = p1 - p2, p1 - p3
@@ -111,122 +108,86 @@ def _mass_rate_b(p1, p2, p3):
     return m
 
 
-def _load_rate_a(p1, p2, p3):
-    d12, d13 = p1 - p2, p1 - p3
-    f = np.empty(np.broadcast(p1, p2, p3).shape + (3,))
-    f[..., 0] = -(p1 * (p1 ** 2 * p2 ** 2 + p1 ** 2 * p2 * p3 + p1 ** 2 * p3 ** 2
-                        - 3.0 * p1 * p2 ** 2 * p3 - 3.0 * p1 * p2 * p3 ** 2
-                        + 3.0 * p2 ** 2 * p3 ** 2)) \
-        / (3.0 * d12 ** 3 * d13 ** 3)
-    f[..., 1] = (p1 ** 2 * (2.0 * p1 * p2 + p1 * p3 - 3.0 * p2 * p3)) \
-        / (6.0 * d12 ** 3 * d13 ** 2)
-    f[..., 2] = (p1 ** 2 * (p1 * p2 + 2.0 * p1 * p3 - 3.0 * p2 * p3)) \
-        / (6.0 * d12 ** 2 * d13 ** 3)
-    return f
-
-
-def _load_rate_b(p1, p2, p3):
-    d12, d23 = p1 - p2, p2 - p3
-    f = np.empty(np.broadcast(p1, p2, p3).shape + (3,))
-    f[..., 0] = p2 ** 3 / (3.0 * d12 ** 3 * d23)
-    f[..., 1] = -(p2 ** 2 * (2.0 * p1 * p2 - 3.0 * p1 * p3 + p2 * p3)) \
-        / (6.0 * d12 ** 3 * d23 ** 2)
-    f[..., 2] = -p2 ** 3 / (6.0 * d12 ** 2 * d23 ** 2)
-    return f
-
-
 def _mirror(m):
     m[..., 1, 0] = m[..., 0, 1]
     m[..., 2, 0] = m[..., 0, 2]
     m[..., 2, 1] = m[..., 1, 2]
 
 
-# vertex order of family C in terms of family B's: non-pivot vertices swapped
-_MIRROR = np.array([0, 2, 1])
+# rows of the lone-first (a, b, c) in the closed-form vertex order of each
+# role: A on (a, b, c), C = B on (b, a, c), B on (c, a, b)
+_ROLE_ORDER = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
 
 
-def _pair_rates(p, det_j, label, bits):
-    """Rates of change of the cut integrals on (node, element) pairs.
+def _pair_rates(phi, tris, det_j, labels, node=None):
+    """Rates of change of the cut area and mass integrals on the (element,
+    slot) pairs ``3 l + s`` of the elements ``tris`` ((n, 3) node ids),
+    whose slot-``s`` vertex (the pivot) is the perturbed node; with
+    ``node`` given, on the pairs whose pivot is that node only.
 
-    ``p`` (n, 3) holds each element's level-set values with the pivot first,
-    ``det_j`` (n,) the element determinants, ``label`` (n,) the pivot's node
-    class and ``bits`` (n,) the pivot-first plus-bits of the element (the
-    pivot is the highest bit).  Returns ``(dka, cut, dm, df)``: the signed
-    area rate of every pair (``label det_j / (2 p2 p3)`` at interior
-    pivots, the cut rate on cut elements of interface pivots, 0 on their
-    uncut elements), the indices of the cut pairs, and the pivot-first mass
-    (m, 3, 3) and load (m, 3) rates of the cut pairs.  Raises
-    :class:`DegenerateDenominator` if a rate is not finite: a denominator
-    vanished or underflowed.
+    ``det_j`` (n,) holds the element determinants, ``labels`` the node
+    classes.  Returns ``(dka, cut, q, dm)``: the signed area rate of every
+    pair (3n,) (``label det_j / (2 p2 p3)`` at interior pivots, with
+    ``p2 p3`` the product of the other two values; the total of the mass
+    rates on cut elements of interface pivots; 0 on their uncut elements
+    and on pairs not evaluated), the ascending ids of the cut pairs, their
+    node ids in closed-form vertex order (m, 3) and their mass rates
+    (m, 3, 3) in that order.  Raises :class:`DegenerateDenominator` if a
+    rate is not finite: a denominator vanished or underflowed.
     """
-    inner = np.flatnonzero(label != 0)
-    prod = p[inner, 1] * p[inner, 2]
-    n_plus = (bits >> 2) + ((bits >> 1) & 1) + (bits & 1)
-    cut = np.flatnonzero((label == 0) & (n_plus % 3 != 0))
-    sign = np.where(n_plus[cut] == 1, 1.0, -1.0)
-    # a 'minus' configuration has the complement of its 'plus' form's bits;
-    # the lone bit of the 'plus' form is the family: 4 for A, 2 for B, 1 for C
-    lone = np.where(sign > 0.0, bits[cut], 7 - bits[cut])
-    fam_a, mirrored = lone == 4, lone == 1
-    q1 = p[cut, 0]
-    q2 = np.where(mirrored, p[cut, 2], p[cut, 1])
-    q3 = np.where(mirrored, p[cut, 1], p[cut, 2])
+    pivot = tris.reshape(-1)
+    label = labels[pivot]
+    own = np.ones(len(pivot), dtype=bool) if node is None else pivot == node
+    inner = np.flatnonzero(own & (label != 0))
+    values = phi[tris]
+    prod = (values[:, _ROTATIONS[:, 1]]
+            * values[:, _ROTATIONS[:, 2]]).reshape(-1)[inner]
+    # the interface pivots of cut elements, in pair order; slot s of an
+    # element with lone slot ``lone`` holds its vertex a, b or c for role
+    # (s - lone) % 3 = 0, 1 or 2
+    plus, _, cut, lone, abc, _ = _lone_cuts(phi, tris)
+    rows, slots = np.nonzero(((label == 0) & own).reshape(-1, 3)[cut])
+    role = (slots - lone[rows]) % 3
+    q = abc[_ROLE_ORDER[role], rows[:, None]]
+    p1, p2, p3 = phi[q].T
+    scale = np.where(plus[abc[0, rows]], 1.0, -1.0) * det_j[cut[rows]]
+    pairs = 3 * cut[rows] + slots
 
-    dka = np.zeros(len(p))
-    scale = sign * det_j[cut]
-    dm = np.empty((len(cut), 3, 3))
-    df = np.empty((len(cut), 3))
+    dka = np.zeros(len(pivot))
+    dm = np.empty((len(q), 3, 3))
     # a vanishing or underflowing denominator shows as inf or nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dka[inner] = label[inner] * det_j[inner] / (2.0 * prod)
-        for rows, area_rate, mass_rate, load_rate in (
-                (np.flatnonzero(fam_a),
-                 _area_rate_a, _mass_rate_a, _load_rate_a),
-                (np.flatnonzero(~fam_a),
-                 _area_rate_b, _mass_rate_b, _load_rate_b)):
-            args = q1[rows], q2[rows], q3[rows]
-            dka[cut[rows]] = scale[rows] * area_rate(*args)
-            dm[rows] = scale[rows, None, None] * mass_rate(*args)
-            df[rows] = scale[rows, None] * load_rate(*args)
-    if not (np.isfinite(dka).all() and np.isfinite(dm).all()
-            and np.isfinite(df).all()):
+        dka[inner] = label[inner] * det_j[inner // 3] / (2.0 * prod)
+        for fam, mass_rate in ((role == 0, _mass_rate_a),
+                               (role != 0, _mass_rate_b)):
+            r = np.flatnonzero(fam)
+            dm[r] = scale[r, None, None] * mass_rate(p1[r], p2[r], p3[r])
+        dka[pairs] = dm.sum(axis=(1, 2))
+    if not np.isfinite(dka).all():
         raise DegenerateDenominator(
             "zero neighbor value at an interior node or a vanishing "
             "denominator in a cut element")
-    back = np.flatnonzero(mirrored)
-    dm[back] = dm[np.ix_(back, _MIRROR, _MIRROR)]
-    df[back] = df[np.ix_(back, _MIRROR)]
-    return dka, cut, dm, df
+    return dka, pairs, q, dm
 
 
-def _mesh_pair_rates(mesh: Mesh, phi, labels, pairs):
-    """:func:`_pair_rates` on (element, slot) pairs ``3 l + s`` of a mesh."""
-    triples = mesh.pivot_first[pairs]
-    p = phi[triples]
-    return _pair_rates(p, mesh.geometry.det_j[pairs // 3],
-                       labels[triples[:, 0]], _plus_bits(p))
+def _node_rates(mesh: Mesh, phi, labels, k: int):
+    """:func:`_pair_rates` of node ``k``'s pairs, on the elements around
+    it; returns those elements first."""
+    ring = np.flatnonzero((mesh.elements == k).any(axis=1))
+    return (ring,) + _pair_rates(phi, mesh.elements[ring],
+                                 mesh.geometry.det_j[ring], labels, k)
 
 
-def _plus_bits(p):
-    """Pivot-first plus-bits of (n, 3) element values; zero counts as '+'."""
-    plus = p >= 0.0
-    return 4 * plus[:, 0] + 2 * plus[:, 1] + plus[:, 2]
-
-
-def _node_pairs(mesh: Mesh, k: int) -> np.ndarray:
-    """The (element, slot) pairs whose pivot is node ``k``, by element."""
-    return np.flatnonzero(mesh.pivot_first[:, 0] == k)
-
-
-def _interface_terms(params: ProblemParams, triples, pku, dka, dm, df,
-                     u, p, w):
-    """Per cut pair, the numerator term of the interface-node sensitivity."""
-    u_r, p_r, w_r = u[triples], p[triples], w[triples]
+def _interface_terms(params: ProblemParams, q, pku, dka, dm, u, p, w):
+    """Per cut pair, the numerator term of the interface-node sensitivity
+    from the pair's node ids ``q`` and mass rates ``dm`` (see
+    :func:`_pair_rates`); the load rate is the row sum ``dm 1``."""
+    w_q = w[q]
     return (params.d_lambda * pku * dka
-            + params.d_alpha * np.einsum("ei,eij,ej->e", p_r, dm, u_r)
-            - params.d_f * np.einsum("ei,ei->e", p_r, df)
+            + np.einsum("ei,eij,ej->e", p[q], dm,
+                        params.d_alpha * u[q] - params.d_f)
             + params.c2 * params.d_atilde
-            * np.einsum("ei,eij,ej->e", w_r, dm, w_r))
+            * np.einsum("ei,eij,ej->e", w_q, dm, w_q))
 
 
 def _element_pku(mesh: Mesh, u, p, elements=slice(None)):
@@ -275,13 +236,15 @@ def cut_matrices(phi_rotated, det_j: float) -> CutElementMatrices:
     if the values do not cut the element and
     :class:`DegenerateDenominator` if a rate is not finite.
     """
-    p = np.array([phi_rotated], dtype=float)
-    _, cut, dm, df = _pair_rates(p, np.array([det_j], dtype=float),
-                                 np.zeros(1, dtype=int), _plus_bits(p))
+    _, cut, q, dm = _pair_rates(np.array(phi_rotated, dtype=float),
+                                np.arange(3)[None], np.array([float(det_j)]),
+                                np.zeros(3, dtype=int), 0)
     if not len(cut):
         raise ValueError(f"values {tuple(phi_rotated)} do not cut the "
                          "element")
-    return CutElementMatrices(dm=dm[0], df=df[0])
+    order = np.argsort(q[0])
+    dm = dm[0][np.ix_(order, order)]
+    return CutElementMatrices(dm=dm, df=dm.sum(axis=1))
 
 
 def volume_derivative(mesh: Mesh, phi) -> np.ndarray:
@@ -298,15 +261,14 @@ def area_derivative(mesh: Mesh, phi, k: int,
     if labels is None:
         labels = classify_nodes(mesh, phi)
     label = int(labels[k])
-    pairs = _node_pairs(mesh, k)
-    dka, cut, _, _ = _mesh_pair_rates(mesh, np.asarray(phi, dtype=float),
-                                      labels, pairs)
-    keep = cut if label == 0 else slice(None)
+    ring, dka, cut, _, _ = _node_rates(mesh, np.asarray(phi, dtype=float),
+                                       labels, k)
+    keep = cut if label == 0 else np.flatnonzero(mesh.elements[ring] == k)
     values = dka[keep]
     # summed one element after another, as ts_derivative sums, so that
     # total_abs equals the field's dkatilde bit for bit
     return AreaDerivative(node=k, order=Perturbation.for_label(label).order,
-                          elements=pairs[keep] // 3, values=values,
+                          elements=ring[keep // 3], values=values,
                           total=float(sum(values, 0.0)),
                           total_abs=float(sum(np.abs(values), 0.0)))
 
@@ -325,9 +287,9 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     if labels is None:
         labels = classify_nodes(mesh, phi)
     num_nodes = mesh.num_nodes
-    node = mesh.pivot_first[:, 0]
-    dka, cut, dm, df = _mesh_pair_rates(mesh, phi, labels,
-                                        np.arange(len(node)))
+    node = mesh.elements.reshape(-1)
+    dka, cut, q, dm = _pair_rates(phi, mesh.elements, mesh.geometry.det_j,
+                                  labels)
     magnitude = np.abs(dka)
     dkatilde = np.bincount(node, magnitude, minlength=num_nodes)
     if np.any(dkatilde == 0.0):
@@ -342,8 +304,7 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
                             - params.d_f * p
                             + params.c2 * params.d_atilde * w ** 2)
     # interface nodes: the cut-element terms over the symmetric-difference rate
-    terms = _interface_terms(params, mesh.pivot_first[cut], pku[cut],
-                             dka[cut], dm, df, u, p, w)
+    terms = _interface_terms(params, q, pku[cut], dka[cut], dm, u, p, w)
     shape = -params.c1 + np.bincount(node[cut], terms,
                                      minlength=num_nodes) / dkatilde
     dj = np.where(labels == 0, shape, topological)
@@ -381,13 +342,10 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    pairs = _node_pairs(mesh, k)
-    dka, cut, dm, df = _mesh_pair_rates(mesh, phi, labels, pairs)
-    dka, pairs = dka[cut], pairs[cut]
-    elements = pairs // 3
-    terms = _interface_terms(params, mesh.pivot_first[pairs],
-                             _element_pku(mesh, u, p, elements), dka, dm, df,
-                             u, p, u - params.uhat)
+    ring, dka, cut, q, dm = _node_rates(mesh, phi, labels, k)
+    dka, elements = dka[cut], ring[cut // 3]
+    terms = _interface_terms(params, q, _element_pku(mesh, u, p, elements),
+                             dka, dm, u, p, u - params.uhat)
     # normal flux: the unit normal of the zero-level segment that points out
     # of the negative region is grad phi / |grad phi| on the element
     tris = mesh.elements[elements]

@@ -100,16 +100,6 @@ def test_incidence_equals_per_node_loops(n):
     assert indices[indptr[-2]:].tolist() == [mesh.num_nodes]  # loose node
 
 
-def test_pivot_first_rotations_are_cached(mesh8):
-    tris = mesh8.elements
-    rows = [[tris[l, s], tris[l, (s + 1) % 3], tris[l, (s + 2) % 3]]
-            for l in range(mesh8.num_elements) for s in range(3)]
-    assert mesh8.pivot_first.tolist() == rows
-    assert mesh8.pivot_first is mesh8.pivot_first
-    with pytest.raises(ValueError):
-        mesh8.pivot_first[0, 0] = 0
-
-
 def test_custom_mesh_builder():
     mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.num_elements == 1

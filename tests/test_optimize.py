@@ -280,6 +280,28 @@ def test_n_evals_sum_to_the_assemble_calls(monkeypatch):
     assert sum(history.n_evals) == len(calls)
 
 
+def test_run_stops_at_the_first_stalled_iteration(monkeypatch):
+    # every candidate costs more than the initial design, so the first line
+    # search walks the whole ladder and finds no decrease; the run must stop
+    # there rather than walk the same ladder again from the same design
+    mesh = experiment_mesh(4)
+    params = setup_problem(mesh)
+    calls = []
+
+    def worse(*args):
+        j, system, u = evaluate_cost(*args)
+        calls.append(None)
+        return (j if len(calls) == 1 else j + 1.0), system, u
+
+    monkeypatch.setattr(optimize, "evaluate_cost", worse)
+    history, _ = run(mesh, params,
+                     OptimizerConfig(max_iter=3, snapshot_cadence=0))
+    assert history.stalled == [False, True]
+    assert history.n_evals == [1, 30]
+    assert history.j[1] == history.j[0]
+    assert len(calls) == 31
+
+
 def _line_search_by_slerp_update(mesh, params, config, m0, phi, ev):
     # the ladder with one full slerp_update per candidate: norms and angle
     # recomputed for every kappa

@@ -51,6 +51,26 @@ def test_interior_rate_requires_nonzero_neighbors():
         ts_derivative(REF, phi, np.zeros(3), np.zeros(3), params)
 
 
+def test_per_node_views_ignore_a_degenerate_neighbor():
+    # node 0 is interior with a zero neighbor, so its own rate is
+    # degenerate; the views of the other nodes evaluate their own rates only
+    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1), (1, 1)],
+                            [(0, 1, 2), (1, 3, 2)])
+    phi = np.array([-0.5, -1.0, 0.0, 1.0])
+    labels = classify_nodes(mesh, phi)
+    assert labels.tolist() == [-1, 0, 0, 0]
+    with pytest.raises(DegenerateDenominator):
+        area_derivative(mesh, phi, 0, labels)
+    for k in (1, 2, 3):
+        der = area_derivative(mesh, phi, k, labels)
+        assert len(der.values) and np.isfinite(der.values).all()
+        assert np.isfinite(der.total_abs)
+    params = default_params().with_uhat(np.zeros(4))
+    u, p = np.array([0.3, -0.2, 0.5, 0.1]), np.array([0.4, 0.2, -0.1, 0.6])
+    assert np.isfinite(continuous_sd_discretized(mesh, phi, u, p, params, 1,
+                                                 labels))
+
+
 def _snap_zeros(mesh, phi, rng, tries=40):
     """Copy of ``phi`` with exact zeros at random nodes, each kept only if
     every node still has a finite sensitivity."""

@@ -73,6 +73,14 @@ class RunConfig:
                 raise ConfigError("mesh_level must be at least 1")
             if section["uhat"] not in ("target", "zero"):
                 raise ConfigError("uhat must be 'target' or 'zero'")
+        for section, key in ((self.verify, "hd_tolerance"),
+                             (self.optimize, "reduction_target")):
+            value = section[key]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not value > 0.0):
+                raise ConfigError(f"{key} must be a positive number")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         for key in ("fd_steps", "cs_steps", "hd_steps"):
             if any(s <= 0.0 for s in self.verify[key]):
                 raise ConfigError(f"{key} must be positive")

@@ -34,7 +34,8 @@ import numpy as np
 
 from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
 from .ldlt import ldlt_factor, ldlt_solve
-from .levelset import _FULL_LOAD_REF, _FULL_MASS_REF, cut_integrals
+from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
+                       negative_region_integrals)
 from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
                    SingularElement)
 
@@ -229,7 +230,7 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     takes its cached local data (:func:`_uncut_locals`)."""
     if phi.shape[0] != mesh.num_nodes:
         raise ValueError("level-set length does not match node count")
-    full, cut, frac, mass, load = cut_integrals(mesh, phi)
+    full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
     uncut = _uncut_locals(mesh, params)
     geo = mesh.geometry
     a_cut, mt_cut, f_cut = _local_matrices(

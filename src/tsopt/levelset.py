@@ -13,9 +13,9 @@ rotates it first, keeping the CCW order, and finds where the zero level
 crosses the two edges from it; the exact integrals over the negative part,
 the interface segments and the symmetric differences are all views of it,
 and the closed-form sensitivity rates of :mod:`tsopt.sensitivity` read
-each cut element's configuration from it.  The integrals are a closed form
-over the cut elements only (:func:`cut_integrals`); every other element is
-whole on one side.
+each cut element's configuration from it.  The integrals
+(:func:`negative_region_integrals`) are a closed form over the cut
+elements only; every other element is whole on one side.
 A symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
 sign at every node, as after every single-node perturbation.
 
@@ -40,7 +40,6 @@ __all__ = [
     "classify_nodes",
     "perturb",
     "element_negative_integrals",
-    "cut_integrals",
     "negative_region_integrals",
     "subdomain_area",
     "symmetric_difference_area",
@@ -208,41 +207,20 @@ def _cap_integrals(t, lone, pos):
     return caps[12], caps[:9].reshape(3, 3, m), caps[9:12]
 
 
-def cut_integrals(mesh: Mesh, phi):
-    """One sign pass over the nodes, then the exact integrals over the
-    negative part of the cut elements only.
+def negative_region_integrals(mesh: Mesh, phi):
+    """Exact reference-element integrals over the negative region, from one
+    sign pass over the nodes; only the cut elements are integrated.
 
     Returns ``(full, cut, frac, mass, load)``: the (N,) mask of the fully
-    negative elements, the ids of the cut elements, and the
-    :func:`negative_region_integrals` of those with the element axis last
-    ((m,), (3, 3, m), (3, m)), generic in the scalar type of ``phi``.
-    Every other element is fully positive.
+    negative elements, the ids of the cut elements, and for those the area
+    fraction (m,), the P1 mass integrals (3, 3, m) and the P1 load
+    integrals (3, m) of their negative parts, element axis last, all in
+    reference coordinates (multiply by ``|det J|`` for physical values) and
+    generic in the scalar type of ``phi``.  Every other element is fully
+    positive.
     """
     plus, bits, cut, lone, abc, t = _lone_cuts(phi, mesh.elements)
     return (bits == 0, cut) + _cap_integrals(t, lone, plus[abc[0]])
-
-
-def negative_region_integrals(mesh: Mesh, phi):
-    """Exact reference-element integrals over the negative region.
-
-    Returns ``(neg_frac, neg_mass, neg_load)`` of shapes (N,), (N,3,3),
-    (N,3): the area fraction, the P1 mass integrals and the P1 load
-    integrals of each element's negative part, all in reference coordinates
-    (multiply by ``|det J|`` for physical values).  Generic in the scalar
-    type of ``phi``.
-    """
-    full, cut, frac, mass, load = cut_integrals(mesh, phi)
-    n = mesh.num_elements
-    neg_frac = generic_zeros(n, like=phi)
-    neg_mass = generic_zeros((n, 3, 3), like=phi)
-    neg_load = generic_zeros((n, 3), like=phi)
-    neg_frac[full] = 0.5
-    neg_mass[full] = _FULL_MASS_REF
-    neg_load[full] = _FULL_LOAD_REF
-    neg_frac[cut] = frac
-    neg_mass[cut] = mass.transpose(2, 0, 1)
-    neg_load[cut] = load.transpose()
-    return neg_frac, neg_mass, neg_load
 
 
 def element_negative_integrals(phi_triple):
@@ -289,7 +267,10 @@ def element_negative_integrals(phi_triple):
 
 def subdomain_area(mesh: Mesh, phi):
     """Exact area of the negative region, generic in the scalar type."""
-    neg_frac, _, _ = negative_region_integrals(mesh, phi)
+    full, cut, frac, _, _ = negative_region_integrals(mesh, phi)
+    neg_frac = generic_zeros(mesh.num_elements, like=phi)
+    neg_frac[full] = 0.5
+    neg_frac[cut] = frac
     return (neg_frac * mesh.geometry.det_j).sum()
 
 

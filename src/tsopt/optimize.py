@@ -4,8 +4,10 @@ Each iteration rotates the normalized level-set vector toward the
 normalized descent field by spherical linear interpolation (which preserves
 the L2 norm), optionally smooths the interior values by one-ring averaging,
 renormalizes, and accepts the step if the cost decreased, halving the
-rotation fraction otherwise.  No distinction between shape and topological
-updates is needed: the descent field already encodes both.
+rotation fraction otherwise.  The norms and the angle of the rotation are
+fixed within an iteration (:func:`slerp_frame`); each candidate fraction is
+one :func:`slerp_update` of them.  No distinction between shape and
+topological updates is needed: the descent field already encodes both.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "unit_mass_matrix",
     "l2_inner",
     "l2_norm",
+    "slerp_frame",
     "slerp_update",
     "smooth",
     "run",
@@ -143,13 +146,14 @@ def l2_norm(m0: sp.csr_matrix, phi: np.ndarray) -> float:
     return math.sqrt(max(float(phi @ (m0 @ phi)), 0.0))
 
 
-def _slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
-                 theta_tol: float):
+def slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
+                theta_tol: float):
     """The quantities of a slerp that do not depend on the rotation
     fraction: ``(norm_phi, g_unit, theta)``, the L2 norm of ``phi``, the
     normalized field and the L2 angle between the two.  Unless they are
-    aligned (``theta < theta_tol``), anti-alignment leaves no rotation plane
-    and raises :class:`DegenerateAngle`."""
+    aligned (``theta < theta_tol``, which leaves nothing to rotate),
+    anti-alignment leaves no rotation plane and raises
+    :class:`DegenerateAngle`."""
     norm_phi = l2_norm(m0, phi)
     norm_g = l2_norm(m0, g)
     if norm_phi == 0.0 or norm_g == 0.0:
@@ -162,26 +166,14 @@ def _slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
     return norm_phi, g_unit, theta
 
 
-def _rotate(phi, g_unit, theta: float, kappa: float) -> np.ndarray:
-    """``phi`` rotated toward ``g_unit`` by the fraction ``kappa`` of their
-    angle ``theta``."""
+def slerp_update(phi: np.ndarray, g_unit: np.ndarray, theta: float,
+                 kappa: float) -> np.ndarray:
+    """Rotate ``phi`` toward the normalized field ``g_unit`` by the fraction
+    ``kappa`` of their L2 angle ``theta`` (both from :func:`slerp_frame`,
+    with ``theta`` not below its tolerance); the L2 norm of ``phi`` is
+    kept."""
     return (math.sin((1.0 - kappa) * theta) * phi
             + math.sin(kappa * theta) * g_unit) / math.sin(theta)
-
-
-def slerp_update(phi: np.ndarray, g: np.ndarray, kappa: float,
-                 m0: sp.csr_matrix, theta_tol: float = 1e-8):
-    """Rotate ``phi`` toward the normalized field ``g`` by the fraction
-    ``kappa`` of their L2 angle.
-
-    Returns ``(phi_new, theta)``.  If the two are already aligned the input
-    is returned unchanged; anti-alignment leaves no rotation plane and
-    raises :class:`DegenerateAngle`.
-    """
-    _, g_unit, theta = _slerp_frame(phi, g, m0, theta_tol)
-    if theta < theta_tol:
-        return phi.copy(), theta
-    return _rotate(phi, g_unit, theta, kappa), theta
 
 
 def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
@@ -221,14 +213,9 @@ class _Candidate:
     u: np.ndarray
 
 
-def _evaluate(mesh, phi, params, m0,
-              solved: _Candidate | None = None) -> _Evaluation:
-    """Cost, state, adjoint and sensitivity of a design; ``solved`` reuses
-    a candidate's system and state for the same design."""
-    if solved is None:
-        j, system, u = evaluate_cost(mesh, phi, params)
-    else:
-        j, system, u = solved.j, solved.system, solved.u
+def _evaluate(mesh, params, m0, phi, j, system, u) -> _Evaluation:
+    """Adjoint and sensitivity of the design ``phi`` whose cost ``j``,
+    system and state (:func:`~tsopt.fem.evaluate_cost`) are given."""
     p = solve_adjoint(system, u, params)
     fld = ts_derivative(mesh, phi, u, p, params)
     return _Evaluation(j=float(j), u=u, p=p, field=fld,
@@ -242,8 +229,8 @@ def _line_search(mesh, params, config, m0, phi,
     Returns ``(best, n_evals)``: the best improving candidate, or None if
     no candidate decreases the cost, and the number of candidates whose
     cost was evaluated.  The slerp's norms and angle are computed once."""
-    norm_phi, g_unit, theta = _slerp_frame(phi, ev.field.g, m0,
-                                           config.theta_tol)
+    norm_phi, g_unit, theta = slerp_frame(phi, ev.field.g, m0,
+                                          config.theta_tol)
     if theta < config.theta_tol:
         return None, 0  # aligned with the descent field: no rotation possible
     kappa = config.kappa_init
@@ -251,7 +238,7 @@ def _line_search(mesh, params, config, m0, phi,
     since_best = 0
     n_evals = 0
     while kappa >= config.kappa_min:
-        psi = _rotate(phi, g_unit, theta, kappa)
+        psi = slerp_update(phi, g_unit, theta, kappa)
         norm_dev = abs(l2_norm(m0, psi) - norm_phi)
         psi_hat = smooth(mesh, psi) if config.smoothing else psi
         candidate = psi_hat / l2_norm(m0, psi_hat)
@@ -297,7 +284,7 @@ def run(mesh: Mesh, params: ProblemParams,
         phi = phi / norm
 
     history = History() if history is None else history
-    ev = _evaluate(mesh, phi, params, m0)
+    ev = _evaluate(mesh, params, m0, phi, *evaluate_cost(mesh, phi, params))
     history.append(0, ev.j, ev.norm_g, 0.0, 0.0, ev.field.labels)
     _maybe_snapshot(mesh, phi, ev, 0, config, output_dir, on_snapshot,
                     uhat=params.uhat)
@@ -314,7 +301,7 @@ def run(mesh: Mesh, params: ProblemParams,
                            ev.field.labels, 0.0, True, n_evals)
             break
         phi = best.phi
-        ev = _evaluate(mesh, phi, params, m0, solved=best)
+        ev = _evaluate(mesh, params, m0, phi, best.j, best.system, best.u)
         history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,
                        ev.field.labels, best.norm_dev, False, n_evals)
         _maybe_snapshot(mesh, phi, ev, it, config, output_dir, on_snapshot,

@@ -83,8 +83,7 @@ def setup_problem(mesh: Mesh, uhat: str = "target",
         params = default_params()
     if uhat == "target":
         phi_d = interpolate_target(mesh)
-        probe = params.with_uhat(np.zeros(mesh.num_nodes))
-        u_star = solve_state(assemble(mesh, phi_d, probe))
+        u_star = solve_state(assemble(mesh, phi_d, params))
         return params.with_uhat(np.asarray(u_star, dtype=float))
     if uhat == "zero":
         return params.with_uhat(np.zeros(mesh.num_nodes))

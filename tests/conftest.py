@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from tsopt.hdarray import generic_zeros
+from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
+                            negative_region_integrals)
 from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
 
 
@@ -31,3 +34,28 @@ def params_target8(mesh8):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def _every_element_integrals(mesh, phi):
+    # the cut-local integrals spread over every element: the reference
+    # integrals of a whole element where it is fully negative, zeros where
+    # it is fully positive
+    full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
+    n = mesh.num_elements
+    neg_frac = generic_zeros(n, like=phi)
+    neg_mass = generic_zeros((n, 3, 3), like=phi)
+    neg_load = generic_zeros((n, 3), like=phi)
+    neg_frac[full] = 0.5
+    neg_mass[full] = _FULL_MASS_REF
+    neg_load[full] = _FULL_LOAD_REF
+    neg_frac[cut] = frac
+    neg_mass[cut] = mass.transpose(2, 0, 1)
+    neg_load[cut] = load.transpose()
+    return neg_frac, neg_mass, neg_load
+
+
+@pytest.fixture(scope="session")
+def every_element_integrals():
+    """``(mesh, phi) -> (frac, mass, load)``: the negative-region integrals
+    of every element, of shapes (N,), (N, 3, 3) and (N, 3)."""
+    return _every_element_integrals

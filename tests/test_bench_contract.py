@@ -4,10 +4,13 @@
 ``--trace 1``, wraps by name the functions its ``TRACED`` table lists, so
 a renamed or deleted function, or a changed signature, breaks it.  Each
 workload runs a short smoke pass, traced and untraced, and must exit 0
-with its correctness checks met.  A short full-size pass per workload
-also runs the checks against the reference outputs, which a smoke pass
-skips: a roundoff-level change that moves the seed-0 cost ratio out of
-its gate fails here.
+with its correctness checks met.  The traced pass must also see the cut
+integrals and, on the optimizer, the slerp rotation under their traced
+names: a second path that bypasses one of them would leave its span, and
+the acceptance ratio counted from the slerp calls, at 0.  A short
+full-size pass per workload also runs the checks against the reference
+outputs, which a smoke pass skips: a roundoff-level change that moves the
+seed-0 cost ratio out of its gate fails here.
 """
 
 import json
@@ -43,6 +46,12 @@ def _bench(workload, trace, *extra):
 def test_bench_smoke_run_is_correct(workload, trace):
     _, last = _bench(workload, trace, "--smoke")
     assert last["correct"] is True, last
+    if trace:
+        metrics = {name: m["value"] for name, m in last["metrics"].items()}
+        assert metrics["levelset.negative_region_integrals.calls"] > 0
+        if workload.startswith("optimize"):
+            assert metrics["optimize.slerp_update.calls"] > 0
+            assert 0.0 < metrics["optimize.accept_ratio"] <= 1.0
 
 
 @pytest.mark.parametrize("workload", _workloads())

@@ -77,6 +77,12 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"problem": {"no_such_key": 1.0}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"threads": 2})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"verify": {"hd_tolerance": -1}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"optimize": {"reduction_target": -1}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"output_dir": 5})
 
 
 def test_mesh_info_command(capsys):
@@ -117,6 +123,9 @@ def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
     ("optimize", []),
     ("optimize", {"optimize": 5}),
     ("verify", {"verify": {"slope_windows": [1, 2]}}),
+    ("optimize", {"optimize": {"reduction_target": "x", "max_iter": 2}}),
+    ("verify", {"verify": {"hd_tolerance": "x"}}),
+    ("optimize", {"output_dir": 5}),
 ])
 def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data):
     bad = tmp_path / "bad.json"

@@ -9,8 +9,7 @@ from tsopt.fem import (_scatter_matrix, _scatter_vector, assemble,
                        SingularElement)
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
-                            Perturbation, element_negative_integrals,
-                            negative_region_integrals, perturb)
+                            Perturbation, element_negative_integrals, perturb)
 from tsopt.mesh import BoundaryData, generate_crossed_mesh, mesh_from_arrays
 from tsopt.problems import (default_params, experiment_boundary,
                             experiment_mesh, interpolate_target,
@@ -350,12 +349,13 @@ def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
     assert np.allclose(matrix.re.data, real.data, rtol=1e-14, atol=0.0)
 
 
-def _assemble_every_element(mesh, phi, params):
-    # the full-element assembly: every element through the integrals and
-    # the local formulas, the Dirichlet coupling as a free x fixed matrix
+def _assemble_every_element(mesh, phi, params, integrals):
+    # the full-element assembly: every element through the ``integrals``
+    # (the every_element_integrals fixture) and the local formulas, the
+    # Dirichlet coupling as a free x fixed matrix
     geo = mesh.geometry
     dj = geo.det_j
-    neg_frac, neg_mass, neg_load = negative_region_integrals(mesh, phi)
+    neg_frac, neg_mass, neg_load = integrals(mesh, phi)
     lam_int = params.lambda2 * 0.5 + params.d_lambda * neg_frac
     k_loc = geo.k0 * (dj * lam_int)[:, None, None]
     m_loc = (params.alpha2 * _FULL_MASS_REF + params.d_alpha * neg_mass) \
@@ -395,7 +395,8 @@ def _assert_same(got, want, bytewise):
             assert np.array_equal(g, w)
 
 
-def test_cut_local_assembly_equals_the_full_element_body(rng):
+def test_cut_local_assembly_equals_the_full_element_body(
+        rng, every_element_integrals):
     outcomes = set()
     # a second material, with Dirichlet values that make the order of the
     # coupling sums matter
@@ -428,7 +429,8 @@ def test_cut_local_assembly_equals_the_full_element_body(rng):
             for x in inputs:
                 for params in (default_params(), second):
                     try:
-                        want = _assemble_every_element(mesh, x, params)
+                        want = _assemble_every_element(
+                            mesh, x, params, every_element_integrals)
                     except DegenerateCut:
                         with pytest.raises(DegenerateCut):
                             assemble(mesh, x, params)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tsopt.levelset import classify_nodes
 from tsopt.mesh import build_incidence, generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
                             _line_search, l2_inner, l2_norm, run,
-                            slerp_update, smooth, unit_mass_matrix)
+                            slerp_frame, slerp_update, smooth,
+                            unit_mass_matrix)
 from tsopt.problems import experiment_mesh, setup_problem
 
 # the module itself: the package exports its ``run`` under the same name
@@ -52,10 +54,10 @@ def test_slerp_endpoints(mesh16, m0_16, rng):
     phi = rng.normal(size=mesh16.num_nodes)
     phi /= l2_norm(m0_16, phi)
     g = rng.normal(size=mesh16.num_nodes)
-    out0, _ = slerp_update(phi, g, 0.0, m0_16)
-    assert np.allclose(out0, phi, atol=1e-12)
-    out1, _ = slerp_update(phi, g, 1.0, m0_16)
-    assert np.allclose(out1, g / l2_norm(m0_16, g), atol=1e-12)
+    _, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+    assert np.allclose(slerp_update(phi, g_unit, theta, 0.0), phi, atol=1e-12)
+    assert np.allclose(slerp_update(phi, g_unit, theta, 1.0),
+                       g / l2_norm(m0_16, g), atol=1e-12)
 
 
 def test_slerp_halfway_between_orthonormal_vectors(mesh16, m0_16):
@@ -65,8 +67,10 @@ def test_slerp_halfway_between_orthonormal_vectors(mesh16, m0_16):
     g = mesh16.nodes[:, 0] - 0.5   # odd about the midline: orthogonal to 1
     g /= l2_norm(m0_16, g)
     assert abs(l2_inner(m0_16, phi, g)) < 1e-13
-    out, theta = slerp_update(phi, g, 0.5, m0_16)
+    norm_phi, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+    assert norm_phi == pytest.approx(1.0)
     assert theta == pytest.approx(math.pi / 2.0)
+    out = slerp_update(phi, g_unit, theta, 0.5)
     assert np.allclose(out, (phi + g) / math.sqrt(2.0), atol=1e-12)
 
 
@@ -76,19 +80,31 @@ def test_slerp_preserves_norm(mesh16, m0_16, rng):
         phi /= l2_norm(m0_16, phi)
         g = rng.normal(size=mesh16.num_nodes)
         kappa = rng.uniform(0.05, 0.95)
-        out, _ = slerp_update(phi, g, kappa, m0_16)
+        _, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+        out = slerp_update(phi, g_unit, theta, kappa)
         assert abs(l2_norm(m0_16, out) - 1.0) <= 1e-12
 
 
 def test_slerp_degenerate_angles(mesh16, m0_16):
     phi = np.ones(mesh16.num_nodes)
     phi /= l2_norm(m0_16, phi)
-    out, theta = slerp_update(phi, 2.0 * phi, 0.7, m0_16)
-    assert theta < 1e-8 and np.array_equal(out, phi)
+    _, _, theta = slerp_frame(phi, 2.0 * phi, m0_16, 1e-8)
+    assert theta < 1e-8
     with pytest.raises(DegenerateAngle):
-        slerp_update(phi, -phi, 0.5, m0_16)
+        slerp_frame(phi, -phi, m0_16, 1e-8)
     with pytest.raises(DegenerateAngle):
-        slerp_update(phi, np.zeros(mesh16.num_nodes), 0.5, m0_16)
+        slerp_frame(phi, np.zeros(mesh16.num_nodes), m0_16, 1e-8)
+
+
+def test_line_search_returns_nothing_when_aligned(mesh8, params_target8):
+    # a descent field parallel to the design leaves nothing to rotate: no
+    # candidate is evaluated
+    m0 = unit_mass_matrix(mesh8)
+    phi = np.ones(mesh8.num_nodes)
+    phi /= l2_norm(m0, phi)
+    ev = SimpleNamespace(j=1.0, field=SimpleNamespace(g=2.0 * phi))
+    assert _line_search(mesh8, params_target8, OptimizerConfig(), m0, phi,
+                        ev) == (None, 0)
 
 
 @pytest.mark.parametrize("level", [1, 2, 8, 16])
@@ -158,12 +174,15 @@ def test_accepted_candidate_reuse_equals_fresh_evaluation(mesh8,
     config = OptimizerConfig(snapshot_cadence=0)
     phi = np.ones(mesh8.num_nodes)
     phi /= l2_norm(m0, phi)
-    ev = _evaluate(mesh8, phi, params_target8, m0)
+    ev = _evaluate(mesh8, params_target8, m0, phi,
+                   *evaluate_cost(mesh8, phi, params_target8))
     for _ in range(3):
         best, _ = _line_search(mesh8, params_target8, config, m0, phi, ev)
         assert best is not None
-        reused = _evaluate(mesh8, best.phi, params_target8, m0, solved=best)
-        fresh = _evaluate(mesh8, best.phi, params_target8, m0)
+        reused = _evaluate(mesh8, params_target8, m0, best.phi, best.j,
+                           best.system, best.u)
+        fresh = _evaluate(mesh8, params_target8, m0, best.phi,
+                          *evaluate_cost(mesh8, best.phi, params_target8))
         assert reused.j == fresh.j == best.j
         for name in ("u", "p"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name))
@@ -206,6 +225,24 @@ def test_short_run_descends_monotonically(mesh8, params_target8):
     assert j[-1] < 0.2 * j[0]
     assert max(history.slerp_norm_dev) <= 1e-12
     assert history.n_tplus[0] == mesh8.num_nodes  # empty initial design
+
+
+def test_run_without_smoothing(mesh8, params_target8):
+    # the unsmoothed slerp: monotone cost, unit-norm designs, and a history
+    # of its own
+    m0 = unit_mass_matrix(mesh8)
+    designs = []
+    plain = OptimizerConfig(max_iter=6, smoothing=False, snapshot_cadence=1)
+    history, _ = run(mesh8, params_target8, plain,
+                     on_snapshot=lambda mesh, phi, ev, it, final:
+                         designs.append(phi))
+    j = history.j
+    assert len(j) == 7 and not any(history.stalled)
+    assert all(j[i + 1] <= j[i] for i in range(len(j) - 1))
+    assert all(abs(l2_norm(m0, phi) - 1.0) <= 1e-12 for phi in designs)
+    smoothed, _ = run(mesh8, params_target8,
+                      OptimizerConfig(max_iter=6, snapshot_cadence=0))
+    assert smoothed.j[0] == j[0] and smoothed.j[1:] != j[1:]
 
 
 def test_accepted_sign_flips_follow_descent_rule(mesh8, params_target8):
@@ -303,15 +340,15 @@ def test_run_stops_at_the_first_stalled_iteration(monkeypatch):
 
 
 def _line_search_by_slerp_update(mesh, params, config, m0, phi, ev):
-    # the ladder with one full slerp_update per candidate: norms and angle
-    # recomputed for every kappa
+    # the ladder with the slerp's frame recomputed for every kappa: norms
+    # and angle evaluated once per candidate
     kappa = config.kappa_init
     best, since_best, n_evals = None, 0, 0
     while kappa >= config.kappa_min:
-        psi, theta = slerp_update(phi, ev.field.g, kappa, m0,
-                                  config.theta_tol)
+        _, g_unit, theta = slerp_frame(phi, ev.field.g, m0, config.theta_tol)
         if theta < config.theta_tol:
             break
+        psi = slerp_update(phi, g_unit, theta, kappa)
         norm_dev = abs(l2_norm(m0, psi) - l2_norm(m0, phi))
         psi_hat = smooth(mesh, psi) if config.smoothing else psi
         candidate = psi_hat / l2_norm(m0, psi_hat)

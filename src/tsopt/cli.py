@@ -18,17 +18,12 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .fem import ProblemParams
 from .optimize import History, run as run_optimizer
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
-from .verify import (analytic_field, run_verification, write_node_table_csv,
-                     write_report_csv)
+from .verify import (HD_TOLERANCE, analytic_field, run_verification,
+                     write_node_table_csv, write_report_csv)
 
 __all__ = ["main"]
-
-
-def _problem_params(cfg: RunConfig) -> ProblemParams:
-    return default_params(**cfg.problem)
 
 
 def cmd_mesh_info(args) -> int:
@@ -41,10 +36,9 @@ def cmd_mesh_info(args) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    level = args.mesh_level or cfg.verify["mesh_level"]
-    mesh = experiment_mesh(level)
+    mesh = experiment_mesh(args.mesh_level)
     params = setup_problem(mesh, uhat=cfg.verify["uhat"],
-                           params=_problem_params(cfg))
+                           params=default_params(**cfg.problem))
     phi = interpolate_target(mesh)
     field = analytic_field(mesh, phi, params)
 
@@ -52,11 +46,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     out = Path(args.output or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = {}
-    windows = cfg.slope_windows()
     for method in methods:
         steps = cfg.verify[f"{method}_steps"]
         rep = run_verification(mesh, phi, params, method, steps=steps,
-                               field_=field, windows=windows)
+                               field_=field)
         reports[method] = rep
         print(f"[{method}] slopes: "
               + ", ".join(f"{k}={v:.3f}" for k, v in rep.slopes.items())
@@ -67,30 +60,26 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
     if "hd" in reports:
         worst = reports["hd"].max_relative_error()
-        tol = cfg.verify["hd_tolerance"]
         print(f"[hd] worst relative disagreement: {worst:.3e} "
-              f"(tolerance {tol:.1e})")
-        if worst > tol:
+              f"(tolerance {HD_TOLERANCE:.1e})")
+        if worst > HD_TOLERANCE:
             print("hyper-dual agreement FAILED", file=sys.stderr)
             return 1
     return 0
 
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
-    level = args.mesh_level or cfg.optimize["mesh_level"]
-    mesh = experiment_mesh(level)
+    mesh = experiment_mesh(args.mesh_level)
     params = setup_problem(mesh, uhat=cfg.optimize["uhat"],
-                           params=_problem_params(cfg))
+                           params=default_params(**cfg.problem))
     out = Path(args.output or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    history = History()
+    history = History()   # filled in place: a failed run keeps its rows
     try:
-        history, phi = run_optimizer(mesh, params, cfg.optimizer_config(),
-                                     output_dir=str(out), history=history)
-    except ArithmeticError:
-        history.write_csv(out / "history.csv")  # flush partial progress
-        raise
-    history.write_csv(out / "history.csv")
+        run_optimizer(mesh, params, cfg.optimizer_config(),
+                      output_dir=str(out), history=history)
+    finally:
+        history.write_csv(out / "history.csv")
 
     j0, j_final = history.j[0], history.j[-1]
     reduction = j_final / j0 if j0 > 0.0 else 0.0
@@ -121,11 +110,13 @@ def main(argv=None) -> int:
                               help="run derivative verification")
     p_verify.add_argument("--method", choices=["fd", "cs", "hd"],
                           help="run a single scheme (default: all three)")
-    p_verify.add_argument("--mesh-level", type=int, default=None)
+    p_verify.add_argument("--mesh-level", type=int, default=8,
+                          help="mesh subdivisions per side (default: 8)")
 
     p_opt = sub.add_parser("optimize", parents=[common],
                            help="run the optimization loop")
-    p_opt.add_argument("--mesh-level", type=int, default=None)
+    p_opt.add_argument("--mesh-level", type=int, default=16,
+                       help="mesh subdivisions per side (default: 16)")
 
     p_info = sub.add_parser("mesh-info", parents=[common],
                             help="print mesh statistics")
@@ -133,10 +124,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.mesh_level < 1:
+        print("configuration error: mesh level must be at least 1",
+              file=sys.stderr)
+        return 2
     if args.command == "mesh-info":
-        if args.mesh_level < 1:
-            print("mesh level must be at least 1", file=sys.stderr)
-            return 2
         return cmd_mesh_info(args)
 
     try:

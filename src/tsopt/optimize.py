@@ -2,9 +2,13 @@
 
 Each iteration rotates the normalized level-set vector toward the
 normalized descent field by spherical linear interpolation (which preserves
-the L2 norm), optionally smooths the interior values by one-ring averaging,
-renormalizes, and accepts the step if the cost decreased, halving the
-rotation fraction otherwise.  The norms and the angle of the rotation are
+the L2 norm), smooths the interior values by one-ring averaging,
+renormalizes, and accepts the step if the cost decreased.  The rotation
+fraction walks a halving ladder (Amstutz and Andrä, J. Comput. Phys. 216,
+2006): from ``KAPPA_INIT`` it is multiplied by ``KAPPA_SHRINK`` down to
+``KAPPA_MIN``, and the walk stops ``PATIENCE`` candidates after the running
+best stops improving once a decrease exists.  An angle below ``THETA_TOL``
+leaves nothing to rotate.  The norms and the angle of the rotation are
 fixed within an iteration (:func:`slerp_frame`); each candidate fraction is
 one :func:`slerp_update` of them.  No distinction between shape and
 topological updates is needed: the descent field already encodes both.
@@ -39,6 +43,12 @@ __all__ = [
     "run",
 ]
 
+KAPPA_INIT = 1.0
+KAPPA_MIN = 1e-9
+KAPPA_SHRINK = 0.5
+PATIENCE = 2
+THETA_TOL = 1e-8
+
 
 class DegenerateAngle(ArithmeticError):
     """Level set and descent field are (anti-)parallel in L2."""
@@ -46,33 +56,18 @@ class DegenerateAngle(ArithmeticError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Loop settings.
-
-    Each iteration walks the rotation fraction down a geometric ladder from
-    ``kappa_init`` and accepts the best candidate seen; the ladder stops
-    ``patience`` candidates after the running best stops improving (once a
-    decrease exists) or at ``kappa_min``.
-    """
+    """Loop settings: the iteration budget and the snapshot cadence."""
 
     max_iter: int = 800
-    kappa_init: float = 1.0
-    kappa_min: float = 1e-9
-    kappa_shrink: float = 0.5
-    patience: int = 2
-    smoothing: bool = True
-    theta_tol: float = 1e-8
     snapshot_cadence: int = 100    # 0 disables snapshots
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be non-negative")
-        if not (0.0 < self.kappa_min < self.kappa_init <= 1.0):
-            raise ValueError("need 0 < kappa_min < kappa_init <= 1")
-        if not (0.0 < self.kappa_shrink < 1.0):
-            raise ValueError("need 0 < kappa_shrink < 1")
-        if self.patience < 0 or self.snapshot_cadence < 0:
-            raise ValueError("patience and snapshot_cadence must be "
-                             "non-negative")
+        for name in ("max_iter", "snapshot_cadence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -146,12 +141,11 @@ def l2_norm(m0: sp.csr_matrix, phi: np.ndarray) -> float:
     return math.sqrt(max(float(phi @ (m0 @ phi)), 0.0))
 
 
-def slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
-                theta_tol: float):
+def slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix):
     """The quantities of a slerp that do not depend on the rotation
     fraction: ``(norm_phi, g_unit, theta)``, the L2 norm of ``phi``, the
     normalized field and the L2 angle between the two.  Unless they are
-    aligned (``theta < theta_tol``, which leaves nothing to rotate),
+    aligned (``theta < THETA_TOL``, which leaves nothing to rotate),
     anti-alignment leaves no rotation plane and raises
     :class:`DegenerateAngle`."""
     norm_phi = l2_norm(m0, phi)
@@ -161,7 +155,7 @@ def slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix,
     g_unit = g / norm_g
     cos_theta = l2_inner(m0, phi / norm_phi, g_unit)
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-    if theta_tol <= theta > math.pi - theta_tol:
+    if THETA_TOL <= theta > math.pi - THETA_TOL:
         raise DegenerateAngle("level set anti-parallel to the descent field")
     return norm_phi, g_unit, theta
 
@@ -222,38 +216,43 @@ def _evaluate(mesh, params, m0, phi, j, system, u) -> _Evaluation:
                        norm_g=l2_norm(m0, fld.g))
 
 
-def _line_search(mesh, params, config, m0, phi,
-                 ev) -> tuple[_Candidate | None, int]:
-    """Walk the rotation fraction down a geometric ladder.
+def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
+    """Walk the rotation fraction down the halving ladder.
 
     Returns ``(best, n_evals)``: the best improving candidate, or None if
     no candidate decreases the cost, and the number of candidates whose
-    cost was evaluated.  The slerp's norms and angle are computed once."""
-    norm_phi, g_unit, theta = slerp_frame(phi, ev.field.g, m0,
-                                          config.theta_tol)
-    if theta < config.theta_tol:
+    cost was evaluated.  A candidate whose evaluation raises an
+    :class:`ArithmeticError` is counted and rejected like a worse one; if
+    every candidate raised, the last failure is raised again.  The slerp's
+    norms and angle are computed once."""
+    norm_phi, g_unit, theta = slerp_frame(phi, ev.field.g, m0)
+    if theta < THETA_TOL:
         return None, 0  # aligned with the descent field: no rotation possible
-    kappa = config.kappa_init
-    best = None
-    since_best = 0
-    n_evals = 0
-    while kappa >= config.kappa_min:
+    kappa = KAPPA_INIT
+    best = failure = None
+    since_best = n_evals = 0
+    while kappa >= KAPPA_MIN:
         psi = slerp_update(phi, g_unit, theta, kappa)
         norm_dev = abs(l2_norm(m0, psi) - norm_phi)
-        psi_hat = smooth(mesh, psi) if config.smoothing else psi
+        psi_hat = smooth(mesh, psi)
         candidate = psi_hat / l2_norm(m0, psi_hat)
-        j_cand, system, u = evaluate_cost(mesh, candidate, params)
-        j_cand = float(j_cand)
         n_evals += 1
-        if best is None or j_cand < best.j:
-            best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,
-                              system, u)
-            since_best = 0
+        since_best += 1
+        try:
+            j_cand, system, u = evaluate_cost(mesh, candidate, params)
+        except ArithmeticError as exc:
+            failure = exc
         else:
-            since_best += 1
-        if best.j < ev.j and since_best >= config.patience:
+            j_cand = float(j_cand)
+            if best is None or j_cand < best.j:
+                best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,
+                                  system, u)
+                since_best = 0
+        if best is not None and best.j < ev.j and since_best >= PATIENCE:
             break
-        kappa *= config.kappa_shrink
+        kappa *= KAPPA_SHRINK
+    if best is None and failure is not None:
+        raise failure
     if best is None or best.j >= ev.j:
         return None, n_evals
     return best, n_evals
@@ -273,15 +272,12 @@ def run(mesh: Mesh, params: ProblemParams,
     is filled in place, so partial progress survives a solver failure.
     """
     m0 = unit_mass_matrix(mesh)
-    if phi0 is None:
-        ones = np.ones(mesh.num_nodes)
-        phi = ones / l2_norm(m0, ones)
-    else:
-        phi = np.asarray(phi0, dtype=float)
-        norm = l2_norm(m0, phi)
-        if norm == 0.0:
-            raise ValueError("initial level set has zero norm")
-        phi = phi / norm
+    phi = (np.ones(mesh.num_nodes) if phi0 is None
+           else np.asarray(phi0, dtype=float))
+    norm = l2_norm(m0, phi)
+    if norm == 0.0:
+        raise ValueError("initial level set has zero norm")
+    phi = phi / norm
 
     history = History() if history is None else history
     ev = _evaluate(mesh, params, m0, phi, *evaluate_cost(mesh, phi, params))
@@ -292,7 +288,7 @@ def run(mesh: Mesh, params: ProblemParams,
     for it in range(1, config.max_iter + 1):
         if ev.norm_g <= 1e-14:
             break  # locally optimal: every admissible move increases the cost
-        best, n_evals = _line_search(mesh, params, config, m0, phi, ev)
+        best, n_evals = _line_search(mesh, params, m0, phi, ev)
         if best is None:
             # No decrease found anywhere on the ladder: keep the current
             # design so the cost stays monotone, and stop, since every

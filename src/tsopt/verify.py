@@ -46,6 +46,10 @@ DEFAULT_STEPS = {
     "hd": (1.0, 1e-1, 1e-2, 1e-3),
 }
 
+# Acceptance criterion 1: the worst hyper-dual disagreement with the closed
+# form, relative to max(1, |dJ|), that a sweep may show.
+HD_TOLERANCE = 1e-10
+
 # Step ranges over which each error curve exhibits its scheme's nominal
 # order on the benchmark configuration.  Above the upper bound the quotients
 # leave the asymptotic regime (the cut-geometry rationals have poles at a
@@ -101,6 +105,15 @@ def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
     return ts_derivative(mesh, phi, u, p, params)
 
 
+def _perturbed_cost(mesh, phi, params, k, step, label):
+    """Perturb node ``k`` of class ``label`` by ``step``, a number of the
+    scalar type to evaluate in; returns the perturbation kind, the
+    perturbed design and its cost."""
+    kind = Perturbation.for_label(label)
+    phi_step = perturb(np.asarray(phi, dtype=float), k, step, kind)
+    return kind, phi_step, evaluate_cost(mesh, phi_step, params)[0]
+
+
 def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
                 label: int, j0: float) -> float:
     """Finite-difference quotient: cost change over the exact symmetric
@@ -109,9 +122,7 @@ def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
     ``label`` is the node's class and ``j0`` the unperturbed cost.
     """
     phi = np.asarray(phi, dtype=float)
-    kind = Perturbation.for_label(label)
-    phi_eps = perturb(phi, k, eps, kind)
-    j_eps = evaluate_cost(mesh, phi_eps, params)[0]
+    _, phi_eps, j_eps = _perturbed_cost(mesh, phi, params, k, eps, label)
     denom = symmetric_difference_area(mesh, phi, phi_eps)
     if denom == 0.0:
         raise ZeroDivisionError("perturbation produced no area change")
@@ -123,10 +134,8 @@ def cs_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
     """Complex-step estimate with the analytic symmetric-difference rate
     ``dkatilde`` of node ``k`` of class ``label``; ``j0`` is the
     unperturbed cost."""
-    phi = np.asarray(phi, dtype=float)
-    kind = Perturbation.for_label(label)
-    phi_h = perturb(phi, k, complex(0.0, h), kind)
-    j_h = evaluate_cost(mesh, phi_h, params)[0]
+    kind, _, j_h = _perturbed_cost(mesh, phi, params, k, complex(0.0, h),
+                                   label)
     if kind is Perturbation.SHAPE:
         return j_h.imag / (h * dkatilde)
     return (j_h.real - j0) / (-h * h * dkatilde)
@@ -138,18 +147,16 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 
     The seed ``h (E1 + E2)`` gives the shape estimate from the e1 lane and
     the topological one from the e12 lane."""
-    phi = np.asarray(phi, dtype=float)
-    kind = Perturbation.for_label(label)
-    phi_h = perturb(phi, k, HyperDualArray(0.0, h, 0.0), kind)
-    j_h = evaluate_cost(mesh, phi_h, params)[0]
+    kind, _, j_h = _perturbed_cost(mesh, phi, params, k,
+                                   HyperDualArray(0.0, h, 0.0), label)
     if kind is Perturbation.SHAPE:
         return j_h.e1 / (h * dkatilde)
     return j_h.e12 / (2.0 * h * h * dkatilde)
 
 
 def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
-                     steps=None, field_: SensitivityField | None = None,
-                     windows=None) -> VerificationReport:
+                     steps=None, field_: SensitivityField | None = None
+                     ) -> VerificationReport:
     """Evaluate one scheme on every node for a list of steps."""
     method = method.lower()
     if method not in ("fd", "cs", "hd"):
@@ -185,15 +192,15 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
                                 estimates=estimates, analytic=field_.dj.copy(),
                                 labels=labels.copy())
     for name, errors in (("e_s", e_s), ("e_t", e_t)):
-        window = _slope_window(method, name, steps, errors, windows)
+        window = _slope_window(method, name, steps, errors)
         report.slopes[name] = _loglog_slope(steps[window], errors[window])
     return report
 
 
 def _slope_window(method: str, which: str, steps: np.ndarray,
-                  errors: np.ndarray, windows=None) -> np.ndarray:
+                  errors: np.ndarray) -> np.ndarray:
     """Indices of the regime where the scheme's nominal order is measured."""
-    rule = (windows or SLOPE_WINDOWS).get((method, which), (0.0, np.inf))
+    rule = SLOPE_WINDOWS.get((method, which), (0.0, np.inf))
     order = np.argsort(steps)[::-1]  # descending
     if isinstance(rule, str) and rule == "pre_floor":
         # the two steps immediately above the observed error minimum

@@ -12,7 +12,6 @@ from tsopt.mesh import SingularElement
 from tsopt.optimize import DegenerateAngle
 from tsopt.sensitivity import DegenerateDenominator
 from tsopt.config import ConfigError, RunConfig, load_config
-from tsopt.verify import SLOPE_WINDOWS
 
 
 def test_default_round_trip_identity():
@@ -20,7 +19,6 @@ def test_default_round_trip_identity():
     text = cfg.dumps()
     again = RunConfig.from_dict(json.loads(text))
     assert again.dumps() == text
-    assert RunConfig().slope_windows() == SLOPE_WINDOWS
 
 
 def test_empty_file_reproduces_benchmark(tmp_path):
@@ -43,17 +41,53 @@ def test_partial_override(tmp_path):
                                 "output_dir": "elsewhere"}))
     cfg = load_config(path)
     assert cfg.optimize["max_iter"] == 10
-    assert cfg.optimize["kappa_init"] == 1.0
+    assert cfg.optimize["snapshot_cadence"] == 100
     assert cfg.output_dir == "elsewhere"
 
 
-def test_nested_override_leaves_the_defaults_alone():
-    # a partial slope-window table merges into a copy of the default one
-    cfg = RunConfig.from_dict(
-        {"verify": {"slope_windows": {"fd_e_s": [1e-6, 1e-3]}}})
-    assert cfg.slope_windows()[("fd", "e_s")] == (1e-6, 1e-3)
-    assert cfg.slope_windows()[("fd", "e_t")] == SLOPE_WINDOWS[("fd", "e_t")]
-    assert RunConfig().slope_windows() == SLOPE_WINDOWS
+def test_configs_share_no_default_step_list():
+    RunConfig().verify["hd_steps"].append(5.0)
+    assert RunConfig().verify["hd_steps"] == [1.0, 1e-1, 1e-2, 1e-3]
+
+
+def test_config_surface_is_pinned():
+    # every settable value, section by section: a new one needs a test change
+    cfg = RunConfig().to_dict()
+    assert set(cfg) == {"problem", "verify", "optimize", "output_dir"}
+    assert set(cfg["problem"]) == {"lambda1", "lambda2", "alpha1", "alpha2",
+                                   "atilde1", "atilde2", "f1", "f2",
+                                   "c1", "c2"}
+    assert set(cfg["verify"]) == {"uhat", "fd_steps", "cs_steps", "hd_steps"}
+    assert set(cfg["optimize"]) == {"uhat", "max_iter", "snapshot_cadence",
+                                    "reduction_target"}
+
+
+# settings that became constants or the --mesh-level flag
+REMOVED_KEYS = [
+    ("verify", "mesh_level", 8),
+    ("verify", "hd_tolerance", 1e-10),
+    ("verify", "slope_windows", {"fd_e_s": [9.0e-7, 4.0e-4]}),
+    ("optimize", "mesh_level", 16),
+    ("optimize", "kappa_init", 1.0),
+    ("optimize", "kappa_min", 1e-9),
+    ("optimize", "kappa_shrink", 0.5),
+    ("optimize", "patience", 2),
+    ("optimize", "smoothing", True),
+    ("optimize", "theta_tol", 1e-8),
+]
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+def test_removed_key_exits_2(tmp_path, capsys, section, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {key: value}}))
+    code = main([section, "--config", str(bad), "--mesh-level", "2",
+                 "--output", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_invalid_values_rejected():
@@ -96,6 +130,7 @@ def test_mesh_info_command(capsys):
     assert main(["mesh-info", "128"]) == 0
     assert "nodes:           33025" in capsys.readouterr().out
     assert main(["mesh-info", "0"]) == 2
+    assert main(["mesh-info", "-1"]) == 2
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -117,20 +152,39 @@ def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command,data", [
-    ("optimize", {"problem": {"lambda1": "1.0"}}),
-    ("verify", {"verify": {"mesh_level": "8"}}),
-    ("optimize", []),
-    ("optimize", {"optimize": 5}),
-    ("verify", {"verify": {"slope_windows": [1, 2]}}),
-    ("optimize", {"optimize": {"reduction_target": "x", "max_iter": 2}}),
-    ("verify", {"verify": {"hd_tolerance": "x"}}),
-    ("optimize", {"output_dir": 5}),
-])
-def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data):
+# (command, config, --mesh-level)
+WRONG_VALUES = [
+    ("optimize", {"problem": {"lambda1": "1.0"}}, "2"),
+    ("verify", {"verify": {"mesh_level": "8"}}, "2"),
+    ("optimize", [], "2"),
+    ("optimize", {"optimize": 5}, "2"),
+    ("verify", {"verify": {"slope_windows": [1, 2]}}, "2"),
+    ("optimize", {"optimize": {"reduction_target": "x", "max_iter": 2}}, "2"),
+    ("verify", {"verify": {"hd_tolerance": "x"}}, "2"),
+    ("optimize", {"output_dir": 5}, "2"),
+    ("optimize", {"optimize": {"max_iter": 2.5}}, "2"),
+    ("optimize", {"optimize": {"max_iter": True}}, "2"),
+    ("optimize", {"optimize": {"snapshot_cadence": 1.0}}, "2"),
+    ("verify", {"verify": {"hd_steps": []}}, "2"),
+    ("verify", {"verify": {"fd_steps": 1e-3}}, "2"),
+    ("verify", {"verify": {"hd_steps": [1.0, True]}}, "2"),
+    ("verify", {"verify": {"hd_steps": [1.0, -1.0]}}, "2"),
+    ("verify", {}, "-1"),
+    ("verify", {}, "0"),
+    ("optimize", {}, "-1"),
+    ("optimize", {}, "0"),
+]
+
+
+# ids in pytest's own form for the (command, data) pairs, so the cases keep
+# the names they had before the level column
+@pytest.mark.parametrize("command,data,level", WRONG_VALUES,
+                         ids=[f"{command}-data{i}" for i, (command, _, _)
+                              in enumerate(WRONG_VALUES)])
+def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data, level):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code = main([command, "--config", str(bad), "--mesh-level", "2",
+    code = main([command, "--config", str(bad), "--mesh-level", level,
                  "--output", str(tmp_path / "run")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
@@ -174,9 +228,10 @@ def test_verify_command_all_methods(tmp_path):
 
 def test_optimize_command_zero_iterations(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimize": {"max_iter": 0, "mesh_level": 4}}))
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 0}}))
     out = tmp_path / "run"
-    code = main(["optimize", "--config", str(cfg), "--output", str(out)])
+    code = main(["optimize", "--config", str(cfg), "--mesh-level", "4",
+                 "--output", str(out)])
     assert code == 0
     lines = (out / "history.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus the initial state
@@ -185,12 +240,12 @@ def test_optimize_command_zero_iterations(tmp_path):
 
 def test_optimize_command_is_deterministic(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 25,
                                             "snapshot_cadence": 0}}))
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["optimize", "--config", str(cfg),
+        assert main(["optimize", "--config", str(cfg), "--mesh-level", "4",
                      "--output", str(out)]) in (0, 1)
         outputs.append((out / "history.csv").read_bytes())
     assert outputs[0] == outputs[1]
@@ -198,10 +253,11 @@ def test_optimize_command_is_deterministic(tmp_path):
 
 def test_optimize_command_meets_reduction_target(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimize": {"max_iter": 800, "mesh_level": 4,
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 800,
                                             "snapshot_cadence": 0}}))
     out = tmp_path / "run"
-    assert main(["optimize", "--config", str(cfg), "--output", str(out)]) == 0
+    assert main(["optimize", "--config", str(cfg), "--mesh-level", "4",
+                 "--output", str(out)]) == 0
     lines = (out / "history.csv").read_text().splitlines()[1:]
     j0 = float(lines[0].split(",")[1])
     j_end = float(lines[-1].split(",")[1])
@@ -222,10 +278,11 @@ def test_optimize_solver_failure_exits_3_with_partial_history(
 
     monkeypatch.setattr(ldlt, "dpbtrf", failing_dpbtrf)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 25,
                                             "snapshot_cadence": 0}}))
     out = tmp_path / "run"
-    assert main(["optimize", "--config", str(cfg), "--output", str(out)]) == 3
+    assert main(["optimize", "--config", str(cfg), "--mesh-level", "4",
+                 "--output", str(out)]) == 3
     assert "solver failure" in capsys.readouterr().err
     lines = (out / "history.csv").read_text().splitlines()
     assert lines[0].startswith("iter,J,")
@@ -258,10 +315,11 @@ def test_numerical_failure_in_optimize_exits_3_with_partial_history(
     monkeypatch.setattr(module, "ts_derivative",
                         _failing_on_call(module.ts_derivative, failure, 4))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimize": {"max_iter": 25, "mesh_level": 4,
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 25,
                                             "snapshot_cadence": 0}}))
     out = tmp_path / "run"
-    assert main(["optimize", "--config", str(cfg), "--output", str(out)]) == 3
+    assert main(["optimize", "--config", str(cfg), "--mesh-level", "4",
+                 "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and failure.__name__ in err
     lines = (out / "history.csv").read_text().splitlines()

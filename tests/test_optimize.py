@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from tsopt import fem
 from tsopt.fem import assemble, evaluate_cost
+from tsopt.ldlt import SolverBreakdown
 from tsopt.levelset import classify_nodes
 from tsopt.mesh import build_incidence, generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
@@ -54,7 +55,7 @@ def test_slerp_endpoints(mesh16, m0_16, rng):
     phi = rng.normal(size=mesh16.num_nodes)
     phi /= l2_norm(m0_16, phi)
     g = rng.normal(size=mesh16.num_nodes)
-    _, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+    _, g_unit, theta = slerp_frame(phi, g, m0_16)
     assert np.allclose(slerp_update(phi, g_unit, theta, 0.0), phi, atol=1e-12)
     assert np.allclose(slerp_update(phi, g_unit, theta, 1.0),
                        g / l2_norm(m0_16, g), atol=1e-12)
@@ -67,7 +68,7 @@ def test_slerp_halfway_between_orthonormal_vectors(mesh16, m0_16):
     g = mesh16.nodes[:, 0] - 0.5   # odd about the midline: orthogonal to 1
     g /= l2_norm(m0_16, g)
     assert abs(l2_inner(m0_16, phi, g)) < 1e-13
-    norm_phi, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+    norm_phi, g_unit, theta = slerp_frame(phi, g, m0_16)
     assert norm_phi == pytest.approx(1.0)
     assert theta == pytest.approx(math.pi / 2.0)
     out = slerp_update(phi, g_unit, theta, 0.5)
@@ -80,7 +81,7 @@ def test_slerp_preserves_norm(mesh16, m0_16, rng):
         phi /= l2_norm(m0_16, phi)
         g = rng.normal(size=mesh16.num_nodes)
         kappa = rng.uniform(0.05, 0.95)
-        _, g_unit, theta = slerp_frame(phi, g, m0_16, 1e-8)
+        _, g_unit, theta = slerp_frame(phi, g, m0_16)
         out = slerp_update(phi, g_unit, theta, kappa)
         assert abs(l2_norm(m0_16, out) - 1.0) <= 1e-12
 
@@ -88,12 +89,12 @@ def test_slerp_preserves_norm(mesh16, m0_16, rng):
 def test_slerp_degenerate_angles(mesh16, m0_16):
     phi = np.ones(mesh16.num_nodes)
     phi /= l2_norm(m0_16, phi)
-    _, _, theta = slerp_frame(phi, 2.0 * phi, m0_16, 1e-8)
+    _, _, theta = slerp_frame(phi, 2.0 * phi, m0_16)
     assert theta < 1e-8
     with pytest.raises(DegenerateAngle):
-        slerp_frame(phi, -phi, m0_16, 1e-8)
+        slerp_frame(phi, -phi, m0_16)
     with pytest.raises(DegenerateAngle):
-        slerp_frame(phi, np.zeros(mesh16.num_nodes), m0_16, 1e-8)
+        slerp_frame(phi, np.zeros(mesh16.num_nodes), m0_16)
 
 
 def test_line_search_returns_nothing_when_aligned(mesh8, params_target8):
@@ -103,8 +104,7 @@ def test_line_search_returns_nothing_when_aligned(mesh8, params_target8):
     phi = np.ones(mesh8.num_nodes)
     phi /= l2_norm(m0, phi)
     ev = SimpleNamespace(j=1.0, field=SimpleNamespace(g=2.0 * phi))
-    assert _line_search(mesh8, params_target8, OptimizerConfig(), m0, phi,
-                        ev) == (None, 0)
+    assert _line_search(mesh8, params_target8, m0, phi, ev) == (None, 0)
 
 
 @pytest.mark.parametrize("level", [1, 2, 8, 16])
@@ -171,13 +171,12 @@ def test_accepted_candidate_reuse_equals_fresh_evaluation(mesh8,
     # run() evaluates the accepted design on the system and state the line
     # search already solved; that must equal evaluating it from scratch
     m0 = unit_mass_matrix(mesh8)
-    config = OptimizerConfig(snapshot_cadence=0)
     phi = np.ones(mesh8.num_nodes)
     phi /= l2_norm(m0, phi)
     ev = _evaluate(mesh8, params_target8, m0, phi,
                    *evaluate_cost(mesh8, phi, params_target8))
     for _ in range(3):
-        best, _ = _line_search(mesh8, params_target8, config, m0, phi, ev)
+        best, _ = _line_search(mesh8, params_target8, m0, phi, ev)
         assert best is not None
         reused = _evaluate(mesh8, params_target8, m0, best.phi, best.j,
                            best.system, best.u)
@@ -225,24 +224,6 @@ def test_short_run_descends_monotonically(mesh8, params_target8):
     assert j[-1] < 0.2 * j[0]
     assert max(history.slerp_norm_dev) <= 1e-12
     assert history.n_tplus[0] == mesh8.num_nodes  # empty initial design
-
-
-def test_run_without_smoothing(mesh8, params_target8):
-    # the unsmoothed slerp: monotone cost, unit-norm designs, and a history
-    # of its own
-    m0 = unit_mass_matrix(mesh8)
-    designs = []
-    plain = OptimizerConfig(max_iter=6, smoothing=False, snapshot_cadence=1)
-    history, _ = run(mesh8, params_target8, plain,
-                     on_snapshot=lambda mesh, phi, ev, it, final:
-                         designs.append(phi))
-    j = history.j
-    assert len(j) == 7 and not any(history.stalled)
-    assert all(j[i + 1] <= j[i] for i in range(len(j) - 1))
-    assert all(abs(l2_norm(m0, phi) - 1.0) <= 1e-12 for phi in designs)
-    smoothed, _ = run(mesh8, params_target8,
-                      OptimizerConfig(max_iter=6, snapshot_cadence=0))
-    assert smoothed.j[0] == j[0] and smoothed.j[1:] != j[1:]
 
 
 def test_accepted_sign_flips_follow_descent_rule(mesh8, params_target8):
@@ -339,18 +320,60 @@ def test_run_stops_at_the_first_stalled_iteration(monkeypatch):
     assert len(calls) == 31
 
 
-def _line_search_by_slerp_update(mesh, params, config, m0, phi, ev):
+def _breaking_from_call(at, until=None):
+    # optimize.evaluate_cost that raises on calls ``at`` to ``until``
+    calls = []
+
+    def breaking(*args):
+        calls.append(None)
+        if at <= len(calls) <= (until or len(calls)):
+            raise SolverBreakdown("injected failure")
+        return evaluate_cost(*args)
+
+    return breaking, calls
+
+
+def test_a_failing_candidate_is_rejected_and_counted(monkeypatch):
+    # the second candidate of the first ladder breaks down: the ladder goes
+    # on without it, and its evaluation counts in nEvals
+    mesh = experiment_mesh(4)
+    params = setup_problem(mesh)
+    breaking, calls = _breaking_from_call(3, 3)
+    monkeypatch.setattr(optimize, "evaluate_cost", breaking)
+    history, _ = run(mesh, params,
+                     OptimizerConfig(max_iter=5, snapshot_cadence=0))
+    j = history.j
+    assert len(j) == 6 and not any(history.stalled)
+    assert all(j[i + 1] < j[i] for i in range(len(j) - 1))
+    assert history.n_evals[1] >= 3
+    assert sum(history.n_evals) == len(calls)
+
+
+def test_a_ladder_of_failing_candidates_raises_the_last_failure(monkeypatch):
+    mesh = experiment_mesh(4)
+    params = setup_problem(mesh)
+    breaking, calls = _breaking_from_call(2)
+    monkeypatch.setattr(optimize, "evaluate_cost", breaking)
+    history = optimize.History()
+    with pytest.raises(SolverBreakdown):
+        run(mesh, params, OptimizerConfig(max_iter=3, snapshot_cadence=0),
+            history=history)
+    assert history.iteration == [0]
+    assert len(calls) == 31   # the initial design, then the whole ladder
+
+
+def _line_search_by_slerp_update(mesh, params, m0, phi, ev):
     # the ladder with the slerp's frame recomputed for every kappa: norms
     # and angle evaluated once per candidate
-    kappa = config.kappa_init
+    kappa = optimize.KAPPA_INIT
     best, since_best, n_evals = None, 0, 0
-    while kappa >= config.kappa_min:
-        _, g_unit, theta = slerp_frame(phi, ev.field.g, m0, config.theta_tol)
-        if theta < config.theta_tol:
+    while kappa >= optimize.KAPPA_MIN:
+        _, g_unit, theta = slerp_frame(phi, ev.field.g, m0)
+        if theta < optimize.THETA_TOL:
             break
         psi = slerp_update(phi, g_unit, theta, kappa)
         norm_dev = abs(l2_norm(m0, psi) - l2_norm(m0, phi))
-        psi_hat = smooth(mesh, psi) if config.smoothing else psi
+        psi_hat = smooth(mesh, psi)
         candidate = psi_hat / l2_norm(m0, psi_hat)
         j_cand, system, u = evaluate_cost(mesh, candidate, params)
         j_cand = float(j_cand)
@@ -361,9 +384,9 @@ def _line_search_by_slerp_update(mesh, params, config, m0, phi, ev):
             since_best = 0
         else:
             since_best += 1
-        if best.j < ev.j and since_best >= config.patience:
+        if best.j < ev.j and since_best >= optimize.PATIENCE:
             break
-        kappa *= config.kappa_shrink
+        kappa *= optimize.KAPPA_SHRINK
     if best is None or best.j >= ev.j:
         return None, n_evals
     return best, n_evals

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tsopt.levelset import classify_nodes
+from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, setup_problem)
-from tsopt.verify import (analytic_field, cs_derivative, fd_quotient,
-                          hd_derivative, run_verification, write_node_table_csv,
-                          write_report_csv)
+from tsopt.verify import (HD_TOLERANCE, analytic_field, cs_derivative,
+                          fd_quotient, hd_derivative, run_verification,
+                          write_node_table_csv, write_report_csv)
 from tsopt.fem import assemble, objective, solve_state
 
 
@@ -156,3 +157,29 @@ def test_hd_agreement_at_level_32():
                             int(field.labels[k]), field.dkatilde[k])
         worst = max(worst, abs(est - field.dj[k]) / max(1.0, abs(field.dj[k])))
     assert worst <= 1e-10
+
+
+def test_hd_agreement_on_the_optimizer_iterates(mesh8, params_target8):
+    # the designs the level-8 optimizer visits, before and after it reaches
+    # J <= 1e-4 J0: HD against the closed form on every node, relative to
+    # max|dJ| (which falls to about 1e-5, where criterion 1's scale of
+    # max(1, |dJ|) would make the test an absolute one)
+    checked = (1, 50, 66, 80)
+    designs = {}
+
+    def keep(mesh, phi, ev, it, final):
+        if it in checked and not final:
+            designs[it] = (phi, ev.field)
+
+    history, _ = run(mesh8, params_target8,
+                     OptimizerConfig(max_iter=80, snapshot_cadence=1),
+                     on_snapshot=keep)
+    j = np.array(history.j)
+    reached = int(np.flatnonzero(j <= 1e-4 * j[0])[0])
+    assert reached <= 66 and sorted(designs) == list(checked)
+    for it, (phi, field) in designs.items():
+        est = np.array([hd_derivative(mesh8, phi, params_target8, k, 1.0,
+                                      int(field.labels[k]), field.dkatilde[k])
+                        for k in range(mesh8.num_nodes)])
+        worst = np.abs(est - field.dj).max() / np.abs(field.dj).max()
+        assert worst <= HD_TOLERANCE, (it, worst)

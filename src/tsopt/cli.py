@@ -20,6 +20,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_config
 from .optimize import History, run as run_optimizer
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
+from .vtkio import snapshot_writer
 from .verify import (HD_TOLERANCE, analytic_field, run_verification,
                      write_node_table_csv, write_report_csv)
 
@@ -43,7 +44,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     field = analytic_field(mesh, phi, params)
 
     methods = [args.method] if args.method else ["fd", "cs", "hd"]
-    out = Path(args.output or cfg.output_dir)
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     reports = {}
     for method in methods:
@@ -72,12 +73,12 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     mesh = experiment_mesh(args.mesh_level)
     params = setup_problem(mesh, uhat=cfg.optimize["uhat"],
                            params=default_params(**cfg.problem))
-    out = Path(args.output or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.output)
+    on_snapshot = snapshot_writer(out, params.uhat)   # makes ``out``
     history = History()   # filled in place: a failed run keeps its rows
     try:
         run_optimizer(mesh, params, cfg.optimizer_config(),
-                      output_dir=str(out), history=history)
+                      on_snapshot=on_snapshot, history=history)
     finally:
         history.write_csv(out / "history.csv")
 
@@ -95,15 +96,16 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # options of the commands that read a config and write files
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--output", help="output directory")
+    common.add_argument("--output", default="out",
+                        help="output directory (default: out)")
 
     parser = argparse.ArgumentParser(
         prog="tsopt",
         description="Level-set topology optimization with unified nodal "
-                    "topological-shape sensitivities.",
-        parents=[common])
+                    "topological-shape sensitivities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -118,8 +120,7 @@ def main(argv=None) -> int:
     p_opt.add_argument("--mesh-level", type=int, default=16,
                        help="mesh subdivisions per side (default: 16)")
 
-    p_info = sub.add_parser("mesh-info", parents=[common],
-                            help="print mesh statistics")
+    p_info = sub.add_parser("mesh-info", help="print mesh statistics")
     p_info.add_argument("mesh_level", type=int)
 
     args = parser.parse_args(argv)

@@ -1,12 +1,13 @@
 """JSON run configuration with benchmark defaults.
 
-An empty configuration file reproduces the benchmark exactly: Table-style
-material constants, `u = y` Dirichlet data, the two-circle target design,
-and the standard optimizer/verification settings.  The file holds only what
-defines an experiment: the mesh level is a command-line flag, and the
+An empty configuration file reproduces the benchmark exactly.  The file
+holds the 18 values that define an experiment: the ten ``problem``
+constants, ``verify``'s ``uhat`` and step lists, and ``optimize``'s
+``uhat``, ``max_iter``, ``snapshot_cadence`` and ``reduction_target``.  The
+mesh level and the output directory are command-line options, and the
 line-search ladder, the slope-fit windows and the hyper-dual tolerance are
-constants of the modules that use them.  Parsing and emitting are inverse to
-each other (dict round-trip identity), which keeps configuration files
+constants of the modules that use them.  Parsing and emitting are inverse
+to each other (dict round-trip identity), which keeps configuration files
 auditable.
 """
 
@@ -55,7 +56,6 @@ class RunConfig:
     verify: dict = field(
         default_factory=lambda: copy.deepcopy(_VERIFY_DEFAULTS))
     optimize: dict = field(default_factory=lambda: dict(_OPTIMIZE_DEFAULTS))
-    output_dir: str = "out"
 
     def validate(self) -> "RunConfig":
         """Raise :class:`ConfigError` on a value out of range or of the
@@ -77,8 +77,6 @@ class RunConfig:
                 raise ConfigError("uhat must be 'target' or 'zero'")
         if not _positive_number(self.optimize["reduction_target"]):
             raise ConfigError("reduction_target must be a positive number")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError("output_dir must be a string")
         for key in ("fd_steps", "cs_steps", "hd_steps"):
             steps = self.verify[key]
             if (not isinstance(steps, list) or not steps
@@ -97,7 +95,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        unknown = set(data) - {"problem", "verify", "optimize", "output_dir"}
+        unknown = set(data) - {"problem", "verify", "optimize"}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         cfg = cls()
@@ -111,7 +109,6 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
             getattr(cfg, section).update(given)
-        cfg.output_dir = data.get("output_dir", cfg.output_dir)
         return cfg.validate()
 
     def dumps(self) -> str:

@@ -14,7 +14,7 @@ per-mesh cache built once per material.  Every local array has the element
 axis last.  The mesh's one cached scatter map sums the matrix entries of
 every scalar type straight into the free x free and free x fixed CSR data,
 in the order scipy's COO-to-CSR conversion would sum them; the Dirichlet
-coupling is the free x fixed block times the boundary values.
+coupling is the free x fixed block times the mesh's Dirichlet values.
 Each system is solved on the mesh's reverse Cuthill-McKee ordering (see
 :mod:`.ldlt`): a real system, symmetric positive definite after the
 elimination, and the real part of a hyper-dual one by banded Cholesky, a
@@ -26,6 +26,7 @@ per-mesh array from it.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -36,8 +37,7 @@ from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
 from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
-from .mesh import (BoundaryData, ElementGeometry, Mesh, ScatterBlock,
-                   SingularElement)
+from .mesh import ElementGeometry, Mesh, ScatterBlock, SingularElement
 
 __all__ = [
     "SingularElement",
@@ -53,14 +53,20 @@ __all__ = [
 ]
 
 
+_CONSTANTS = ("lambda1", "lambda2", "alpha1", "alpha2", "atilde1", "atilde2",
+              "f1", "f2", "c1", "c2")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
-    """Material constants, cost weights, boundary data and target state.
+    """Material constants, cost weights and target state.
 
     Subscript 1 applies on the design domain, subscript 2 on its
-    complement.  ``uhat`` is the nodal target vector; it is mesh-bound and
-    usually filled in by the experiment setup.  The benchmark values live
-    in :func:`tsopt.problems.default_params`.
+    complement.  The ten constants are finite numbers (``bool`` is not
+    one).  ``uhat`` is the nodal target vector; it is mesh-bound and
+    usually filled in by the experiment setup.  The Dirichlet data belongs
+    to the mesh (:func:`tsopt.mesh.tag_boundary`).  The benchmark values
+    live in :func:`tsopt.problems.default_params`.
     """
 
     lambda1: float
@@ -71,12 +77,17 @@ class ProblemParams:
     atilde2: float
     f1: float
     f2: float
-    boundary: BoundaryData
     c1: float
     c2: float
     uhat: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in _CONSTANTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
             raise ValueError("diffusion coefficients must be positive")
         for name in ("alpha1", "alpha2", "atilde1", "atilde2", "c1", "c2"):
@@ -126,7 +137,6 @@ class AssembledSystem:
     rhs: object                    # free
     mt_local: object               # (3, 3, N)
     mesh: Mesh
-    fixed_values: np.ndarray
     neg_frac: object               # (N,) reference-units negative area
     _factor: object = None
 
@@ -191,8 +201,7 @@ def _local_matrices(params: ProblemParams, k0, dj, neg_frac, neg_mass,
     return k_loc + m_loc, mt_loc, f_loc
 
 
-_material = attrgetter("lambda1", "lambda2", "alpha1", "alpha2", "atilde1",
-                       "atilde2", "f1", "f2")
+_material = attrgetter(*_CONSTANTS[:8])   # those of the local matrices
 
 
 class _UncutLocals(NamedTuple):
@@ -251,13 +260,12 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     a_loc = merged(uncut.a, a_cut)
     f_loc = merged(uncut.f, f_cut)
     index = mesh.reduced_index
-    x, y = mesh.nodes[index.fixed, 0], mesh.nodes[index.fixed, 1]
-    g = np.asarray(params.boundary.g_d(x, y), dtype=float)
     f_glob = _scatter_vector(f_loc.transpose(), mesh.elements, mesh.num_nodes)
     return AssembledSystem(
         matrix=_scatter_matrix(a_loc, index.ff),
-        rhs=f_glob[index.free] - _scatter_matrix(a_loc, index.fd) @ g,
-        mt_local=merged(uncut.mt, mt_cut), mesh=mesh, fixed_values=g,
+        rhs=(f_glob[index.free]
+             - _scatter_matrix(a_loc, index.fd) @ mesh.dirichlet_values),
+        mt_local=merged(uncut.mt, mt_cut), mesh=mesh,
         neg_frac=merged((0.0, 0.5), frac))
 
 
@@ -268,19 +276,18 @@ def _apply_factor(system: AssembledSystem, rhs):
     return ldlt_solve(system._factor, rhs)
 
 
-def _embed(system: AssembledSystem, vec_free, fixed_values):
-    index = system.mesh.reduced_index
+def _embed(system: AssembledSystem, vec_free):
+    """Nodal vector of ``vec_free`` on the free nodes, zero elsewhere."""
     full = generic_zeros(system.mesh.num_nodes, like=vec_free)
-    full[index.free] = vec_free
-    if len(index.fixed):
-        full[index.fixed] = fixed_values
+    full[system.mesh.reduced_index.free] = vec_free
     return full
 
 
 def solve_state(system: AssembledSystem):
     """Solve the state problem; returns the full-length nodal vector."""
-    u_free = _apply_factor(system, system.rhs)
-    return _embed(system, u_free, system.fixed_values)
+    u = _embed(system, _apply_factor(system, system.rhs))
+    u[system.mesh.dirichlet_nodes] = system.mesh.dirichlet_values
+    return u
 
 
 def _element_matvec(mt, w_loc):
@@ -303,9 +310,8 @@ def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
         raise ValueError("params.uhat is not set")
     w = u - params.uhat
     rhs = -(2.0 * params.c2) * tracking_matvec(system, w)
-    index = system.mesh.reduced_index
-    p_free = _apply_factor(system, rhs[index.free])
-    return _embed(system, p_free, np.zeros(len(index.fixed)))
+    free = system.mesh.reduced_index.free
+    return _embed(system, _apply_factor(system, rhs[free]))
 
 
 def objective(mesh: Mesh, phi, u, params: ProblemParams,

@@ -3,12 +3,12 @@
 Each of the ``n x n`` grid squares is split into four triangles by its
 center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 
-A mesh is three arrays: nodes, elements and Dirichlet nodes.  Everything
-derived from them (element geometry, the scatter map of every P1 matrix
-and its reduced blocks with their band ordering, the local matrices of
-uncut elements per material, the one-rings the classification and the
-smoothing need) is computed on first use and cached on the mesh
-instance, so a new mesh never sees another mesh's data.
+A mesh is nodes, elements, Dirichlet nodes and the values there (see
+:func:`tag_boundary`).  Everything derived from them (element geometry, the
+scatter map of every P1 matrix and its reduced blocks with their band
+ordering, the local matrices of uncut elements per material, the one-rings
+the classification and the smoothing need) is computed on first use and
+cached on the mesh instance, so a new mesh never sees another mesh's data.
 """
 
 from __future__ import annotations
@@ -176,12 +176,13 @@ def band_layout(indptr, indices) -> BandLayout:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation: node coordinates, CCW vertex triples and
-    the Dirichlet node ids."""
+    """Immutable triangulation: node coordinates, CCW vertex triples, the
+    Dirichlet node ids and the prescribed values at them."""
 
     nodes: np.ndarray           # (M, 2) float
     elements: np.ndarray        # (N, 3) int, CCW
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def num_nodes(self) -> int:
@@ -343,10 +344,13 @@ def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
 
 
 def tag_boundary(mesh: Mesh, boundary: BoundaryData) -> Mesh:
-    """Tag the nodes where ``boundary`` prescribes Dirichlet data."""
+    """Tag the nodes where ``boundary`` prescribes Dirichlet data and store
+    its values there, evaluated once (a read-only float array)."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    return replace(mesh,
-                   dirichlet_nodes=np.flatnonzero(boundary.is_dirichlet(x, y)))
+    tagged = np.flatnonzero(boundary.is_dirichlet(x, y))
+    values = np.array(boundary.g_d(x[tagged], y[tagged]), dtype=float)
+    values.flags.writeable = False
+    return replace(mesh, dirichlet_nodes=tagged, dirichlet_values=values)
 
 
 def mesh_from_arrays(nodes: Sequence, elements: Sequence) -> Mesh:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .fem import (AssembledSystem, ProblemParams, _scatter_matrix,
                   evaluate_cost, solve_adjoint)
-from .levelset import _FULL_MASS_REF, classify_nodes, interface_segments
+from .levelset import _FULL_MASS_REF, classify_nodes
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -261,15 +261,16 @@ def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
 def run(mesh: Mesh, params: ProblemParams,
         config: OptimizerConfig = OptimizerConfig(),
         phi0: Optional[np.ndarray] = None,
-        output_dir: Optional[str] = None,
         on_snapshot: Optional[Callable] = None,
         history: Optional[History] = None) -> tuple[History, np.ndarray]:
     """Run the descent loop; returns the history and the final level set.
 
     The default start is the empty design (constant positive level set,
-    normalized).  Snapshots are written every ``snapshot_cadence``
-    iterations when ``output_dir`` is given.  A caller-supplied ``history``
-    is filled in place, so partial progress survives a solver failure.
+    normalized).  ``on_snapshot(mesh, phi, ev, iteration, final)`` (see
+    :func:`tsopt.vtkio.snapshot_writer`) is called every
+    ``snapshot_cadence`` iterations and with ``final`` true at the end.  A
+    caller-supplied ``history`` is filled in place, so partial progress
+    survives a solver failure.
     """
     m0 = unit_mass_matrix(mesh)
     phi = (np.ones(mesh.num_nodes) if phi0 is None
@@ -282,8 +283,7 @@ def run(mesh: Mesh, params: ProblemParams,
     history = History() if history is None else history
     ev = _evaluate(mesh, params, m0, phi, *evaluate_cost(mesh, phi, params))
     history.append(0, ev.j, ev.norm_g, 0.0, 0.0, ev.field.labels)
-    _maybe_snapshot(mesh, phi, ev, 0, config, output_dir, on_snapshot,
-                    uhat=params.uhat)
+    _maybe_snapshot(mesh, phi, ev, 0, config, on_snapshot)
 
     for it in range(1, config.max_iter + 1):
         if ev.norm_g <= 1e-14:
@@ -300,36 +300,16 @@ def run(mesh: Mesh, params: ProblemParams,
         ev = _evaluate(mesh, params, m0, phi, best.j, best.system, best.u)
         history.append(it, ev.j, ev.norm_g, best.kappa, best.theta,
                        ev.field.labels, best.norm_dev, False, n_evals)
-        _maybe_snapshot(mesh, phi, ev, it, config, output_dir, on_snapshot,
-                        uhat=params.uhat)
+        _maybe_snapshot(mesh, phi, ev, it, config, on_snapshot)
 
     _maybe_snapshot(mesh, phi, ev, len(history.iteration) - 1, config,
-                    output_dir, on_snapshot, final=True, uhat=params.uhat)
+                    on_snapshot, final=True)
     return history, phi
 
 
-def _maybe_snapshot(mesh, phi, ev, iteration, config, output_dir,
-                    on_snapshot, final=False, uhat=None) -> None:
+def _maybe_snapshot(mesh, phi, ev, iteration, config, on_snapshot,
+                    final=False) -> None:
     due = final or (config.snapshot_cadence
                     and iteration % config.snapshot_cadence == 0)
-    if not due:
-        return
-    if on_snapshot is not None:
+    if due and on_snapshot is not None:
         on_snapshot(mesh, phi, ev, iteration, final)
-    if output_dir is None:
-        return
-    from .vtkio import write_interface_vtk, write_vtk
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    name = "final" if final else f"{iteration:05d}"
-    fields = {
-        "phi": phi, "u": ev.u, "p": ev.p,
-        "dJ": ev.field.dj, "G": ev.field.g,
-        "nodeclass": ev.field.labels.astype(float),
-    }
-    if uhat is not None:
-        fields["uhat"] = uhat
-    write_vtk(out / f"snapshot_{name}.vtk", mesh, fields)
-    if final:
-        write_interface_vtk(out / "interface_final.vtk",
-                            interface_segments(mesh, phi))

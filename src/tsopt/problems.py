@@ -47,10 +47,9 @@ def experiment_boundary() -> BoundaryData:
 
 
 def default_params(**overrides) -> ProblemParams:
-    """Benchmark problem: :data:`PROBLEM_DEFAULTS` on the experiment
-    boundary, with ``overrides`` applied."""
-    return ProblemParams(**{**PROBLEM_DEFAULTS,
-                            "boundary": experiment_boundary(), **overrides})
+    """Benchmark problem: :data:`PROBLEM_DEFAULTS` with ``overrides``
+    applied."""
+    return ProblemParams(**{**PROBLEM_DEFAULTS, **overrides})
 
 
 def target_level_set(x, y):

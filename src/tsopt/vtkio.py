@@ -1,4 +1,5 @@
-"""Legacy-VTK ASCII export of meshes, nodal fields and interface polylines."""
+"""Legacy-VTK ASCII export of meshes, nodal fields and interface polylines,
+and the optimizer's snapshot callback that writes them."""
 
 from __future__ import annotations
 
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .levelset import interface_segments
 from .mesh import Mesh
 
-__all__ = ["write_vtk", "write_interface_vtk"]
+__all__ = ["write_vtk", "write_interface_vtk", "snapshot_writer"]
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None) -> None:
@@ -60,3 +62,26 @@ def write_interface_vtk(path, segments) -> None:
     for a, b in cells:
         lines.append(f"2 {a} {b}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def snapshot_writer(output_dir, uhat):
+    """``on_snapshot`` callback of :func:`tsopt.optimize.run` that writes
+    the fields ``phi u p dJ G nodeclass uhat`` of each snapshot to
+    ``snapshot_<iteration or final>.vtk`` and the final interface to
+    ``interface_final.vtk`` in ``output_dir``, which it creates."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(mesh, phi, ev, iteration, final):
+        name = "final" if final else f"{iteration:05d}"
+        fields = {
+            "phi": phi, "u": ev.u, "p": ev.p,
+            "dJ": ev.field.dj, "G": ev.field.g,
+            "nodeclass": ev.field.labels.astype(float), "uhat": uhat,
+        }
+        write_vtk(out / f"snapshot_{name}.vtk", mesh, fields)
+        if final:
+            write_interface_vtk(out / "interface_final.vtk",
+                                interface_segments(mesh, phi))
+
+    return write

@@ -1,15 +1,19 @@
+import dataclasses
 import importlib
+import inspect
 import json
+import math
 
 import pytest
 
 from tsopt import ldlt
 from tsopt.cli import main
+from tsopt.fem import ProblemParams
 from tsopt.hdarray import DivisionByZeroRealPart
 from tsopt.ldlt import SolverBreakdown
 from tsopt.levelset import DegenerateCut
 from tsopt.mesh import SingularElement
-from tsopt.optimize import DegenerateAngle
+from tsopt.optimize import DegenerateAngle, run
 from tsopt.sensitivity import DegenerateDenominator
 from tsopt.config import ConfigError, RunConfig, load_config
 
@@ -37,12 +41,10 @@ def test_empty_file_reproduces_benchmark(tmp_path):
 
 def test_partial_override(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"optimize": {"max_iter": 10},
-                                "output_dir": "elsewhere"}))
+    path.write_text(json.dumps({"optimize": {"max_iter": 10}}))
     cfg = load_config(path)
     assert cfg.optimize["max_iter"] == 10
     assert cfg.optimize["snapshot_cadence"] == 100
-    assert cfg.output_dir == "elsewhere"
 
 
 def test_configs_share_no_default_step_list():
@@ -53,13 +55,19 @@ def test_configs_share_no_default_step_list():
 def test_config_surface_is_pinned():
     # every settable value, section by section: a new one needs a test change
     cfg = RunConfig().to_dict()
-    assert set(cfg) == {"problem", "verify", "optimize", "output_dir"}
-    assert set(cfg["problem"]) == {"lambda1", "lambda2", "alpha1", "alpha2",
-                                   "atilde1", "atilde2", "f1", "f2",
-                                   "c1", "c2"}
+    assert set(cfg) == {"problem", "verify", "optimize"}
+    constants = {"lambda1", "lambda2", "alpha1", "alpha2", "atilde1",
+                 "atilde2", "f1", "f2", "c1", "c2"}
+    assert set(cfg["problem"]) == constants
     assert set(cfg["verify"]) == {"uhat", "fd_steps", "cs_steps", "hd_steps"}
     assert set(cfg["optimize"]) == {"uhat", "max_iter", "snapshot_cadence",
                                     "reduction_target"}
+    assert sum(map(len, cfg.values())) == 18
+    # and the settable values of the library calls under it
+    assert {f.name for f in dataclasses.fields(ProblemParams)} \
+        == constants | {"uhat"}
+    assert list(inspect.signature(run).parameters) == [
+        "mesh", "params", "config", "phi0", "on_snapshot", "history"]
 
 
 # settings that became constants or the --mesh-level flag
@@ -173,6 +181,12 @@ WRONG_VALUES = [
     ("verify", {}, "0"),
     ("optimize", {}, "-1"),
     ("optimize", {}, "0"),
+    ("verify", {"problem": {"f1": "x"}}, "2"),
+    ("verify", {"problem": {"f2": None}}, "2"),
+    ("verify", {"problem": {"lambda1": math.nan}}, "2"),
+    ("verify", {"problem": {"c2": math.inf}}, "2"),
+    ("verify", {"problem": {"lambda1": True}}, "2"),
+    ("verify", {"output_dir": "elsewhere"}, "2"),   # --output alone sets it
 ]
 
 
@@ -189,6 +203,26 @@ def test_value_of_wrong_type_exits_2(tmp_path, capsys, command, data, level):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_options_follow_the_command(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"problem": {"no_such_key": 1.0}}))
+    # before the command name they are a usage error
+    for option, value in (("--config", bad), ("--output", tmp_path / "d")):
+        with pytest.raises(SystemExit) as exc:
+            main([option, str(value), "verify", "--method", "hd",
+                  "--mesh-level", "2"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "d").exists()
+    capsys.readouterr()
+    # after it they are read
+    assert main(["verify", "--config", str(bad), "--method", "hd",
+                 "--mesh-level", "2"]) == 2
+    assert "no_such_key" in capsys.readouterr().err
+    assert main(["verify", "--output", str(tmp_path / "d"), "--method", "hd",
+                 "--mesh-level", "2"]) == 0
+    assert (tmp_path / "d" / "verify_hd.csv").exists()
 
 
 def test_verify_command_hd_step_independence(tmp_path, capsys):
@@ -236,6 +270,25 @@ def test_optimize_command_zero_iterations(tmp_path):
     lines = (out / "history.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus the initial state
     assert (out / "snapshot_00000.vtk").exists()
+
+
+def test_optimize_command_snapshot_files_and_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 4,
+                                            "snapshot_cadence": 2,
+                                            "reduction_target": 0.5}}))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--mesh-level", "4",
+                 "--output", str(out)]) == 0
+    snapshots = ["snapshot_00000.vtk", "snapshot_00002.vtk",
+                 "snapshot_00004.vtk", "snapshot_final.vtk"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        snapshots + ["interface_final.vtk", "history.csv"])
+    for name in snapshots:
+        scalars = [line.split()[1] for line in
+                   (out / name).read_text().splitlines()
+                   if line.startswith("SCALARS ")]
+        assert scalars == ["phi", "u", "p", "dJ", "G", "nodeclass", "uhat"]
 
 
 def test_optimize_command_is_deterministic(tmp_path):

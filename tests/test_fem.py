@@ -10,7 +10,8 @@ from tsopt.fem import (_scatter_matrix, _scatter_vector, assemble,
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
                             Perturbation, element_negative_integrals, perturb)
-from tsopt.mesh import BoundaryData, generate_crossed_mesh, mesh_from_arrays
+from tsopt.mesh import (BoundaryData, generate_crossed_mesh, mesh_from_arrays,
+                        tag_boundary)
 from tsopt.problems import (default_params, experiment_boundary,
                             experiment_mesh, interpolate_target,
                             setup_problem)
@@ -365,13 +366,11 @@ def _assemble_every_element(mesh, phi, params, integrals):
         * dj[:, None, None]
     f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
     index = mesh.reduced_index
-    free, fixed = index.free, index.fixed
+    free = index.free
     a_ff = _scatter_matrix(a_loc.transpose(1, 2, 0), index.ff)
     a_fd = _scatter_matrix(a_loc.transpose(1, 2, 0), index.fd)
     f_glob = _scatter_vector(f_loc, mesh.elements, mesh.num_nodes)
-    g = np.asarray(params.boundary.g_d(mesh.nodes[fixed, 0],
-                                       mesh.nodes[fixed, 1]), dtype=float)
-    return a_ff, f_glob[free] - a_fd @ g, mt_loc, neg_frac
+    return a_ff, f_glob[free] - a_fd @ mesh.dirichlet_values, mt_loc, neg_frac
 
 
 def _lanes(x):
@@ -398,15 +397,15 @@ def _assert_same(got, want, bytewise):
 def test_cut_local_assembly_equals_the_full_element_body(
         rng, every_element_integrals):
     outcomes = set()
-    # a second material, with Dirichlet values that make the order of the
-    # coupling sums matter
+    # a second material, on a mesh with Dirichlet values that make the order
+    # of the coupling sums matter
     rough = BoundaryData(g_d=lambda x, y: np.exp(3.1 * x) * (0.3 + y),
                          is_dirichlet=experiment_boundary().is_dirichlet)
     second = default_params(lambda1=2.5, lambda2=0.3, alpha1=0.05,
                             alpha2=1.7, atilde1=0.0, atilde2=2.0, f1=-1.0,
-                            f2=3.0, boundary=rough)
+                            f2=3.0)
     for n in (1, 2, 4, 8, 16, 32):
-        mesh = experiment_mesh(n)
+        mesh = tag_boundary(experiment_mesh(n), rough)
         m = mesh.num_nodes
         designs = [np.ones(m), -np.ones(m)]
         for _ in range(4):

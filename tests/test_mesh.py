@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tsopt.mesh import build_incidence, generate_crossed_mesh, mesh_from_arrays
+from tsopt.mesh import (BoundaryData, build_incidence, generate_crossed_mesh,
+                        mesh_from_arrays, tag_boundary)
 from tsopt.problems import experiment_boundary, experiment_mesh
 from tsopt.vtkio import write_vtk
 
@@ -66,6 +67,19 @@ def test_dirichlet_value_function():
     g_d = experiment_boundary().g_d
     assert g_d(0.5, 1.0) == 1.0
     assert g_d(0.25, 0.0) == 0.0
+
+
+def test_tag_boundary_stores_the_values_at_the_tagged_nodes():
+    mesh = generate_crossed_mesh(4)
+    assert mesh.dirichlet_nodes.size == mesh.dirichlet_values.size == 0
+    boundary = BoundaryData(g_d=lambda x, y: 2 * x + 3 * y,
+                            is_dirichlet=lambda x, y: x < 0.3)
+    tagged = tag_boundary(mesh, boundary)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    assert tagged.dirichlet_nodes.tolist() == np.flatnonzero(x < 0.3).tolist()
+    values = tagged.dirichlet_values
+    assert values.dtype == float and not values.flags.writeable
+    assert np.array_equal(values, 2 * x[x < 0.3] + 3 * y[x < 0.3])
 
 
 def _rings_per_node(elements, num_nodes):

@@ -3,7 +3,7 @@ sensitivity, verified by finite-difference, complex-step and hyper-dual
 differentiation."""
 
 from .hdarray import HyperDualArray, scalar_sign
-from .mesh import BoundaryData, Mesh, generate_crossed_mesh
+from .mesh import Mesh, generate_crossed_mesh
 from .levelset import (Perturbation, classify_nodes, interface_segments,
                        perturb, subdomain_area, symmetric_difference_area)
 from .fem import (AssembledSystem, ProblemParams, assemble, objective,
@@ -18,7 +18,7 @@ from .problems import default_params, experiment_mesh, interpolate_target, setup
 
 __all__ = [
     "HyperDualArray", "scalar_sign",
-    "BoundaryData", "Mesh", "generate_crossed_mesh",
+    "Mesh", "generate_crossed_mesh",
     "Perturbation", "classify_nodes", "interface_segments",
     "perturb", "subdomain_area", "symmetric_difference_area",
     "AssembledSystem", "ProblemParams", "assemble", "objective",

@@ -5,10 +5,11 @@
 ``tsopt mesh-info``  print node, element and Dirichlet node counts for a
                     mesh level
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (any
-``ArithmeticError``: a solver breakdown, a degenerate cut, denominator or
-angle, a singular element, a hyper-dual division by zero), 1 criterion not
-met (verification tolerance or cost-reduction target).
+Exit codes: 0 success, 2 invalid configuration (an unusable ``--output``
+directory included), 3 numerical failure (any ``ArithmeticError``: a
+solver breakdown, a degenerate cut, denominator or angle, a singular
+element, a hyper-dual division by zero), 1 criterion not met (verification
+tolerance or cost-reduction target).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
     methods = [args.method] if args.method else ["fd", "cs", "hd"]
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     reports = {}
     for method in methods:
         steps = cfg.verify[f"{method}_steps"]
@@ -134,6 +134,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        # before any work, so an unusable directory is a configuration error
+        Path(args.output).mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

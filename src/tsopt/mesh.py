@@ -3,19 +3,21 @@
 Each of the ``n x n`` grid squares is split into four triangles by its
 center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 
-A mesh is nodes, elements, Dirichlet nodes and the values there (see
-:func:`tag_boundary`).  Everything derived from them (element geometry, the
-scatter map of every P1 matrix and its reduced blocks with their band
-ordering, the local matrices of uncut elements per material, the one-rings
-the classification and the smoothing need) is computed on first use and
-cached on the mesh instance, so a new mesh never sees another mesh's data.
+A mesh is nodes, elements, Dirichlet nodes and the values there, made and
+checked by :class:`Mesh` alone; :func:`tag_boundary` picks the Dirichlet
+nodes and values by two functions of the coordinates.  Everything derived
+from them (element geometry, the scatter map of every P1 matrix and its
+reduced blocks with their band ordering, the local matrices of uncut
+elements per material, the one-rings the classification and the smoothing
+need) is computed on first use and cached on the mesh instance, so a new
+mesh never sees another mesh's data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +26,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 __all__ = [
     "Mesh",
     "BandLayout",
-    "BoundaryData",
     "ElementGeometry",
     "ReducedIndex",
     "ScatterBlock",
@@ -38,16 +39,6 @@ __all__ = [
 
 class SingularElement(ArithmeticError):
     """Element with non-positive Jacobian determinant."""
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Dirichlet value function on the selected part of the boundary.  The
-    rest of the boundary carries homogeneous Neumann data, the natural
-    condition of the weak form, which needs no assembly."""
-
-    g_d: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    is_dirichlet: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -174,15 +165,64 @@ def band_layout(indptr, indices) -> BandLayout:
                       lower_slot=lower_slot)
 
 
-@dataclass(frozen=True)
+def _node_ids(ids, num_nodes: int, name: str) -> np.ndarray:
+    """``ids`` as an int array, checked to hold node ids in
+    ``[0, num_nodes)``."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer node ids, not {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
+        raise ValueError(f"{name} must be node ids in [0, {num_nodes})")
+    return ids.astype(int, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable triangulation: node coordinates, CCW vertex triples, the
-    Dirichlet node ids and the prescribed values at them."""
+    Dirichlet node ids and the prescribed values at them.  The rest of the
+    boundary carries homogeneous Neumann data, the natural condition of the
+    weak form, which needs no assembly.
 
-    nodes: np.ndarray           # (M, 2) float
-    elements: np.ndarray        # (N, 3) int, CCW
-    dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    This is the one mesh constructor and the one place its arrays are
+    checked (element orientation is checked by :attr:`geometry`).  It takes
+    any sequences and stores ``nodes`` as a float ``(M, 2)``
+    array, ``elements`` as an int ``(N, 3)`` array of node ids,
+    ``dirichlet_nodes`` as an int ``(k,)`` array of distinct node ids and
+    ``dirichlet_values`` as a read-only float ``(k,)`` copy; any other
+    input, or a non-finite coordinate or value, raises ``ValueError``.  A
+    mesh owns caches, so it compares and hashes by identity."""
+
+    nodes: np.ndarray
+    elements: np.ndarray
+    dirichlet_nodes: np.ndarray = ()
+    dirichlet_values: np.ndarray = ()
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValueError(f"nodes must have shape (M, 2), not {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise ValueError("node coordinates must be finite")
+        elements = _node_ids(self.elements, len(nodes), "elements")
+        if elements.ndim != 2 or elements.shape[1] != 3:
+            raise ValueError(
+                f"elements must have shape (N, 3), not {elements.shape}")
+        fixed = _node_ids(self.dirichlet_nodes, len(nodes), "dirichlet_nodes")
+        if fixed.ndim != 1 or len(np.unique(fixed)) != len(fixed):
+            raise ValueError("dirichlet_nodes must be a 1-D array of "
+                             "distinct node ids")
+        values = np.array(self.dirichlet_values, dtype=float)
+        if values.shape != fixed.shape:
+            raise ValueError(f"need one value per Dirichlet node: "
+                             f"{len(fixed)} nodes, values of shape "
+                             f"{values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("Dirichlet values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "dirichlet_nodes", fixed)
+        object.__setattr__(self, "dirichlet_values", values)
 
     @property
     def num_nodes(self) -> int:
@@ -308,8 +348,9 @@ def build_incidence(elements: np.ndarray, num_nodes: int):
     return indptr, indices
 
 
-def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
-    """Crossed mesh of ``[0,1]^2`` with ``n`` squares per side.
+def generate_crossed_mesh(n: int) -> Mesh:
+    """Crossed mesh of ``[0,1]^2`` with ``n`` squares per side, without
+    Dirichlet nodes (see :func:`tag_boundary`).
 
     Nodes are numbered lattice points first (row-major, bottom to top),
     then cell centers (row-major), so output is deterministic.
@@ -336,24 +377,22 @@ def generate_crossed_mesh(n: int, boundary: BoundaryData | None = None) -> Mesh:
         np.column_stack([c11, c01, c]),   # top
         np.column_stack([c01, c00, c]),   # left
     ], axis=1).reshape(-1, 3)
-
-    mesh = Mesh(nodes=nodes, elements=elements)
-    if boundary is not None:
-        mesh = tag_boundary(mesh, boundary)
-    return mesh
+    return Mesh(nodes, elements)
 
 
-def tag_boundary(mesh: Mesh, boundary: BoundaryData) -> Mesh:
-    """Tag the nodes where ``boundary`` prescribes Dirichlet data and store
-    its values there, evaluated once (a read-only float array)."""
+def tag_boundary(mesh: Mesh,
+                 is_dirichlet: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 g_d: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Mesh:
+    """``mesh`` with the Dirichlet nodes where ``is_dirichlet(x, y)`` holds
+    and the values ``g_d(x, y)`` there, in place of any it had.
+
+    Each function is called once, on coordinate arrays: ``is_dirichlet``
+    must give one ``bool`` per node and ``g_d`` one value per tagged node,
+    or ``ValueError`` is raised."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    tagged = np.flatnonzero(boundary.is_dirichlet(x, y))
-    values = np.array(boundary.g_d(x[tagged], y[tagged]), dtype=float)
-    values.flags.writeable = False
-    return replace(mesh, dirichlet_nodes=tagged, dirichlet_values=values)
-
-
-def mesh_from_arrays(nodes: Sequence, elements: Sequence) -> Mesh:
-    """Build a mesh from raw node/element arrays."""
-    return Mesh(nodes=np.asarray(nodes, dtype=float),
-                elements=np.asarray(elements, dtype=int))
+    tagged = np.asarray(is_dirichlet(x, y))
+    if tagged.dtype != bool or tagged.shape != x.shape:
+        raise ValueError(f"is_dirichlet must give one bool per node, not "
+                         f"{tagged.dtype} of shape {tagged.shape}")
+    tagged = np.flatnonzero(tagged)
+    return Mesh(mesh.nodes, mesh.elements, tagged, g_d(x[tagged], y[tagged]))

@@ -1,7 +1,8 @@
 """The two-circle tracking benchmark.
 
 Reaction-diffusion tracking problem on the unit square: Dirichlet data
-``u = y`` on top and bottom, homogeneous Neumann on the sides, and a target
+``u = y`` on top and bottom (:func:`on_top_or_bottom`, stored on the mesh by
+:func:`experiment_mesh`), homogeneous Neumann on the sides, and a target
 state manufactured from a two-circle design, so the optimum is known by
 construction.
 """
@@ -13,12 +14,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .fem import ProblemParams, assemble, solve_state
-from .mesh import BoundaryData, Mesh, generate_crossed_mesh
+from .mesh import Mesh, generate_crossed_mesh, tag_boundary
 
 __all__ = [
     "PROBLEM_DEFAULTS",
     "default_params",
-    "experiment_boundary",
+    "on_top_or_bottom",
     "target_level_set",
     "interpolate_target",
     "experiment_mesh",
@@ -37,13 +38,10 @@ PROBLEM_DEFAULTS = MappingProxyType({
 })
 
 
-def experiment_boundary() -> BoundaryData:
-    """``u = y`` where y is 0 or 1, zero flux on the vertical sides."""
-    return BoundaryData(
-        g_d=lambda x, y: y,
-        is_dirichlet=lambda x, y: (np.abs(y) < _BOUNDARY_TOL)
-        | (np.abs(y - 1.0) < _BOUNDARY_TOL),
-    )
+def on_top_or_bottom(x, y) -> np.ndarray:
+    """Whether each point lies on the bottom (y = 0) or top (y = 1) side:
+    the Dirichlet part of the boundary."""
+    return (np.abs(y) < _BOUNDARY_TOL) | (np.abs(y - 1.0) < _BOUNDARY_TOL)
 
 
 def default_params(**overrides) -> ProblemParams:
@@ -65,7 +63,10 @@ def interpolate_target(mesh: Mesh) -> np.ndarray:
 
 
 def experiment_mesh(n: int) -> Mesh:
-    return generate_crossed_mesh(n, boundary=experiment_boundary())
+    """Crossed mesh with ``n`` squares per side, tagged with ``u = y`` on
+    the top and bottom sides."""
+    return tag_boundary(generate_crossed_mesh(n), on_top_or_bottom,
+                        lambda x, y: y)
 
 
 def setup_problem(mesh: Mesh, uhat: str = "target",

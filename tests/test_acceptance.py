@@ -162,8 +162,8 @@ def test_criterion_5_cut_rate_oracles():
 
 def area_derivative_reference(vals):
     """Single-element signed area rate via the public per-node routine."""
-    from tsopt.mesh import mesh_from_arrays
-    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    from tsopt.mesh import Mesh
+    mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     phi = np.array(vals, dtype=float)
     return area_derivative(mesh, phi, 0).total
 

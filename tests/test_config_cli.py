@@ -160,6 +160,24 @@ def test_invalid_optimizer_setting_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_unusable_output_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                 capsys, command, below):
+    def no_work(level):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr(importlib.import_module("tsopt.cli"),
+                        "experiment_mesh", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main([command, "--mesh-level", "2", "--output",
+                 str(taken / below)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 # (command, config, --mesh-level)
 WRONG_VALUES = [
     ("optimize", {"problem": {"lambda1": "1.0"}}, "2"),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsopt.fem import assemble, objective, solve_adjoint, solve_state
+from tsopt.hdarray import sign_array
 from tsopt.levelset import classify_nodes
 from tsopt.optimize import smooth
 from tsopt.problems import experiment_mesh, setup_problem
@@ -82,3 +83,59 @@ def test_degenerate_designs_end_finite_or_typed(design):
         return fld
 
     _typed(evaluation)
+
+
+def _plus(phi):
+    return sign_array(phi) >= 0
+
+
+@st.composite
+def _zero_free_designs(draw):
+    mesh = _problem(draw(st.integers(1, 5)))[0]
+    if draw(st.booleans()):
+        values = st.sampled_from([v for v in _SPECIAL if v != 0.0])
+    else:   # 0.0 and -0.0 become 1.0
+        values = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v or 1.0)
+    m = mesh.num_nodes
+    psi = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    if draw(st.booleans()):          # two one-signed halves: interior nodes
+        cut = draw(st.floats(0.0, 1.0))
+        psi = np.where(mesh.nodes[:, 0] < cut, -1.0, 1.0) * np.abs(psi)
+    return mesh, psi
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(_zero_free_designs())
+def test_smoothing_keeps_the_signs_of_a_zero_free_design(design):
+    # an interior node averages a ring of one strict sign, whose mean keeps
+    # that sign (at least the smallest subnormal in size), so the
+    # optimizer's candidates keep the labels and plus bits of their psi
+    mesh, psi = design
+    smoothed = smooth(mesh, psi)
+    assert np.array_equal(_plus(smoothed), _plus(psi))
+    assert np.array_equal(classify_nodes(mesh, smoothed),
+                          classify_nodes(mesh, psi))
+
+
+def test_smoothing_moves_an_exact_zero_with_a_nonpositive_ring_below_zero():
+    mesh = experiment_mesh(2)
+    psi = np.zeros(mesh.num_nodes)
+    psi[9], psi[8] = -1.0, 1.0       # a negative and a positive node
+    labels = classify_nodes(mesh, psi)
+    smoothed = smooth(mesh, psi)
+    moved = np.flatnonzero(_plus(smoothed) != _plus(psi))
+    assert moved.tolist() == [0, 1, 3, 4]
+    assert (psi[moved] == 0.0).all() and (labels[moved] == -1).all()
+    assert (smoothed[moved] < 0.0).all()
+    assert not np.array_equal(classify_nodes(mesh, smoothed), labels)
+
+
+def test_smoothing_underflows_a_negative_subnormal_to_negative_zero():
+    mesh = experiment_mesh(2)
+    psi = np.zeros(mesh.num_nodes)
+    psi[4], psi[0] = -5e-324, 1.0    # node 4's ring: zeros and itself
+    smoothed = smooth(mesh, psi)
+    assert smoothed[4] == 0.0 and np.signbit(smoothed[4])
+    assert np.flatnonzero(_plus(smoothed) != _plus(psi)).tolist() == [4]
+    assert not np.array_equal(classify_nodes(mesh, smoothed),
+                              classify_nodes(mesh, psi))

@@ -10,13 +10,12 @@ from tsopt.fem import (_scatter_matrix, _scatter_vector, assemble,
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
                             Perturbation, element_negative_integrals, perturb)
-from tsopt.mesh import (BoundaryData, generate_crossed_mesh, mesh_from_arrays,
-                        tag_boundary)
-from tsopt.problems import (default_params, experiment_boundary,
-                            experiment_mesh, interpolate_target,
+from tsopt.mesh import Mesh, tag_boundary
+from tsopt.problems import (default_params, experiment_mesh,
+                            interpolate_target, on_top_or_bottom,
                             setup_problem)
 
-REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_reference_triangle_gradient_products():
@@ -32,7 +31,7 @@ def test_gradient_product_row_sums_vanish(mesh8):
 
 
 def test_geometry_is_translation_invariant():
-    shifted = mesh_from_arrays([(5, 3), (6, 3), (5, 4)], [(0, 1, 2)])
+    shifted = Mesh([(5, 3), (6, 3), (5, 4)], [(0, 1, 2)])
     a = element_geometry(REF)
     b = element_geometry(shifted)
     assert np.allclose(a.k0, b.k0)
@@ -40,7 +39,7 @@ def test_geometry_is_translation_invariant():
 
 
 def test_inverted_element_rejected():
-    bad = mesh_from_arrays([(0, 0), (0, 1), (1, 0)], [(0, 1, 2)])
+    bad = Mesh([(0, 0), (0, 1), (1, 0)], [(0, 1, 2)])
     with pytest.raises(SingularElement):
         element_geometry(bad)
 
@@ -146,7 +145,7 @@ def test_adjoint_vanishes_without_tracking_weight(mesh8, phi_d8):
 
 
 def test_dense_cross_check_on_smallest_mesh():
-    mesh = generate_crossed_mesh(1, boundary=experiment_boundary())
+    mesh = experiment_mesh(1)
     params = setup_problem(mesh, uhat="zero")
     system = assemble(mesh, np.array([-1.0, 1.0, 1.0, -1.0, 0.25]), params)
     dense = system.matrix.toarray()
@@ -399,13 +398,14 @@ def test_cut_local_assembly_equals_the_full_element_body(
     outcomes = set()
     # a second material, on a mesh with Dirichlet values that make the order
     # of the coupling sums matter
-    rough = BoundaryData(g_d=lambda x, y: np.exp(3.1 * x) * (0.3 + y),
-                         is_dirichlet=experiment_boundary().is_dirichlet)
+    def rough(x, y):
+        return np.exp(3.1 * x) * (0.3 + y)
+
     second = default_params(lambda1=2.5, lambda2=0.3, alpha1=0.05,
                             alpha2=1.7, atilde1=0.0, atilde2=2.0, f1=-1.0,
                             f2=3.0)
     for n in (1, 2, 4, 8, 16, 32):
-        mesh = tag_boundary(experiment_mesh(n), rough)
+        mesh = tag_boundary(experiment_mesh(n), on_top_or_bottom, rough)
         m = mesh.num_nodes
         designs = [np.ones(m), -np.ones(m)]
         for _ in range(4):

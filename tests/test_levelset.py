@@ -12,10 +12,10 @@ from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
                             classify_nodes, element_negative_integrals,
                             interface_segments, negative_region_integrals,
                             perturb, subdomain_area, symmetric_difference_area)
-from tsopt.mesh import generate_crossed_mesh, mesh_from_arrays
+from tsopt.mesh import Mesh, generate_crossed_mesh
 from tsopt.sensitivity import area_derivative
 
-REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_uniform_classification(mesh8):
@@ -60,7 +60,7 @@ def test_classification_equals_element_loop(n, rng):
         assert np.array_equal(classify_nodes(mesh, phi),
                               _labels_by_element_loop(mesh, phi))
     # a node outside every element has only itself in its ring
-    loose = mesh_from_arrays([(0, 0), (1, 0), (0, 1), (2, 2)], [(0, 1, 2)])
+    loose = Mesh([(0, 0), (1, 0), (0, 1), (2, 2)], [(0, 1, 2)])
     phi = np.array([1.0, -1.0, 0.0, -2.0])
     assert np.array_equal(classify_nodes(loose, phi),
                           _labels_by_element_loop(loose, phi))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tsopt.mesh import (BoundaryData, build_incidence, generate_crossed_mesh,
-                        mesh_from_arrays, tag_boundary)
-from tsopt.problems import experiment_boundary, experiment_mesh
+from tsopt.mesh import Mesh, build_incidence, generate_crossed_mesh, tag_boundary
+from tsopt.problems import experiment_mesh, on_top_or_bottom
 from tsopt.vtkio import write_vtk
 
 
@@ -64,17 +63,18 @@ def test_boundary_tags():
 
 
 def test_dirichlet_value_function():
-    g_d = experiment_boundary().g_d
-    assert g_d(0.5, 1.0) == 1.0
-    assert g_d(0.25, 0.0) == 0.0
+    for n in (1, 8):
+        mesh = experiment_mesh(n)
+        y = mesh.nodes[mesh.dirichlet_nodes, 1]
+        assert np.array_equal(mesh.dirichlet_values, y)
+        assert set(y.tolist()) == {0.0, 1.0}
 
 
 def test_tag_boundary_stores_the_values_at_the_tagged_nodes():
     mesh = generate_crossed_mesh(4)
     assert mesh.dirichlet_nodes.size == mesh.dirichlet_values.size == 0
-    boundary = BoundaryData(g_d=lambda x, y: 2 * x + 3 * y,
-                            is_dirichlet=lambda x, y: x < 0.3)
-    tagged = tag_boundary(mesh, boundary)
+    tagged = tag_boundary(mesh, lambda x, y: x < 0.3,
+                          lambda x, y: 2 * x + 3 * y)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     assert tagged.dirichlet_nodes.tolist() == np.flatnonzero(x < 0.3).tolist()
     values = tagged.dirichlet_values
@@ -115,9 +115,76 @@ def test_incidence_equals_per_node_loops(n):
 
 
 def test_custom_mesh_builder():
-    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.num_elements == 1
     assert mesh.geometry.det_j[0] == pytest.approx(1.0)
+    assert mesh.nodes.dtype == float and mesh.nodes.shape == (3, 2)
+    assert mesh.elements.dtype == int and mesh.elements.shape == (1, 3)
+    assert mesh.dirichlet_nodes.dtype == int
+    assert mesh.dirichlet_nodes.shape == mesh.dirichlet_values.shape == (0,)
+    values = np.array([1.0, 2.0])
+    tagged = Mesh(mesh.nodes, mesh.elements, (2, 0), values)
+    assert tagged.dirichlet_nodes.tolist() == [2, 0]
+    assert tagged.dirichlet_values.dtype == float
+    assert not tagged.dirichlet_values.flags.writeable
+    values[0] = 5
+    assert tagged.dirichlet_values.tolist() == [1.0, 2.0]
+
+
+_LEVEL2 = generate_crossed_mesh(2)   # 13 nodes
+_NODES, _ELEMENTS = _LEVEL2.nodes, _LEVEL2.elements
+_OUT_OF_RANGE = r"node ids in \[0, 13\)"
+
+_MALFORMED = {
+    "nodes without values": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0, 1, 2]), "one value per"),
+    "values without nodes": (
+        lambda: Mesh(_NODES, _ELEMENTS, dirichlet_values=[0, 1]),
+        "one value per"),
+    "negative node id": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0, -1], [0, 1]), _OUT_OF_RANGE),
+    "repeated node id": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0, 1, 1], [0, 5, 7]), "distinct"),
+    "node id out of range": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0, 99], [0, 1]), _OUT_OF_RANGE),
+    "float node ids": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0.0, 1.0], [0, 1]),
+        "integer node ids"),
+    "NaN value": (
+        lambda: Mesh(_NODES, _ELEMENTS, [0, 1], [0.0, np.nan]), "finite"),
+    "nodes with 3 columns": (
+        lambda: Mesh(np.ones((13, 3)), _ELEMENTS), r"shape \(M, 2\)"),
+    "NaN coordinate": (
+        lambda: Mesh(np.where(_NODES == 0.5, np.nan, _NODES), _ELEMENTS),
+        "finite"),
+    "element id out of range": (
+        lambda: Mesh(_NODES, np.where(_ELEMENTS == 12, 99, _ELEMENTS)),
+        _OUT_OF_RANGE),
+    "float element ids": (
+        lambda: Mesh(_NODES, _ELEMENTS * 1.0), "integer node ids"),
+    "is_dirichlet gives floats": (
+        lambda: tag_boundary(Mesh(_NODES, _ELEMENTS),
+                             lambda x, y: 1.0 * on_top_or_bottom(x, y),
+                             lambda x, y: y), "one bool per node"),
+    "g_d gives a scalar": (
+        lambda: tag_boundary(Mesh(_NODES, _ELEMENTS), on_top_or_bottom,
+                             lambda x, y: 0.0), "one value per"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_mesh_raises_where_it_is_made(case):
+    make, message = _MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_meshes_compare_and_hash_by_identity():
+    a, b = experiment_mesh(2), experiment_mesh(2)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    by_mesh = {a: "a", b: "b"}
+    assert len(by_mesh) == 2 and by_mesh[a] == "a" and by_mesh[b] == "b"
 
 
 def test_vtk_export_round_trip(tmp_path, mesh8, phi_d8):

@@ -6,7 +6,7 @@ from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (Perturbation, classify_nodes,
                             element_negative_integrals, perturb,
                             subdomain_area)
-from tsopt.mesh import mesh_from_arrays
+from tsopt.mesh import Mesh
 from tsopt.problems import default_params, experiment_mesh
 from tsopt.sensitivity import (DegenerateDenominator, area_derivative,
                                continuous_sd_discretized, cut_matrices,
@@ -14,7 +14,7 @@ from tsopt.sensitivity import (DegenerateDenominator, area_derivative,
                                volume_derivative)
 from tsopt.verify import analytic_field, hd_derivative
 
-REF = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_interior_negative_single_element_rate():
@@ -54,7 +54,7 @@ def test_interior_rate_requires_nonzero_neighbors():
 def test_per_node_views_ignore_a_degenerate_neighbor():
     # node 0 is interior with a zero neighbor, so its own rate is
     # degenerate; the views of the other nodes evaluate their own rates only
-    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1), (1, 1)],
+    mesh = Mesh([(0, 0), (1, 0), (0, 1), (1, 1)],
                             [(0, 1, 2), (1, 3, 2)])
     phi = np.array([-0.5, -1.0, 0.0, 1.0])
     labels = classify_nodes(mesh, phi)

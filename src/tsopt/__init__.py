@@ -2,7 +2,7 @@
 sensitivity, verified by finite-difference, complex-step and hyper-dual
 differentiation."""
 
-from .hdarray import HyperDualArray, scalar_sign
+from .hdarray import HyperDualArray
 from .mesh import Mesh, generate_crossed_mesh
 from .levelset import (Perturbation, classify_nodes, interface_segments,
                        perturb, subdomain_area, symmetric_difference_area)
@@ -17,7 +17,7 @@ from .optimize import OptimizerConfig, run as optimize
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
 
 __all__ = [
-    "HyperDualArray", "scalar_sign",
+    "HyperDualArray",
     "Mesh", "generate_crossed_mesh",
     "Perturbation", "classify_nodes", "interface_segments",
     "perturb", "subdomain_area", "symmetric_difference_area",

@@ -7,9 +7,9 @@
 
 Exit codes: 0 success, 2 invalid configuration (an unusable ``--output``
 directory included), 3 numerical failure (any ``ArithmeticError``: a
-solver breakdown, a degenerate cut, denominator or angle, a singular
-element, a hyper-dual division by zero), 1 criterion not met (verification
-tolerance or cost-reduction target).
+solver breakdown, a degenerate cut, denominator or angle, a hyper-dual
+division by zero), 1 criterion not met (verification tolerance or
+cost-reduction target).
 """
 
 from __future__ import annotations

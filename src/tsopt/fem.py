@@ -33,14 +33,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hdarray import HyperDualArray, HyperDualMatrix, generic_zeros
+from .hdarray import HyperDualArray, HyperDualMatrix, promote_like
 from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                        negative_region_integrals)
-from .mesh import ElementGeometry, Mesh, ScatterBlock, SingularElement
+from .mesh import ElementGeometry, Mesh, ScatterBlock
 
 __all__ = [
-    "SingularElement",
     "ProblemParams",
     "ElementGeometry",
     "AssembledSystem",
@@ -173,17 +172,12 @@ def _scatter_matrix(values, block: ScatterBlock):
     def csr(vals):
         matrix = copy.copy(block.pattern)
         matrix.data = _summed(vals.reshape(-1)[block.pos], block.slot,
-                              block.nnz)
+                              block.pattern.nnz)
         return matrix
 
     if isinstance(values, HyperDualArray):
         return HyperDualMatrix(*(csr(lane) for lane in values.lanes))
     return csr(values)
-
-
-def _scatter_vector(values, tris, num_nodes):
-    """Sum local (N,3) entries into a nodal vector of their scalar type."""
-    return _summed(values, tris.reshape(-1), num_nodes)
 
 
 def _local_matrices(params: ProblemParams, k0, dj, neg_frac, neg_mass,
@@ -249,18 +243,14 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     def merged(stacked, values):
         # uncut data by material along the last axis, in the scalar type of
         # the cut elements' ``values``, which replace it at ``cut``
-        base = np.where(full, stacked[1], stacked[0])
-        if isinstance(values, HyperDualArray):
-            base = HyperDualArray(base)
-        elif np.iscomplexobj(values):
-            base = base.astype(values.dtype)
+        base = promote_like(np.where(full, stacked[1], stacked[0]), values)
         base[..., cut] = values
         return base
 
     a_loc = merged(uncut.a, a_cut)
     f_loc = merged(uncut.f, f_cut)
     index = mesh.reduced_index
-    f_glob = _scatter_vector(f_loc.transpose(), mesh.elements, mesh.num_nodes)
+    f_glob = _summed(f_loc.transpose(), mesh.elements.ravel(), mesh.num_nodes)
     return AssembledSystem(
         matrix=_scatter_matrix(a_loc, index.ff),
         rhs=(f_glob[index.free]
@@ -278,7 +268,7 @@ def _apply_factor(system: AssembledSystem, rhs):
 
 def _embed(system: AssembledSystem, vec_free):
     """Nodal vector of ``vec_free`` on the free nodes, zero elsewhere."""
-    full = generic_zeros(system.mesh.num_nodes, like=vec_free)
+    full = promote_like(np.zeros(system.mesh.num_nodes), vec_free)
     full[system.mesh.reduced_index.free] = vec_free
     return full
 
@@ -301,7 +291,7 @@ def tracking_matvec(system: AssembledSystem, w):
     """Global product of the tracking mass matrix with a nodal vector."""
     tris = system.mesh.elements
     local = _element_matvec(system.mt_local, w[tris.T])
-    return _scatter_vector(local.transpose(), tris, system.mesh.num_nodes)
+    return _summed(local.transpose(), tris.ravel(), system.mesh.num_nodes)
 
 
 def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):

@@ -18,11 +18,11 @@ of the untied numbers.  The 0-d array is the hyper-dual scalar.
 
 NumPy float and complex arrays already satisfy the same small interface
 (elementwise arithmetic, indexing and ``sum``), so generic code is written
-once and runs on every scalar type.  The helper functions at the bottom
-dispatch on the representation: ``sign_array`` applies the lexicographic
-sign rule per entry, ``real_part`` extracts the real part, ``generic_zeros``
-allocates an array matching a prototype's scalar type.  Transcendental
-functions are used on real values only, in the optimizer.
+once and runs on every scalar type.  Two helpers at the bottom dispatch on
+the representation: ``promote_like`` is the one rule for the scalar type of
+a new array (hyper-dual, else complex, else float), and ``sign_array``
+applies the lexicographic sign rule per entry.  Transcendental functions
+are used on real values only, in the optimizer.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ __all__ = [
     "HyperDualArray",
     "HyperDualMatrix",
     "promote_like",
-    "generic_zeros",
-    "real_part",
-    "scalar_sign",
     "sign_array",
 ]
 
@@ -190,29 +187,14 @@ def _lanes(value):
     return NotImplemented
 
 
-def promote_like(phi: np.ndarray, eps) -> "np.ndarray | HyperDualArray":
-    """Copy of a real nodal array in the scalar representation of ``eps``."""
-    if isinstance(eps, HyperDualArray):
-        return HyperDualArray(np.array(phi, dtype=float))
-    if isinstance(eps, complex) and not isinstance(eps, float):
-        return np.array(phi, dtype=complex)
-    return np.array(phi, dtype=float)
-
-
-def generic_zeros(shape, like) -> "np.ndarray | HyperDualArray":
-    """Zero array of the given shape matching the scalar type of ``like``."""
+def promote_like(values, like) -> "np.ndarray | HyperDualArray":
+    """Real ``values`` in the scalar type of ``like``, a scalar or array:
+    hyper-dual, else complex, else float.  Float ``values`` are not copied."""
     if isinstance(like, HyperDualArray):
-        return HyperDualArray(np.zeros(shape))
-    return np.zeros(shape, dtype=np.asarray(like).dtype)
-
-
-def real_part(x):
-    """Real component of a generic scalar or array."""
-    if isinstance(x, HyperDualArray):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return np.real(x) if isinstance(x, np.ndarray) else x
+        return HyperDualArray(values)
+    if np.iscomplexobj(like):
+        return np.asarray(values, dtype=complex)
+    return np.asarray(values, dtype=float)
 
 
 def sign_array(x) -> np.ndarray:
@@ -234,8 +216,3 @@ def sign_array(x) -> np.ndarray:
         part = (p > 0.0).view(np.int8) - (p < 0.0).view(np.int8)
         sign = part if sign is None else np.where(sign == 0, part, sign)
     return sign
-
-
-def scalar_sign(x: GenericScalar) -> int:
-    """:func:`sign_array` of a single generic scalar, as an int."""
-    return int(sign_array(x))

@@ -48,18 +48,19 @@ class _BandFactor(NamedTuple):
 
 def band_storage(matrix, band) -> np.ndarray:
     """``P A P^T`` of a CSR matrix on the ``band`` pattern, in the zeroed
-    LAPACK band storage its factorization takes: the lower storage of
-    :attr:`~tsopt.mesh.BandLayout.lower_shape` for real data, the LU
-    storage of :attr:`~tsopt.mesh.BandLayout.shape` for complex data."""
+    LAPACK band storage its factorization takes: the ``(width + 1, n)``
+    lower storage for real data, the ``(3 width + 1, n)`` LU storage for
+    complex data (see :class:`~tsopt.mesh.BandLayout`)."""
     data = matrix.data
     if len(data) != len(band.slot):
         raise ValueError("matrix pattern does not match the band layout")
     dtype = np.result_type(data, float)
+    n = len(band.perm)
     if dtype.kind == "c":
-        ab = np.zeros(band.shape, dtype=dtype, order="F")
+        ab = np.zeros((3 * band.width + 1, n), dtype=dtype, order="F")
         ab.reshape(-1, order="F")[band.slot] = data
     else:
-        ab = np.zeros(band.lower_shape, dtype=dtype, order="F")
+        ab = np.zeros((band.width + 1, n), dtype=dtype, order="F")
         ab.reshape(-1, order="F")[band.lower_slot] = data[band.lower]
     return ab
 

@@ -3,8 +3,11 @@
 A design domain is the region where a piecewise-linear nodal function is
 negative.  This module labels nodes by the signs on their one-ring, applies
 the single-node perturbation operators, and cuts the elements along the
-zero level.  All cut quantities are rational in the nodal values, so every
-function here accepts real, complex or hyper-dual input.
+zero level.  All cut quantities are rational in the nodal values, so the
+classification and the integrals accept real, complex or hyper-dual input.
+:func:`perturb` takes a real design and returns it in the scalar type of
+its step; the symmetric differences and the interface segments take real
+values.
 
 A cut element has one vertex whose sign differs from the other two, the
 lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
@@ -30,8 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hdarray import (GenericScalar, HyperDualArray, generic_zeros,
-                      promote_like, real_part, scalar_sign, sign_array)
+from .hdarray import GenericScalar, HyperDualArray, promote_like, sign_array
 from .mesh import Mesh
 
 __all__ = [
@@ -121,11 +123,9 @@ def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
 
 
 def perturb(phi, k: int, eps: GenericScalar, kind: Perturbation):
-    """New nodal vector with the value at node ``k`` perturbed by ``eps``.
-
-    Real input is promoted to the scalar type of ``eps``.
-    """
-    out = phi.copy() if isinstance(phi, HyperDualArray) else promote_like(phi, eps)
+    """New nodal vector with the value at node ``k`` of the real design
+    ``phi`` perturbed by ``eps``, in the scalar type of ``eps``."""
+    out = promote_like(np.array(phi, dtype=float), eps)
     if kind is Perturbation.SHAPE:
         out[k] = out[k] + eps
     elif kind is Perturbation.TOPO_PLUS:
@@ -180,14 +180,14 @@ def _cap_integrals(t, lone, pos):
     # bit, except that a sum from +0 turns a -0 part into +0, as adding 0.0
     # does.
     m = len(lone)
-    factors = generic_zeros((4, m), like=t)          # 1-tb, 1-tc, tb, tc
+    factors = promote_like(np.zeros((4, m)), t)      # 1-tb, 1-tc, tb, tc
     factors[:2] = 1.0 - t
     factors[2:] = t
     prod = factors[_LEFT] * factors[_RIGHT]
-    pair = generic_zeros((9, m), like=t)
+    pair = promote_like(np.zeros((9, m)), t)
     pair[0] = (1.0 + prod[0]) + prod[1]
     pair[_PAIR_ENTRIES] = prod[2:]
-    sums = generic_zeros((3, m), like=t)
+    sums = promote_like(np.zeros((3, m)), t)
     sums[0] = (1.0 + factors[0]) + factors[1]
     sums[1:] = t
     sums = sums + 0.0
@@ -195,7 +195,7 @@ def _cap_integrals(t, lone, pos):
     # rows: the cap's mass (9, flattened), load (3) and area (1); a '+'
     # lone vertex cuts off a positive cap, whose complement is the negative
     # part, a '-' one a negative cap
-    caps = generic_zeros((13, m), like=t)
+    caps = promote_like(np.zeros((13, m)), t)
     caps[:9] = ((pair + 0.0) + (sums[:, None] * sums[None, :]).reshape(9, m)) \
         * (cap_area * (1.0 / 12.0))
     caps[9:12] = sums * (cap_area * (1.0 / 3.0))
@@ -231,7 +231,7 @@ def element_negative_integrals(phi_triple):
     a length-3 list of generic scalars.  Serves as the differentiation
     target for derivative oracles.
     """
-    signs = [scalar_sign(p) for p in phi_triple]
+    signs = [int(sign_array(p)) for p in phi_triple]
     plus = [s >= 0 for s in signs]
     n_plus = sum(plus)
     if n_plus == 3:
@@ -268,7 +268,7 @@ def element_negative_integrals(phi_triple):
 def subdomain_area(mesh: Mesh, phi):
     """Exact area of the negative region, generic in the scalar type."""
     full, cut, frac, _, _ = negative_region_integrals(mesh, phi)
-    neg_frac = generic_zeros(mesh.num_elements, like=phi)
+    neg_frac = promote_like(np.zeros(mesh.num_elements), phi)
     neg_frac[full] = 0.5
     neg_frac[cut] = frac
     return (neg_frac * mesh.geometry.det_j).sum()
@@ -315,12 +315,13 @@ def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
 
 
 def interface_segments(mesh: Mesh, phi):
-    """Zero-level segments of the interpolant, one per cut element.
+    """Zero-level segments of the interpolant of the real nodal values
+    ``phi``, one per cut element.
 
     Returns a list of ``(element_index, (p0, p1))`` with endpoints on the
     element edges.  Degenerate (pointlike) intersections are skipped.
     """
-    phi = np.asarray(real_part(phi), dtype=float)
+    phi = np.asarray(phi, dtype=float)
     _, _, cut, _, abc, t = _lone_cuts(phi, mesh.elements)
     xa, xb, xc = mesh.nodes[abc]
     p0 = xa + t[0][:, None] * (xb - xa)

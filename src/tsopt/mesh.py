@@ -29,16 +29,11 @@ __all__ = [
     "ElementGeometry",
     "ReducedIndex",
     "ScatterBlock",
-    "SingularElement",
     "band_layout",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
 ]
-
-
-class SingularElement(ArithmeticError):
-    """Element with non-positive Jacobian determinant."""
 
 
 @dataclass(frozen=True)
@@ -60,18 +55,6 @@ class ScatterBlock:
     slot: np.ndarray
     pattern: sp.csr_matrix
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
-    @property
-    def nnz(self) -> int:
-        return len(self.pattern.indices)
-
 
 @dataclass(frozen=True)
 class BandLayout:
@@ -83,12 +66,12 @@ class BandLayout:
     factorizations take:
 
     * ``slot[s]`` is the flat position of CSR data slot ``s`` in the
-      :attr:`shape` array of banded LU (``zgbtrf``, for complex-symmetric
-      systems), where ``B[i, j]`` sits in row ``2 width + i - j`` of column
-      ``j``; the top ``width`` rows are room for the fill-in of row
-      pivoting.
+      ``(3 width + 1, n)`` array of banded LU (``zgbtrf``, for
+      complex-symmetric systems), where ``B[i, j]`` sits in row
+      ``2 width + i - j`` of column ``j``; the top ``width`` rows are room
+      for the fill-in of row pivoting.
     * ``lower`` lists the CSR data slots with ``i >= j`` and
-      ``lower_slot`` their flat positions in the :attr:`lower_shape` array
+      ``lower_slot`` their flat positions in the ``(width + 1, n)`` array
       of banded Cholesky in lower storage (``dpbtrf``, for real symmetric
       positive definite systems), where ``B[i, j]`` sits in row ``i - j``
       of column ``j``."""
@@ -99,23 +82,14 @@ class BandLayout:
     lower: np.ndarray
     lower_slot: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return (3 * self.width + 1, len(self.perm))
-
-    @property
-    def lower_shape(self) -> tuple:
-        return (self.width + 1, len(self.perm))
-
 
 @dataclass(frozen=True)
 class ReducedIndex:
-    """Free (non-Dirichlet) and fixed node ids, the free x free (``ff``)
-    and free x fixed (``fd``) blocks of the element-matrix scatter in the
-    reduced numbering, and the band layout of the ``ff`` pattern."""
+    """Free (non-Dirichlet) node ids, the free x free (``ff``) and free x
+    fixed (``fd``, columns in ``Mesh.dirichlet_nodes`` order) scatter
+    blocks in the reduced numbering, and the band layout of ``ff``."""
 
     free: np.ndarray
-    fixed: np.ndarray
     ff: ScatterBlock
     fd: ScatterBlock
     band: BandLayout
@@ -165,6 +139,15 @@ def band_layout(indptr, indices) -> BandLayout:
                       lower_slot=lower_slot)
 
 
+def _edges(nodes, elements):
+    """The edge vectors ``e1 = x1 - x0`` and ``e2 = x2 - x0`` of every
+    element and its Jacobian determinant, positive for a counter-clockwise
+    vertex triple."""
+    pts = np.take(nodes, elements.T, axis=0)    # (3, N, 2)
+    e1, e2 = pts[1:] - pts[0]
+    return e1, e2, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+
 def _node_ids(ids, num_nodes: int, name: str) -> np.ndarray:
     """``ids`` as an int array, checked to hold node ids in
     ``[0, num_nodes)``."""
@@ -184,9 +167,9 @@ class Mesh:
     weak form, which needs no assembly.
 
     This is the one mesh constructor and the one place its arrays are
-    checked (element orientation is checked by :attr:`geometry`).  It takes
-    any sequences and stores ``nodes`` as a float ``(M, 2)``
-    array, ``elements`` as an int ``(N, 3)`` array of node ids,
+    checked.  It takes any sequences and stores ``nodes`` as a float
+    ``(M, 2)`` array, ``elements`` as an int ``(N, 3)`` array of the node
+    ids of counter-clockwise triangles of positive area,
     ``dirichlet_nodes`` as an int ``(k,)`` array of distinct node ids and
     ``dirichlet_values`` as a read-only float ``(k,)`` copy; any other
     input, or a non-finite coordinate or value, raises ``ValueError``.  A
@@ -207,6 +190,9 @@ class Mesh:
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise ValueError(
                 f"elements must have shape (N, 3), not {elements.shape}")
+        if (_edges(nodes, elements)[2] <= 0.0).any():
+            raise ValueError("elements must be counter-clockwise vertex "
+                             "triples of positive area")
         fixed = _node_ids(self.dirichlet_nodes, len(nodes), "dirichlet_nodes")
         if fixed.ndim != 1 or len(np.unique(fixed)) != len(fixed):
             raise ValueError("dirichlet_nodes must be a 1-D array of "
@@ -236,12 +222,7 @@ class Mesh:
     def geometry(self) -> ElementGeometry:
         """Jacobian determinants, basis gradients and their pair products
         (read-only arrays)."""
-        pts = self.nodes[self.elements]
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        if np.any(det <= 0.0):
-            raise SingularElement("non-positive Jacobian determinant")
+        e1, e2, det = _edges(self.nodes, self.elements)
         grads = np.empty((len(det), 3, 2))
         grads[:, 1, 0] = e2[:, 1]
         grads[:, 1, 1] = -e2[:, 0]
@@ -282,8 +263,9 @@ class Mesh:
         """The :attr:`scatter` split at the Dirichlet nodes, with the band
         layout of the free x free block, built once."""
         m, scatter = self.num_nodes, self.scatter
-        rows = np.repeat(np.arange(m), np.diff(scatter.indptr))[scatter.slot]
-        cols = scatter.indices[scatter.slot]
+        pattern = scatter.pattern
+        rows = np.repeat(np.arange(m), np.diff(pattern.indptr))[scatter.slot]
+        cols = pattern.indices[scatter.slot]
         fixed = self.dirichlet_nodes
         is_free = np.ones(m, dtype=bool)
         is_free[fixed] = False
@@ -297,10 +279,9 @@ class Mesh:
                                   number[cols[keep]], (len(free), num_cols))
 
         ff = block(is_free[rows] & is_free[cols], len(free))
-        return ReducedIndex(free=free, fixed=fixed, ff=ff,
-                            fd=block(is_free[rows] & ~is_free[cols],
-                                     len(fixed)),
-                            band=band_layout(ff.indptr, ff.indices))
+        fd = block(is_free[rows] & ~is_free[cols], len(fixed))
+        band = band_layout(ff.pattern.indptr, ff.pattern.indices)
+        return ReducedIndex(free=free, ff=ff, fd=fd, band=band)
 
     @cached_property
     def uncut_locals(self) -> dict:

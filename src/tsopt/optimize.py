@@ -266,15 +266,20 @@ def run(mesh: Mesh, params: ProblemParams,
     """Run the descent loop; returns the history and the final level set.
 
     The default start is the empty design (constant positive level set,
-    normalized).  ``on_snapshot(mesh, phi, ev, iteration, final)`` (see
+    normalized); a ``phi0`` that is not a 1-D array of ``mesh.num_nodes``
+    finite values raises ``ValueError`` before any work.
+    ``on_snapshot(mesh, phi, ev, iteration, final)`` (see
     :func:`tsopt.vtkio.snapshot_writer`) is called every
     ``snapshot_cadence`` iterations and with ``final`` true at the end.  A
     caller-supplied ``history`` is filled in place, so partial progress
     survives a solver failure.
     """
-    m0 = unit_mass_matrix(mesh)
     phi = (np.ones(mesh.num_nodes) if phi0 is None
            else np.asarray(phi0, dtype=float))
+    if phi.shape != (mesh.num_nodes,) or not np.isfinite(phi).all():
+        raise ValueError(f"phi0 must be a 1-D array of {mesh.num_nodes} "
+                         f"finite values")
+    m0 = unit_mass_matrix(mesh)
     norm = l2_norm(m0, phi)
     if norm == 0.0:
         raise ValueError("initial level set has zero norm")

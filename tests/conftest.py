@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsopt.hdarray import generic_zeros
+from tsopt.hdarray import promote_like
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                             negative_region_integrals)
 from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
@@ -42,9 +42,9 @@ def _every_element_integrals(mesh, phi):
     # it is fully positive
     full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
     n = mesh.num_elements
-    neg_frac = generic_zeros(n, like=phi)
-    neg_mass = generic_zeros((n, 3, 3), like=phi)
-    neg_load = generic_zeros((n, 3), like=phi)
+    neg_frac = promote_like(np.zeros(n), phi)
+    neg_mass = promote_like(np.zeros((n, 3, 3)), phi)
+    neg_load = promote_like(np.zeros((n, 3)), phi)
     neg_frac[full] = 0.5
     neg_mass[full] = _FULL_MASS_REF
     neg_load[full] = _FULL_LOAD_REF

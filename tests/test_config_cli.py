@@ -12,7 +12,6 @@ from tsopt.fem import ProblemParams
 from tsopt.hdarray import DivisionByZeroRealPart
 from tsopt.ldlt import SolverBreakdown
 from tsopt.levelset import DegenerateCut
-from tsopt.mesh import SingularElement
 from tsopt.optimize import DegenerateAngle, run
 from tsopt.sensitivity import DegenerateDenominator
 from tsopt.config import ConfigError, RunConfig, load_config
@@ -362,7 +361,7 @@ def test_optimize_solver_failure_exits_3_with_partial_history(
 
 # every numerical failure the package raises is an ArithmeticError
 NUMERICAL_FAILURES = [SolverBreakdown, DegenerateCut, DegenerateDenominator,
-                      DegenerateAngle, SingularElement, DivisionByZeroRealPart]
+                      DegenerateAngle, DivisionByZeroRealPart]
 
 
 def _failing_on_call(real, failure, at):

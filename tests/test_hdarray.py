@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsopt.hdarray import (DivisionByZeroRealPart, HyperDualArray,
-                           generic_zeros, promote_like, real_part,
-                           scalar_sign, sign_array)
+                           promote_like, sign_array)
 
 
 def random_hda(rng, shape):
@@ -86,25 +85,28 @@ def test_sign_array_matches_scalar_rule(rng):
     signs = sign_array(a)
     for i in range(50):
         assert signs[i] == _first_nonzero_sign((a.re[i], a.e1[i], a.e12[i]))
-        assert signs[i] == scalar_sign(a[i])
+        assert signs[i] == int(sign_array(a[i]))
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
     z[::4] = 1j * z[::4].imag
     signs = sign_array(z)
     for i in range(20):
         assert signs[i] == _first_nonzero_sign((z[i].real, z[i].imag))
-        assert signs[i] == scalar_sign(complex(z[i]))
+        assert signs[i] == int(sign_array(complex(z[i])))
 
 
 def test_promote_and_zeros():
     phi = np.array([1.0, -2.0])
     assert promote_like(phi, 0.5).dtype == float
+    assert promote_like(phi, 0.5) is phi    # the real path makes no copy
     assert promote_like(phi, 1j).dtype == complex
     hd = promote_like(phi, HyperDualArray(0.0, 1.0))
     assert isinstance(hd, HyperDualArray)
-    z = generic_zeros((2, 2), like=hd)
+    z = promote_like(np.zeros((2, 2)), hd)
     assert isinstance(z, HyperDualArray) and z.shape == (2, 2)
-    assert generic_zeros(3, like=np.zeros(1, dtype=complex)).dtype == complex
-    assert real_part(hd) is hd.re
+    assert promote_like(np.zeros(3), np.zeros(1, dtype=complex)).dtype \
+        == complex
+    # an integer prototype is real: the result is float, not truncated
+    assert promote_like(np.zeros(3), np.arange(3)).dtype == float
 
 
 class FourLane:

@@ -77,7 +77,7 @@ def test_factorization_reconstructs_matrix():
                 expected[top + i - j, j] = b[i, j]
         ab = band_storage(a, band)
         assert ab.dtype == a.dtype and ab.flags.f_contiguous
-        assert ab.shape == (band.lower_shape if lower else band.shape)
+        assert ab.shape == ((w + 1, n) if lower else (3 * w + 1, n))
         assert np.array_equal(ab, expected)
         assert 0 < band.width < n - 1
     # the Cholesky factor of the real matrix multiplies back to P A P^T

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_negative_area
-from tsopt.hdarray import HyperDualArray, generic_zeros, sign_array
+from tsopt.hdarray import HyperDualArray, promote_like, sign_array
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
                             Perturbation, _checked_ratio, _lone_cuts,
                             classify_nodes, element_negative_integrals,
                             interface_segments, negative_region_integrals,
                             perturb, subdomain_area, symmetric_difference_area)
+from tsopt.fem import evaluate_cost
 from tsopt.mesh import Mesh, generate_crossed_mesh
+from tsopt.problems import experiment_mesh, setup_problem
 from tsopt.sensitivity import area_derivative
 
 REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -146,6 +148,34 @@ def test_reference_triangle_cut_area():
     assert area == pytest.approx(3.0 / 8.0, abs=1e-15)
 
 
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_integer_designs_equal_their_float_cast_bitwise(level, rng):
+    # an integer level set is a real design: each result is that of its
+    # float cast to the last bit, not one computed in integer arithmetic
+    assert _bits(subdomain_area(REF, np.array([-1, -1, -1]))) \
+        == _bits(np.float64(0.5))
+    assert _bits(subdomain_area(REF, np.array([1, -1, -1]))) \
+        == _bits(np.float64(0.375))
+    mesh = experiment_mesh(level)
+    params = setup_problem(mesh)
+    designs = [np.full(mesh.num_nodes, v) for v in (-1, 0, 1)]
+    designs += [rng.integers(-2, 3, mesh.num_nodes) for _ in range(6)]
+    for phi in designs:
+        cast = phi.astype(float)
+        assert _bits(subdomain_area(mesh, phi)) \
+            == _bits(subdomain_area(mesh, cast))
+        for got, want in zip(negative_region_integrals(mesh, phi),
+                             negative_region_integrals(mesh, cast)):
+            assert _bits(got) == _bits(want)
+        assert _bits(evaluate_cost(mesh, phi, params)[0]) \
+            == _bits(evaluate_cost(mesh, cast, params)[0])
+
+
 def test_complement_partition(mesh8, rng):
     for _ in range(5):
         phi = rng.uniform(-1, 1, mesh8.num_nodes)
@@ -190,9 +220,9 @@ def _integrals_by_lone_position(mesh, phi):
     plus = sign_array(phi)[mesh.elements] >= 0
     n_plus = plus.sum(axis=1)
     n = len(mesh.elements)
-    frac = generic_zeros(n, like=phi)
-    mass = generic_zeros((n, 3, 3), like=phi)
-    load = generic_zeros((n, 3), like=phi)
+    frac = promote_like(np.zeros(n), phi)
+    mass = promote_like(np.zeros((n, 3, 3)), phi)
+    load = promote_like(np.zeros((n, 3)), phi)
     full = np.flatnonzero(n_plus == 0)
     frac[full] = 0.5
     mass[full] = _FULL_MASS_REF
@@ -205,7 +235,7 @@ def _integrals_by_lone_position(mesh, phi):
         tb = _checked_ratio(pa, pa - pb)
         tc = _checked_ratio(pa, pa - pc)
         cap_area = tb * tc * 0.5
-        vals = generic_zeros((len(idx), 3, 3), like=phi)
+        vals = promote_like(np.zeros((len(idx), 3, 3)), phi)
         vals[:, a, 0] = 1.0
         vals[:, a, 1] = 1.0 - tb
         vals[:, a, 2] = 1.0 - tc

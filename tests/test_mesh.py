@@ -134,6 +134,7 @@ def test_custom_mesh_builder():
 _LEVEL2 = generate_crossed_mesh(2)   # 13 nodes
 _NODES, _ELEMENTS = _LEVEL2.nodes, _LEVEL2.elements
 _OUT_OF_RANGE = r"node ids in \[0, 13\)"
+_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 _MALFORMED = {
     "nodes without values": (
@@ -162,6 +163,10 @@ _MALFORMED = {
         _OUT_OF_RANGE),
     "float element ids": (
         lambda: Mesh(_NODES, _ELEMENTS * 1.0), "integer node ids"),
+    "repeated vertex": (
+        lambda: Mesh(_SQUARE, [(0, 1, 2), (1, 1, 3)]), "counter-clockwise"),
+    "clockwise element": (
+        lambda: Mesh(_SQUARE, [(0, 1, 2), (1, 2, 3)]), "counter-clockwise"),
     "is_dirichlet gives floats": (
         lambda: tag_boundary(Mesh(_NODES, _ELEMENTS),
                              lambda x, y: 1.0 * on_top_or_bottom(x, y),

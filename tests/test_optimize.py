@@ -190,6 +190,26 @@ def test_accepted_candidate_reuse_equals_fresh_evaluation(mesh8,
         phi, ev = best.phi, reused
 
 
+@pytest.mark.parametrize("case", ["one entry short", "NaN entry",
+                                  "inf entry"])
+def test_malformed_start_raises_before_any_work(case, monkeypatch):
+    mesh = experiment_mesh(2)
+    params = setup_problem(mesh)
+    phi0 = np.ones(mesh.num_nodes)
+    if case == "one entry short":
+        phi0 = phi0[1:]
+    else:
+        phi0[3] = np.nan if case == "NaN entry" else np.inf
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before phi0 was checked")
+
+    monkeypatch.setattr(optimize, "unit_mass_matrix", no_work)
+    monkeypatch.setattr(optimize, "evaluate_cost", no_work)
+    with pytest.raises(ValueError, match="phi0 must be"):
+        run(mesh, params, OptimizerConfig(max_iter=1), phi0=phi0)
+
+
 def test_run_stops_at_the_optimum(mesh8, params_target8, phi_d8):
     # starting at the target design, the descent field vanishes
     history, phi = run(mesh8, params_target8,

@@ -4,8 +4,8 @@ differentiation."""
 
 from .hdarray import HyperDualArray
 from .mesh import Mesh, generate_crossed_mesh
-from .levelset import (Perturbation, classify_nodes, interface_segments,
-                       perturb, subdomain_area, symmetric_difference_area)
+from .levelset import (classify_nodes, interface_segments, perturb,
+                       subdomain_area, symmetric_difference_area)
 from .fem import (AssembledSystem, ProblemParams, assemble, objective,
                   solve_adjoint, solve_state)
 from .sensitivity import (SensitivityField, area_derivative,
@@ -13,21 +13,21 @@ from .sensitivity import (SensitivityField, area_derivative,
                           generalized_derivative, ts_derivative,
                           volume_derivative)
 from .verify import run_verification
-from .optimize import OptimizerConfig, run as optimize
+from .optimize import OptimizerConfig
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
 
 __all__ = [
     "HyperDualArray",
     "Mesh", "generate_crossed_mesh",
-    "Perturbation", "classify_nodes", "interface_segments",
-    "perturb", "subdomain_area", "symmetric_difference_area",
+    "classify_nodes", "interface_segments", "perturb", "subdomain_area",
+    "symmetric_difference_area",
     "AssembledSystem", "ProblemParams", "assemble", "objective",
     "solve_adjoint", "solve_state",
     "SensitivityField", "area_derivative", "continuous_sd_discretized",
     "cut_matrices", "generalized_derivative", "ts_derivative",
     "volume_derivative",
     "run_verification",
-    "OptimizerConfig", "optimize",
+    "OptimizerConfig",
     "default_params", "experiment_mesh", "interpolate_target", "setup_problem",
 ]
 

@@ -1,13 +1,14 @@
 """Level-set geometry on a fixed triangle mesh.
 
 A design domain is the region where a piecewise-linear nodal function is
-negative.  This module labels nodes by the signs on their one-ring, applies
-the single-node perturbation operators, and cuts the elements along the
+negative.  This module labels nodes by the signs on their one-ring
+(``T_MINUS``, ``SHAPE`` or ``T_PLUS``), applies the single-node
+perturbation that a node's label picks, and cuts the elements along the
 zero level.  All cut quantities are rational in the nodal values, so the
 classification and the integrals accept real, complex or hyper-dual input.
 :func:`perturb` takes a real design and returns it in the scalar type of
 its step; the symmetric differences and the interface segments take real
-values.
+values.  Each of the three raises ``ValueError`` on a complex design.
 
 A cut element has one vertex whose sign differs from the other two, the
 lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
@@ -29,8 +30,6 @@ one-ring is zero is classified interior negative (checked first).
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .hdarray import GenericScalar, HyperDualArray, promote_like, sign_array
@@ -38,7 +37,9 @@ from .mesh import Mesh
 
 __all__ = [
     "DegenerateCut",
-    "Perturbation",
+    "T_MINUS",
+    "SHAPE",
+    "T_PLUS",
     "classify_nodes",
     "perturb",
     "element_negative_integrals",
@@ -83,25 +84,12 @@ class DegenerateCut(ArithmeticError):
     sign change)."""
 
 
-class Perturbation(Enum):
-    """Single-node level-set perturbation operators."""
-
-    TOPO_PLUS = "topo_plus"    # value at the node becomes +eps
-    TOPO_MINUS = "topo_minus"  # value at the node becomes -eps
-    SHAPE = "shape"            # value at the node is incremented by eps
-
-    @classmethod
-    def for_label(cls, label: int) -> "Perturbation":
-        if label == T_MINUS:
-            return cls.TOPO_PLUS
-        if label == T_PLUS:
-            return cls.TOPO_MINUS
-        return cls.SHAPE
-
-    @property
-    def order(self) -> int:
-        """Leading order of the induced area change (1 shape, 2 topological)."""
-        return 1 if self is Perturbation.SHAPE else 2
+def _real_design(phi) -> np.ndarray:
+    """``phi`` as a float array; a design is real, so a complex one raises
+    ``ValueError`` rather than losing its imaginary part."""
+    if np.iscomplexobj(phi):
+        raise ValueError("a design must be real, got complex values")
+    return np.asarray(phi, dtype=float)
 
 
 def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
@@ -122,16 +110,19 @@ def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
     return labels
 
 
-def perturb(phi, k: int, eps: GenericScalar, kind: Perturbation):
+def perturb(phi, k: int, eps: GenericScalar, label: int):
     """New nodal vector with the value at node ``k`` of the real design
-    ``phi`` perturbed by ``eps``, in the scalar type of ``eps``."""
-    out = promote_like(np.array(phi, dtype=float), eps)
-    if kind is Perturbation.SHAPE:
+    ``phi`` perturbed by ``eps``, in the scalar type of ``eps``.
+
+    The node's class ``label`` (see :func:`classify_nodes`) picks the
+    perturbation: an interface node (``SHAPE``) is shifted by ``eps``, a
+    negative interior node (``T_MINUS``) is set to ``eps`` and a positive
+    one (``T_PLUS``) to ``-eps``."""
+    out = promote_like(_real_design(phi).copy(), eps)
+    if label == SHAPE:
         out[k] = out[k] + eps
-    elif kind is Perturbation.TOPO_PLUS:
-        out[k] = eps
     else:
-        out[k] = -eps
+        out[k] = eps if label == T_MINUS else -eps
     return out
 
 
@@ -302,8 +293,8 @@ def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
     not lost to the rounding of ``0.5 - cap``.  Raises ``ValueError`` on a
     pair that is not nested.
     """
-    phi_a = np.asarray(phi_a, dtype=float)
-    phi_b = np.asarray(phi_b, dtype=float)
+    phi_a = _real_design(phi_a)
+    phi_b = _real_design(phi_b)
     step = phi_b - phi_a
     if (step > 0.0).any() and (step < 0.0).any():
         raise ValueError("the two level sets are not nested")
@@ -321,7 +312,7 @@ def interface_segments(mesh: Mesh, phi):
     Returns a list of ``(element_index, (p0, p1))`` with endpoints on the
     element edges.  Degenerate (pointlike) intersections are skipped.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _real_design(phi)
     _, _, cut, _, abc, t = _lone_cuts(phi, mesh.elements)
     xa, xb, xc = mesh.nodes[abc]
     p0 = xa + t[0][:, None] * (xb - xa)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .fem import (AssembledSystem, ProblemParams, _scatter_matrix,
                   evaluate_cost, solve_adjoint)
-from .levelset import _FULL_MASS_REF, classify_nodes
+from .levelset import _FULL_MASS_REF, _real_design, classify_nodes
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -267,7 +267,7 @@ def run(mesh: Mesh, params: ProblemParams,
 
     The default start is the empty design (constant positive level set,
     normalized); a ``phi0`` that is not a 1-D array of ``mesh.num_nodes``
-    finite values raises ``ValueError`` before any work.
+    finite real values raises ``ValueError`` before any work.
     ``on_snapshot(mesh, phi, ev, iteration, final)`` (see
     :func:`tsopt.vtkio.snapshot_writer`) is called every
     ``snapshot_cadence`` iterations and with ``final`` true at the end.  A
@@ -275,7 +275,7 @@ def run(mesh: Mesh, params: ProblemParams,
     survives a solver failure.
     """
     phi = (np.ones(mesh.num_nodes) if phi0 is None
-           else np.asarray(phi0, dtype=float))
+           else _real_design(phi0))
     if phi.shape != (mesh.num_nodes,) or not np.isfinite(phi).all():
         raise ValueError(f"phi0 must be a 1-D array of {mesh.num_nodes} "
                          f"finite values")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ProblemParams
-from .levelset import _ROTATIONS, Perturbation, _lone_cuts, classify_nodes
+from .levelset import SHAPE, _ROTATIONS, _lone_cuts, classify_nodes
 from .mesh import Mesh
 
 __all__ = [
@@ -263,11 +263,11 @@ def area_derivative(mesh: Mesh, phi, k: int,
     label = int(labels[k])
     ring, dka, cut, _, _ = _node_rates(mesh, np.asarray(phi, dtype=float),
                                        labels, k)
-    keep = cut if label == 0 else np.flatnonzero(mesh.elements[ring] == k)
+    keep = cut if label == SHAPE else np.flatnonzero(mesh.elements[ring] == k)
     values = dka[keep]
     # summed one element after another, as ts_derivative sums, so that
     # total_abs equals the field's dkatilde bit for bit
-    return AreaDerivative(node=k, order=Perturbation.for_label(label).order,
+    return AreaDerivative(node=k, order=1 if label == SHAPE else 2,
                           elements=ring[keep // 3], values=values,
                           total=float(sum(values, 0.0)),
                           total_abs=float(sum(np.abs(values), 0.0)))

@@ -10,6 +10,11 @@ re-solves at perturbed level sets:
   free for interface nodes;
 * hyper-dual evaluation, exact for any step size.
 
+Each node is perturbed as its class picks (:func:`tsopt.levelset.perturb`),
+and each estimator takes the first-order shape rate at an interface node
+(``label == SHAPE``) and the second-order topological rate at an interior
+node.
+
 Aggregated interface/interior error norms and log-log convergence slopes
 reproduce the characteristic behavior of the three schemes.
 """
@@ -25,7 +30,7 @@ import numpy as np
 from .fem import (ProblemParams, assemble, evaluate_cost, solve_adjoint,
                   solve_state)
 from .hdarray import HyperDualArray
-from .levelset import Perturbation, perturb, symmetric_difference_area
+from .levelset import SHAPE, perturb, symmetric_difference_area
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -107,11 +112,10 @@ def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
 
 def _perturbed_cost(mesh, phi, params, k, step, label):
     """Perturb node ``k`` of class ``label`` by ``step``, a number of the
-    scalar type to evaluate in; returns the perturbation kind, the
-    perturbed design and its cost."""
-    kind = Perturbation.for_label(label)
-    phi_step = perturb(np.asarray(phi, dtype=float), k, step, kind)
-    return kind, phi_step, evaluate_cost(mesh, phi_step, params)[0]
+    scalar type to evaluate in; returns the perturbed design and its
+    cost."""
+    phi_step = perturb(phi, k, step, label)
+    return phi_step, evaluate_cost(mesh, phi_step, params)[0]
 
 
 def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
@@ -122,7 +126,7 @@ def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
     ``label`` is the node's class and ``j0`` the unperturbed cost.
     """
     phi = np.asarray(phi, dtype=float)
-    _, phi_eps, j_eps = _perturbed_cost(mesh, phi, params, k, eps, label)
+    phi_eps, j_eps = _perturbed_cost(mesh, phi, params, k, eps, label)
     denom = symmetric_difference_area(mesh, phi, phi_eps)
     if denom == 0.0:
         raise ZeroDivisionError("perturbation produced no area change")
@@ -134,9 +138,8 @@ def cs_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
     """Complex-step estimate with the analytic symmetric-difference rate
     ``dkatilde`` of node ``k`` of class ``label``; ``j0`` is the
     unperturbed cost."""
-    kind, _, j_h = _perturbed_cost(mesh, phi, params, k, complex(0.0, h),
-                                   label)
-    if kind is Perturbation.SHAPE:
+    _, j_h = _perturbed_cost(mesh, phi, params, k, complex(0.0, h), label)
+    if label == SHAPE:
         return j_h.imag / (h * dkatilde)
     return (j_h.real - j0) / (-h * h * dkatilde)
 
@@ -147,9 +150,9 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 
     The seed ``h (E1 + E2)`` gives the shape estimate from the e1 lane and
     the topological one from the e12 lane."""
-    kind, _, j_h = _perturbed_cost(mesh, phi, params, k,
-                                   HyperDualArray(0.0, h, 0.0), label)
-    if kind is Perturbation.SHAPE:
+    _, j_h = _perturbed_cost(mesh, phi, params, k,
+                             HyperDualArray(0.0, h, 0.0), label)
+    if label == SHAPE:
         return j_h.e1 / (h * dkatilde)
     return j_h.e12 / (2.0 * h * h * dkatilde)
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tsopt import ldlt
+from tsopt import ldlt, optimize
 from tsopt.cli import main
 from tsopt.fem import ProblemParams
 from tsopt.hdarray import DivisionByZeroRealPart
@@ -381,9 +381,8 @@ def _failing_on_call(real, failure, at):
 def test_numerical_failure_in_optimize_exits_3_with_partial_history(
         tmp_path, monkeypatch, capsys, failure):
     # the sensitivity of the fourth evaluated design fails, mid-run
-    module = importlib.import_module("tsopt.optimize")
-    monkeypatch.setattr(module, "ts_derivative",
-                        _failing_on_call(module.ts_derivative, failure, 4))
+    monkeypatch.setattr(optimize, "ts_derivative",
+                        _failing_on_call(optimize.ts_derivative, failure, 4))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"optimize": {"max_iter": 25,
                                             "snapshot_cadence": 0}}))

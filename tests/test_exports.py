@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_no_root_export_shadows_a_submodule():
+    # a root export named like a submodule replaces it as the package
+    # attribute, so ``tsopt.<name>`` would not be the module
+    assert inspect.ismodule(tsopt.optimize)
+    submodules = {info.name for info in pkgutil.iter_modules(tsopt.__path__)}
+    assert not submodules & set(tsopt.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert any((tmp_path / "out").iterdir())
 
 
 def _bench_traced():

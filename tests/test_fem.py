@@ -6,8 +6,9 @@ from helpers import (exact_negative_load_entry, exact_negative_mass_entry)
 from tsopt.fem import (_scatter_matrix, _summed, assemble, element_geometry,
                        objective, solve_adjoint, solve_state, tracking_matvec)
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
-from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
-                            Perturbation, element_negative_integrals, perturb)
+from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
+                            T_PLUS, DegenerateCut, element_negative_integrals,
+                            perturb)
 from tsopt.mesh import Mesh, tag_boundary
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, on_top_or_bottom,
@@ -418,9 +419,9 @@ def test_cut_local_assembly_equals_the_full_element_body(
                 phi + 1j * rng.normal(size=m) * (some < 0.5),
                 HyperDualArray(phi, rng.normal(size=m) * (some < 0.3),
                                rng.normal(size=m)),
-                perturb(phi, k, seed, Perturbation.SHAPE),
-                perturb(phi, k, seed, Perturbation.TOPO_MINUS),
-                perturb(phi, k, complex(0.0, 1e-3), Perturbation.TOPO_PLUS),
+                perturb(phi, k, seed, SHAPE),
+                perturb(phi, k, seed, T_PLUS),
+                perturb(phi, k, complex(0.0, 1e-3), T_MINUS),
             ]
             for x in inputs:
                 for params in (default_params(), second):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import exact_negative_area
 from tsopt.hdarray import HyperDualArray, promote_like, sign_array
-from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, DegenerateCut,
-                            Perturbation, _checked_ratio, _lone_cuts,
+from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
+                            T_PLUS, DegenerateCut, _checked_ratio, _lone_cuts,
                             classify_nodes, element_negative_integrals,
                             interface_segments, negative_region_integrals,
                             perturb, subdomain_area, symmetric_difference_area)
 from tsopt.fem import evaluate_cost
 from tsopt.mesh import Mesh, generate_crossed_mesh
+from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, setup_problem
 from tsopt.sensitivity import area_derivative
 
@@ -103,14 +104,14 @@ def test_classification_equals_the_ring_group_loop(data):
 
 def test_perturbation_operators():
     phi = np.array([0.3, -0.7, 0.7])
-    shaped = perturb(phi, 0, 0.1, Perturbation.SHAPE)
+    shaped = perturb(phi, 0, 0.1, SHAPE)
     assert shaped[0] == pytest.approx(0.4) and shaped[1] == -0.7
-    popped = perturb(phi, 1, 0.01, Perturbation.TOPO_PLUS)
+    popped = perturb(phi, 1, 0.01, T_MINUS)
     assert popped[1] == 0.01
-    dropped = perturb(phi, 2, complex(0, 1e-3), Perturbation.TOPO_MINUS)
+    dropped = perturb(phi, 2, complex(0, 1e-3), T_PLUS)
     assert dropped[2] == complex(0, -1e-3)
     assert dropped.dtype == complex
-    hd = perturb(phi, 0, HyperDualArray(0.0, 1.0), Perturbation.SHAPE)
+    hd = perturb(phi, 0, HyperDualArray(0.0, 1.0), SHAPE)
     assert isinstance(hd, HyperDualArray)
     assert hd[0].re == pytest.approx(0.3) and hd[0].e1 == 1.0
     assert phi[0] == 0.3  # original untouched
@@ -132,7 +133,7 @@ def test_element_cut_classification():
              (HyperDualArray(0.0, 0.0, -1.0), False),
              (complex(0.0, 1e-6), True), (complex(0.0, -1e-6), False)]
     for eps, plus in seeds:
-        phi = perturb(base, 0, eps, Perturbation.TOPO_PLUS)
+        phi = perturb(base, 0, eps, T_MINUS)
         assert mask(phi) == [plus, False, True]
 
 
@@ -283,9 +284,9 @@ def test_integrals_equal_the_lone_position_loop_bitwise(
                 phi + 1j * rng.normal(size=m) * (some < 0.5),
                 HyperDualArray(phi, rng.normal(size=m) * (some < 0.3),
                                rng.normal(size=m)),
-                perturb(phi, k, seed, Perturbation.SHAPE),
-                perturb(phi, k, seed, Perturbation.TOPO_MINUS),
-                perturb(phi, k, complex(0.0, 1e-3), Perturbation.TOPO_PLUS),
+                perturb(phi, k, seed, SHAPE),
+                perturb(phi, k, seed, T_PLUS),
+                perturb(phi, k, complex(0.0, 1e-3), T_MINUS),
             ]
             for x in inputs:
                 try:
@@ -357,7 +358,7 @@ def test_symmetric_difference_matches_exact_rationals(mesh8, phi_d8):
     steps = [10.0 ** -(k / 2.0) for k in range(8, 16)] + [1e-8, 1e-9]
     worst = 0.0
     for k in range(mesh8.num_nodes):
-        kind = Perturbation.for_label(int(labels[k]))
+        kind = int(labels[k])
         ring = np.flatnonzero((tris == k).any(axis=1))
         for eps in steps:
             phi2 = perturb(phi_d8, k, eps, kind)
@@ -378,6 +379,21 @@ def test_symmetric_difference_rejects_a_pair_that_is_not_nested(mesh8,
         symmetric_difference_area(mesh8, phi_d8, other)
 
 
+@pytest.mark.parametrize("call", [
+    lambda mesh, a: run(mesh, setup_problem(mesh, uhat="target"),
+                        OptimizerConfig(max_iter=2), phi0=a),
+    lambda mesh, a: symmetric_difference_area(mesh, a, a + 0.1),
+    lambda mesh, a: interface_segments(mesh, a),
+    lambda mesh, a: perturb(a, 0, 0.1, SHAPE),
+], ids=["optimize.run", "symmetric_difference_area", "interface_segments",
+        "perturb"])
+def test_a_complex_design_is_rejected(call):
+    # a design is real: its imaginary part must not be dropped in silence
+    mesh = experiment_mesh(2)
+    with pytest.raises(ValueError, match="real"):
+        call(mesh, np.ones(mesh.num_nodes) + 1j)
+
+
 def test_symmetric_difference_basics(mesh8, phi_d8):
     assert symmetric_difference_area(mesh8, phi_d8, phi_d8) == 0.0
     mesh16 = generate_crossed_mesh(16)
@@ -392,7 +408,7 @@ def test_symmetric_difference_basics(mesh8, phi_d8):
 
 def test_nested_perturbation_matches_area_difference(mesh8, phi_d8):
     k = int(np.flatnonzero(classify_nodes(mesh8, phi_d8) == 0)[0])
-    phi2 = perturb(phi_d8, k, 1e-3, Perturbation.SHAPE)
+    phi2 = perturb(phi_d8, k, 1e-3, SHAPE)
     sym = symmetric_difference_area(mesh8, phi_d8, phi2)
     diff = abs(subdomain_area(mesh8, phi_d8) - subdomain_area(mesh8, phi2))
     assert sym == pytest.approx(diff, abs=1e-12)
@@ -405,7 +421,7 @@ def test_symdiff_rate_approaches_analytic_rate(mesh8, phi_d8):
         rate = area_derivative(mesh8, phi_d8, k, labels).total_abs
         errs = []
         for eps in (1e-3, 5e-4, 2.5e-4):
-            phi2 = perturb(phi_d8, k, eps, Perturbation.SHAPE)
+            phi2 = perturb(phi_d8, k, eps, SHAPE)
             errs.append(abs(symmetric_difference_area(mesh8, phi_d8, phi2) / eps
                             - rate))
         assert errs[0] < 0.15 * rate
@@ -417,9 +433,9 @@ def test_symdiff_rate_for_interior_nodes_scales_quadratically(mesh8, phi_d8):
     # the perturbation, with the analytic rate as the leading coefficient
     labels = classify_nodes(mesh8, phi_d8)
     for k, kind in ((int(np.flatnonzero(labels == -1)[0]),
-                     Perturbation.TOPO_PLUS),
+                     T_MINUS),
                     (int(np.flatnonzero(labels == 1)[7]),
-                     Perturbation.TOPO_MINUS)):
+                     T_PLUS)):
         rate = area_derivative(mesh8, phi_d8, k, labels).total_abs
         errs = []
         for eps in (1e-4, 5e-5):
@@ -458,7 +474,7 @@ def test_generic_area_linearizes_like_real(mesh8, phi_d8):
     labels = classify_nodes(mesh8, phi_d8)
     k = int(np.flatnonzero(labels == 0)[3])
     h = 1e-2
-    hd = perturb(phi_d8, k, HyperDualArray(0.0, h, 0.0), Perturbation.SHAPE)
+    hd = perturb(phi_d8, k, HyperDualArray(0.0, h, 0.0), SHAPE)
     area_hd = subdomain_area(mesh8, hd)
     # the linear part must match the signed area rate
     rate = area_derivative(mesh8, phi_d8, k, labels).total

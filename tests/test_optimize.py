@@ -1,4 +1,3 @@
-import importlib
 import math
 from types import SimpleNamespace
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tsopt import fem
+from tsopt import fem, optimize
 from tsopt.fem import assemble, evaluate_cost
 from tsopt.ldlt import SolverBreakdown
 from tsopt.levelset import classify_nodes
@@ -16,9 +15,6 @@ from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
                             slerp_frame, slerp_update, smooth,
                             unit_mass_matrix)
 from tsopt.problems import experiment_mesh, setup_problem
-
-# the module itself: the package exports its ``run`` under the same name
-optimize = importlib.import_module("tsopt.optimize")
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import pytest
 
 from tsopt.fem import assemble, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (Perturbation, classify_nodes,
+from tsopt.levelset import (SHAPE, T_MINUS, classify_nodes,
                             element_negative_integrals, perturb,
                             subdomain_area)
 from tsopt.mesh import Mesh
@@ -26,7 +26,7 @@ def test_interior_negative_single_element_rate():
     assert der.total_abs == pytest.approx(0.5)
     # oracle: change of the exact cut area per eps^2
     eps = 1e-4
-    popped = perturb(phi, 0, eps, Perturbation.TOPO_PLUS)
+    popped = perturb(phi, 0, eps, T_MINUS)
     delta = subdomain_area(REF, popped) - subdomain_area(REF, phi)
     assert delta / eps ** 2 == pytest.approx(der.total, rel=1e-3)
 
@@ -37,7 +37,7 @@ def test_interface_configuration_a_plus_rate():
     assert der.order == 1
     assert der.total == pytest.approx(-1.0 / 8.0)
     eps = 1e-6
-    shifted = perturb(phi, 0, eps, Perturbation.SHAPE)
+    shifted = perturb(phi, 0, eps, SHAPE)
     delta = subdomain_area(REF, shifted) - subdomain_area(REF, phi)
     assert delta / eps == pytest.approx(-1.0 / 8.0, rel=1e-5)
 

@@ -84,8 +84,9 @@ def _band_solve(factor: _BandFactor, b) -> np.ndarray:
     rhs = np.asarray(b)[band.perm]
     if factor.ipiv is None:
         y, _ = dpbtrs(factor.ab, rhs, lower=1, overwrite_b=1)
-    else:
-        y, _ = zgbtrs(factor.ab, band.width, band.width, rhs, factor.ipiv)
+    else:   # zgbtrs rejects a system without unknowns
+        y = zgbtrs(factor.ab, band.width, band.width, rhs,
+                   factor.ipiv)[0] if len(rhs) else rhs
     if not np.isfinite(y).all():
         raise SolverBreakdown("non-finite entry in the solution")
     x = np.empty_like(y)

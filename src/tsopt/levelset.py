@@ -14,12 +14,13 @@ A cut element has one vertex whose sign differs from the other two, the
 lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
 once, picks each cut element's lone vertex from its plus-bit pattern,
 rotates it first, keeping the CCW order, and finds where the zero level
-crosses the two edges from it; the exact integrals over the negative part,
-the interface segments and the symmetric differences are all views of it,
-and the closed-form sensitivity rates of :mod:`tsopt.sensitivity` read
-each cut element's configuration from it.  The integrals
-(:func:`negative_region_integrals`) are a closed form over the cut
-elements only; every other element is whole on one side.
+crosses the two edges from it.  Every cut quantity is a view of that one
+pass: the exact integrals over the negative part and the area, the
+interface segments, the symmetric differences, and the configuration each
+closed-form sensitivity rate of :mod:`tsopt.sensitivity` reads.  The
+integrals (:func:`negative_region_integrals`, the one implementation of
+the cut integrals) are a closed form over the cut elements only; every
+other element is whole on one side.
 A symmetric difference needs nested level sets: ``phi_b - phi_a`` has one
 sign at every node, as after every single-node perturbation.
 
@@ -42,7 +43,6 @@ __all__ = [
     "T_PLUS",
     "classify_nodes",
     "perturb",
-    "element_negative_integrals",
     "negative_region_integrals",
     "subdomain_area",
     "symmetric_difference_area",
@@ -212,48 +212,6 @@ def negative_region_integrals(mesh: Mesh, phi):
     """
     plus, bits, cut, lone, abc, t = _lone_cuts(phi, mesh.elements)
     return (bits == 0, cut) + _cap_integrals(t, lone, plus[abc[0]])
-
-
-def element_negative_integrals(phi_triple):
-    """Scalar (single-element) version of the exact negative-region
-    integrals, in reference coordinates.
-
-    Returns ``(area, mass, load)`` where mass is a 3x3 nested list and load
-    a length-3 list of generic scalars.  Serves as the differentiation
-    target for derivative oracles.
-    """
-    signs = [int(sign_array(p)) for p in phi_triple]
-    plus = [s >= 0 for s in signs]
-    n_plus = sum(plus)
-    if n_plus == 3:
-        return 0.0, [[0.0] * 3 for _ in range(3)], [0.0] * 3
-    if n_plus == 0:
-        return 0.5, [list(r) for r in _FULL_MASS_REF], list(_FULL_LOAD_REF)
-
-    lone = plus.index(True) if n_plus == 1 else plus.index(False)
-    a, b, c = lone, (lone + 1) % 3, (lone + 2) % 3
-    pa, pb, pc = phi_triple[a], phi_triple[b], phi_triple[c]
-    tb = pa / (pa - pb)
-    tc = pa / (pa - pc)
-    cap_area = tb * tc * 0.5
-
-    vals = [[0.0] * 3 for _ in range(3)]
-    vals[a][0], vals[a][1], vals[a][2] = 1.0, 1.0 - tb, 1.0 - tc
-    vals[b][1] = tb
-    vals[c][2] = tc
-    rows = [vals[i][0] + vals[i][1] + vals[i][2] for i in range(3)]
-    cap_mass = [[(sum(vals[i][v] * vals[j][v] for v in range(3))
-                  + rows[i] * rows[j]) * cap_area * (1.0 / 12.0)
-                 for j in range(3)] for i in range(3)]
-    cap_load = [rows[i] * cap_area * (1.0 / 3.0) for i in range(3)]
-
-    if n_plus == 1:  # cap is the positive part
-        area = 0.5 - cap_area
-        mass = [[_FULL_MASS_REF[i][j] - cap_mass[i][j] for j in range(3)]
-                for i in range(3)]
-        load = [_FULL_LOAD_REF[i] - cap_load[i] for i in range(3)]
-        return area, mass, load
-    return cap_area, cap_mass, cap_load
 
 
 def subdomain_area(mesh: Mesh, phi):

@@ -120,11 +120,12 @@ def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
 
 def band_layout(indptr, indices) -> BandLayout:
     """Reverse Cuthill-McKee band layout of a structurally symmetric CSR
-    pattern (read-only arrays)."""
+    pattern (read-only arrays), also of an empty one (no free nodes)."""
     n = len(indptr) - 1
     pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                             shape=(n, n))
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(int)
+    perm = (reverse_cuthill_mckee(pattern, symmetric_mode=True) if n
+            else np.arange(0)).astype(int)
     inverse = np.empty(n, dtype=int)
     inverse[perm] = np.arange(n)
     rows = inverse[np.repeat(np.arange(n), np.diff(indptr))]

@@ -202,7 +202,7 @@ class _Candidate:
     phi: np.ndarray
     kappa: float
     theta: float
-    norm_dev: float
+    norm_dev: float          # set once a candidate is returned
     system: AssembledSystem
     u: np.ndarray
 
@@ -224,7 +224,8 @@ def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
     cost was evaluated.  A candidate whose evaluation raises an
     :class:`ArithmeticError` is counted and rejected like a worse one; if
     every candidate raised, the last failure is raised again.  The slerp's
-    norms and angle are computed once."""
+    norms and angle are computed once, and the norm deviation only for the
+    returned candidate."""
     norm_phi, g_unit, theta = slerp_frame(phi, ev.field.g, m0)
     if theta < THETA_TOL:
         return None, 0  # aligned with the descent field: no rotation possible
@@ -233,7 +234,6 @@ def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
     since_best = n_evals = 0
     while kappa >= KAPPA_MIN:
         psi = slerp_update(phi, g_unit, theta, kappa)
-        norm_dev = abs(l2_norm(m0, psi) - norm_phi)
         psi_hat = smooth(mesh, psi)
         candidate = psi_hat / l2_norm(m0, psi_hat)
         n_evals += 1
@@ -245,9 +245,9 @@ def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
         else:
             j_cand = float(j_cand)
             if best is None or j_cand < best.j:
-                best = _Candidate(j_cand, candidate, kappa, theta, norm_dev,
+                best = _Candidate(j_cand, candidate, kappa, theta, 0.0,
                                   system, u)
-                since_best = 0
+                best_psi, since_best = psi, 0
         if best is not None and best.j < ev.j and since_best >= PATIENCE:
             break
         kappa *= KAPPA_SHRINK
@@ -255,6 +255,7 @@ def _line_search(mesh, params, m0, phi, ev) -> tuple[_Candidate | None, int]:
         raise failure
     if best is None or best.j >= ev.j:
         return None, n_evals
+    best.norm_dev = abs(l2_norm(m0, best_psi) - norm_phi)
     return best, n_evals
 
 

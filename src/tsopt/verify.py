@@ -13,7 +13,8 @@ re-solves at perturbed level sets:
 Each node is perturbed as its class picks (:func:`tsopt.levelset.perturb`),
 and each estimator takes the first-order shape rate at an interface node
 (``label == SHAPE``) and the second-order topological rate at an interior
-node.
+node.  A design is real: :func:`analytic_field`, :func:`fd_quotient` and
+:func:`run_verification` raise ``ValueError`` on a complex one.
 
 Aggregated interface/interior error norms and log-log convergence slopes
 reproduce the characteristic behavior of the three schemes.
@@ -30,7 +31,8 @@ import numpy as np
 from .fem import (ProblemParams, assemble, evaluate_cost, solve_adjoint,
                   solve_state)
 from .hdarray import HyperDualArray
-from .levelset import SHAPE, perturb, symmetric_difference_area
+from .levelset import (SHAPE, _real_design, perturb,
+                       symmetric_difference_area)
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -104,7 +106,8 @@ class VerificationReport:
 
 def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
     """Solve state and adjoint and evaluate the closed-form sensitivities."""
-    system = assemble(mesh, np.asarray(phi, dtype=float), params)
+    phi = _real_design(phi)
+    system = assemble(mesh, phi, params)
     u = solve_state(system)
     p = solve_adjoint(system, u, params)
     return ts_derivative(mesh, phi, u, p, params)
@@ -125,7 +128,7 @@ def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
 
     ``label`` is the node's class and ``j0`` the unperturbed cost.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _real_design(phi)
     phi_eps, j_eps = _perturbed_cost(mesh, phi, params, k, eps, label)
     denom = symmetric_difference_area(mesh, phi, phi_eps)
     if denom == 0.0:
@@ -166,7 +169,7 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
         raise ValueError(f"unknown method {method!r}")
     steps = np.asarray(DEFAULT_STEPS[method] if steps is None else steps,
                        dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    phi = _real_design(phi)
     field_ = analytic_field(mesh, phi, params) if field_ is None else field_
     labels = field_.labels
     dkat = field_.dkatilde

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tsopt.hdarray import promote_like
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
                             negative_region_integrals)
 from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
+
+# Every hypothesis test runs with this profile, and its own @settings give
+# only the number of examples: no per-example deadline (an example may
+# factor a mesh, and timings vary between machines) and no example database
+# (a run does not depend on the failures of earlier runs).
+settings.register_profile("tsopt", deadline=None, database=None)
+settings.load_profile("tsopt")
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,17 @@ over clipped polygons, derivatives from finite differences or hyper-dual
 evaluation of those primitives.  The polygon clipper lives here and nowhere
 else: the package computes every cut with its rational lone-vertex formulas,
 and this second geometry is the tests' check on them.
+
+The mesh builders at the bottom give meshes the package does not build: one
+reference triangle per sample, for running per-element checks through the
+package's one vectorized kernel, and two triangulations of the unit square
+other than the crossed mesh.
 """
 
 import numpy as np
+
+from tsopt.mesh import Mesh, generate_crossed_mesh, tag_boundary
+from tsopt.problems import on_top_or_bottom
 
 
 def _clip_negative(points, value_lists):
@@ -95,3 +103,46 @@ def exact_negative_load_entry(phi_vals, i, points=REF_TRIANGLE):
 def exact_negative_area(phi_vals, points=REF_TRIANGLE):
     poly, _ = clip_negative_region(points, phi_vals)
     return polygon_area(poly)
+
+
+def reference_triangles(count):
+    """``count`` disjoint copies of the reference triangle, side by side:
+    element ``i`` has the nodes ``3 i``, ``3 i + 1`` and ``3 i + 2``, so a
+    design of shape ``(count, 3)``, flattened, gives each element its own
+    vertex values."""
+    shift = np.repeat(2.0 * np.arange(count), 3)[:, None] * [1.0, 0.0]
+    return Mesh(np.tile(REF_TRIANGLE, (count, 1)) + shift,
+                np.arange(3 * count).reshape(count, 3))
+
+
+def _with_experiment_boundary(mesh):
+    # u = y on the top and bottom sides, as on the benchmark mesh
+    return tag_boundary(mesh, on_top_or_bottom, lambda x, y: y)
+
+
+def jittered_crossed_mesh(n, seed):
+    """The crossed mesh with ``n`` squares per side, each node off the
+    boundary moved by up to 0.12 h in each coordinate (seeded), tagged
+    like the benchmark mesh."""
+    mesh = generate_crossed_mesh(n)
+    nodes = mesh.nodes.copy()
+    inner = ((nodes > 1e-12) & (nodes < 1.0 - 1e-12)).all(axis=1)
+    jitter = np.random.default_rng(seed).uniform(-0.12, 0.12, nodes.shape)
+    nodes[inner] += jitter[inner] / n
+    return _with_experiment_boundary(Mesh(nodes, mesh.elements))
+
+
+def one_diagonal_mesh(n):
+    """``n`` squares per side, each split by its diagonal from the lower
+    left to the upper right corner (six-element rings inside), tagged
+    like the benchmark mesh."""
+    xi = np.arange(n + 1) / n
+    gx, gy = np.meshgrid(xi, xi, indexing="xy")
+    j, i = np.divmod(np.arange(n * n), n)
+    c00 = j * (n + 1) + i
+    c10, c01, c11 = c00 + 1, c00 + n + 1, c00 + n + 2
+    elements = np.stack([np.column_stack([c00, c10, c11]),
+                         np.column_stack([c00, c11, c01])],
+                        axis=1).reshape(-1, 3)
+    return _with_experiment_boundary(
+        Mesh(np.column_stack([gx.ravel(), gy.ravel()]), elements))

@@ -12,11 +12,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from helpers import clip_negative_region, exact_negative_area
+from helpers import (clip_negative_region, exact_negative_area,
+                     reference_triangles)
 from tsopt.fem import assemble, element_geometry, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (classify_nodes, element_negative_integrals,
-                            interface_segments, symmetric_difference_area)
+from tsopt.levelset import (classify_nodes, interface_segments,
+                            symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, setup_problem
@@ -100,7 +101,7 @@ def test_criterion_4_volume_derivative_exactness(mesh8):
                "random level sets", worst <= 1e-12, f"worst {worst:.1e}")
 
 
-def test_criterion_5_cut_rate_oracles():
+def test_criterion_5_cut_rate_oracles(every_element_integrals):
     rng = np.random.default_rng(5)
     # pivot-first sign patterns of the six cut configurations A+, A-, B+,
     # B-, C+, C-
@@ -109,36 +110,39 @@ def test_criterion_5_cut_rate_oracles():
     eps = 1e-6
     h = 0.37
     worst_fd = worst_hd = 0.0
+    # one reference triangle per sample, all differentiated in one call of
+    # the production kernel; the pivot is each triangle's first vertex
+    samples = 200
+    mesh = reference_triangles(samples)
+    pivot = np.zeros((samples, 3))
+    pivot[:, 0] = 1.0
 
     def entries(vals):
-        area, mass, load = element_negative_integrals(vals)
-        flat = [area]
-        flat += [mass[i][j] for i in range(3) for j in range(i, 3)]
-        flat += list(load)
-        return flat
+        # rows: the area, the mass's upper triangle and the load
+        frac, mass, load = every_element_integrals(mesh, vals)
+        return ([frac] + [mass[:, i, j] for i in range(3) for j in range(i, 3)]
+                + [load[:, i] for i in range(3)])
 
     for pattern in patterns:
-        for _ in range(200):
-            vals = tuple(s * m for s, m in
-                         zip(pattern, rng.uniform(0.1, 2.0, 3)))
-            der = area_derivative_reference(vals)
-            mats = cut_matrices(vals, det_j=1.0)
-            closed = [der]
-            closed += [mats.dm[i, j] for i in range(3) for j in range(i, 3)]
-            closed += list(mats.df)
-
-            up = entries((vals[0] + eps, vals[1], vals[2]))
-            down = entries((vals[0] - eps, vals[1], vals[2]))
-            hd_vals = entries((HyperDualArray(vals[0], h, 0.0),
-                               vals[1], vals[2]))
-            for want, hi, lo, hdv in zip(closed, up, down, hd_vals):
-                fd = (hi - lo) / (2.0 * eps)
-                scale = max(abs(want), 1e-8)
-                worst_fd = max(worst_fd, abs(fd - want) / scale)
-                exact = (hdv.e1 / h if isinstance(hdv, HyperDualArray)
-                         else 0.0)
-                worst_hd = max(worst_hd,
-                               abs(exact - want) / max(abs(want), 1e-13))
+        vals = np.array(pattern) * rng.uniform(0.1, 2.0, (samples, 3))
+        closed = []
+        for v in vals:
+            mats = cut_matrices(v, det_j=1.0)
+            closed.append([area_derivative_reference(v)]
+                          + [mats.dm[i, j] for i in range(3)
+                             for j in range(i, 3)]
+                          + list(mats.df))
+        up = entries((vals + eps * pivot).reshape(-1))
+        down = entries((vals - eps * pivot).reshape(-1))
+        hd_vals = entries(HyperDualArray(vals.reshape(-1),
+                                         h * pivot.reshape(-1)))
+        for want, hi, lo, hdv in zip(np.array(closed).T, up, down, hd_vals):
+            fd = (hi - lo) / (2.0 * eps)
+            scale = np.maximum(np.abs(want), 1e-8)
+            worst_fd = max(worst_fd, float((np.abs(fd - want) / scale).max()))
+            worst_hd = max(worst_hd, float(
+                (np.abs(hdv.e1 / h - want)
+                 / np.maximum(np.abs(want), 1e-13)).max()))
 
     # interior-node (second-order) area rates, both signs; the area change
     # is the cap cut off by the perturbed interface, evaluated directly by

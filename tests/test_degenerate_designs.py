@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import jittered_crossed_mesh, one_diagonal_mesh
 from tsopt.fem import assemble, objective, solve_adjoint, solve_state
 from tsopt.hdarray import sign_array
 from tsopt.levelset import classify_nodes
@@ -58,7 +59,7 @@ def _typed(step):
         return None
 
 
-@settings(deadline=None, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(_designs())
 def test_degenerate_designs_end_finite_or_typed(design):
     mesh, params, phi = design
@@ -91,7 +92,10 @@ def _plus(phi):
 
 @st.composite
 def _zero_free_designs(draw):
-    mesh = _problem(draw(st.integers(1, 5)))[0]
+    level = draw(st.integers(1, 5))
+    mesh = draw(st.sampled_from([
+        _problem(level)[0], one_diagonal_mesh(level),
+        jittered_crossed_mesh(level, draw(st.integers(0, 2 ** 32 - 1)))]))
     if draw(st.booleans()):
         values = st.sampled_from([v for v in _SPECIAL if v != 0.0])
     else:   # 0.0 and -0.0 become 1.0
@@ -104,7 +108,7 @@ def _zero_free_designs(draw):
     return mesh, psi
 
 
-@settings(deadline=None, database=None, max_examples=200)
+@settings(max_examples=200)
 @given(_zero_free_designs())
 def test_smoothing_keeps_the_signs_of_a_zero_free_design(design):
     # an interior node averages a ring of one strict sign, whose mean keeps

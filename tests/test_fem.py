@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (exact_negative_load_entry, exact_negative_mass_entry)
+from helpers import (exact_negative_load_entry, exact_negative_mass_entry,
+                     reference_triangles)
 from tsopt.fem import (_scatter_matrix, _summed, assemble, element_geometry,
                        objective, solve_adjoint, solve_state, tracking_matvec)
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
-                            T_PLUS, DegenerateCut, element_negative_integrals,
-                            perturb)
+                            T_PLUS, DegenerateCut, perturb)
 from tsopt.mesh import Mesh, tag_boundary
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, on_top_or_bottom,
@@ -42,27 +42,27 @@ def test_inverted_element_rejected():
         Mesh([(0, 0), (0, 1), (1, 0)], [(0, 1, 2)])
 
 
-def test_uncut_local_mass_and_load():
-    phi = np.array([-1.0, -1.0, -1.0])
-    _, mass, load = element_negative_integrals(phi)
+def test_uncut_local_mass_and_load(every_element_integrals):
+    _, mass, load = every_element_integrals(reference_triangles(1),
+                                            np.array([-1.0, -1.0, -1.0]))
     expected_mass = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
-    assert np.allclose(mass, expected_mass)
-    assert np.allclose(load, np.full(3, 1.0 / 6.0))
+    assert np.allclose(mass[0], expected_mass)
+    assert np.allclose(load[0], np.full(3, 1.0 / 6.0))
 
 
-def test_cut_integrals_match_clipping_quadrature(rng):
+def test_cut_integrals_match_clipping_quadrature(rng, every_element_integrals):
     # exact rational formulas vs clip + degree-2 quadrature on the reference
-    # element, random sign configurations
-    for _ in range(40):
-        phi = rng.uniform(-1.5, 1.5, size=3)
-        if np.any(phi == 0.0):
-            continue
-        _, mass, load = element_negative_integrals(tuple(phi))
+    # element, random sign configurations, one reference triangle each
+    samples = rng.uniform(-1.5, 1.5, size=(40, 3))
+    samples = samples[(samples != 0.0).all(axis=1)]
+    _, mass, load = every_element_integrals(
+        reference_triangles(len(samples)), samples.reshape(-1))
+    for phi, m, f in zip(samples, mass, load):
         for i in range(3):
-            assert load[i] == pytest.approx(
+            assert f[i] == pytest.approx(
                 exact_negative_load_entry(phi, i), abs=1e-13)
             for j in range(3):
-                assert mass[i][j] == pytest.approx(
+                assert m[i, j] == pytest.approx(
                     exact_negative_mass_entry(phi, i, j), abs=1e-13)
 
 

@@ -175,7 +175,7 @@ _finite = st.floats(-8.0, 8.0, allow_nan=False)
 _hyper = st.tuples(_finite, _finite, _finite)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(start=_hyper,
        chain=st.lists(st.tuples(st.sampled_from(sorted(_OPS)),
                                 st.one_of(_hyper, _finite)),

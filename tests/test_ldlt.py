@@ -288,7 +288,7 @@ def _assert_matches(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@settings(deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(_symmetric_patterns(), st.sampled_from(["real", "complex", "hd"]),
        st.integers(0, 2**32 - 1))
 def test_banded_solves_match_dense_solves(pattern, kind, seed):

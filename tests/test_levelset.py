@@ -9,14 +9,15 @@ from helpers import exact_negative_area
 from tsopt.hdarray import HyperDualArray, promote_like, sign_array
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
                             T_PLUS, DegenerateCut, _checked_ratio, _lone_cuts,
-                            classify_nodes, element_negative_integrals,
-                            interface_segments, negative_region_integrals,
-                            perturb, subdomain_area, symmetric_difference_area)
+                            classify_nodes, interface_segments,
+                            negative_region_integrals, perturb, subdomain_area,
+                            symmetric_difference_area)
 from tsopt.fem import evaluate_cost
 from tsopt.mesh import Mesh, generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, setup_problem
 from tsopt.sensitivity import area_derivative
+from tsopt.verify import analytic_field, fd_quotient, run_verification
 
 REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
@@ -88,7 +89,7 @@ _RING_MESHES = [generate_crossed_mesh(n) for n in (1, 2, 3, 5)]
 _TIES = st.sampled_from([-1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0])
 
 
-@settings(deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(st.data())
 def test_classification_equals_the_ring_group_loop(data):
     mesh = data.draw(st.sampled_from(_RING_MESHES))
@@ -193,17 +194,6 @@ def test_area_against_clipping_oracle(rng):
                                 points=[mesh.nodes[v] for v in tri])
             for tri in mesh.elements)
         assert subdomain_area(mesh, phi) == pytest.approx(expected, abs=1e-12)
-
-
-def test_scalar_and_vectorized_integrals_agree(rng, every_element_integrals):
-    mesh = generate_crossed_mesh(3)
-    phi = rng.uniform(-1, 1, mesh.num_nodes)
-    frac, mass, load = every_element_integrals(mesh, phi)
-    for l, tri in enumerate(mesh.elements):
-        a, m, f = element_negative_integrals([phi[v] for v in tri])
-        assert frac[l] == pytest.approx(a, abs=1e-14)
-        assert np.allclose(mass[l], m, atol=1e-14)
-        assert np.allclose(load[l], f, atol=1e-14)
 
 
 def test_degenerate_values_keep_exact_areas():
@@ -385,8 +375,14 @@ def test_symmetric_difference_rejects_a_pair_that_is_not_nested(mesh8,
     lambda mesh, a: symmetric_difference_area(mesh, a, a + 0.1),
     lambda mesh, a: interface_segments(mesh, a),
     lambda mesh, a: perturb(a, 0, 0.1, SHAPE),
+    lambda mesh, a: analytic_field(mesh, a, setup_problem(mesh, uhat="zero")),
+    lambda mesh, a: fd_quotient(mesh, a, setup_problem(mesh, uhat="zero"), 0,
+                                1e-3, T_PLUS, 0.0),
+    lambda mesh, a: run_verification(mesh, a, setup_problem(mesh, uhat="zero"),
+                                     "hd", steps=[1.0]),
 ], ids=["optimize.run", "symmetric_difference_area", "interface_segments",
-        "perturb"])
+        "perturb", "verify.analytic_field", "verify.fd_quotient",
+        "verify.run_verification"])
 def test_a_complex_design_is_rejected(call):
     # a design is real: its imaginary part must not be dropped in silence
     mesh = experiment_mesh(2)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import reference_triangles
 from tsopt.fem import assemble, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (SHAPE, T_MINUS, classify_nodes,
-                            element_negative_integrals, perturb,
+from tsopt.levelset import (SHAPE, T_MINUS, classify_nodes, perturb,
                             subdomain_area)
 from tsopt.mesh import Mesh
 from tsopt.problems import default_params, experiment_mesh
@@ -182,27 +182,23 @@ def test_near_tie_design_raises_instead_of_nan():
         ts_derivative(mesh, phi, zeros, zeros, params)
 
 
-def test_cut_matrices_match_hyperdual_oracle(rng):
+def test_cut_matrices_match_hyperdual_oracle(rng, every_element_integrals):
     # pivot-first sign patterns of A+, A-, B+, B-, C+, C-
     patterns = [(1, -1, -1), (-1, 1, 1), (-1, 1, -1), (1, -1, 1),
                 (-1, -1, 1), (1, 1, -1)]
     h = 0.5
+    # one reference triangle per sample, the pivot its first vertex
+    mesh = reference_triangles(10)
+    seed = np.zeros((10, 3))
+    seed[:, 0] = h
     for pattern in patterns:
-        for _ in range(10):
-            vals = tuple(s * m for s, m in
-                         zip(pattern, rng.uniform(0.1, 2.0, 3)))
-            mats = cut_matrices(vals, det_j=1.0)
-            hd = (HyperDualArray(vals[0], h, 0.0), vals[1], vals[2])
-            _, mass, load = element_negative_integrals(hd)
-            for i in range(3):
-                want = (load[i].e1 / h if isinstance(load[i], HyperDualArray)
-                        else 0.0)
-                assert mats.df[i] == pytest.approx(want, abs=1e-12)
-                for j in range(3):
-                    entry = mass[i][j]
-                    want = (entry.e1 / h if isinstance(entry, HyperDualArray)
-                            else 0.0)
-                    assert mats.dm[i, j] == pytest.approx(want, abs=1e-12)
+        vals = np.array(pattern) * rng.uniform(0.1, 2.0, (10, 3))
+        _, mass, load = every_element_integrals(
+            mesh, HyperDualArray(vals.reshape(-1), seed.reshape(-1)))
+        for s, v in enumerate(vals):
+            mats = cut_matrices(v, det_j=1.0)
+            assert mats.df == pytest.approx(load.e1[s] / h, abs=1e-12)
+            assert mats.dm == pytest.approx(mass.e1[s] / h, abs=1e-12)
 
 
 def test_sensitivity_vanishes_without_material_contrast(mesh8, phi_d8):

@@ -15,12 +15,11 @@ axis last.  The mesh's one cached scatter map sums the matrix entries of
 every scalar type straight into the free x free and free x fixed CSR data,
 in the order scipy's COO-to-CSR conversion would sum them; the Dirichlet
 coupling is the free x fixed block times the mesh's Dirichlet values.
-Each system is solved on the mesh's reverse Cuthill-McKee ordering (see
-:mod:`.ldlt`): a real system, symmetric positive definite after the
-elimination, and the real part of a hyper-dual one by banded Cholesky, a
-complex-step system by banded LU, one factor per system shared by its
-state and adjoint solves.  A system keeps its mesh and reads every
-per-mesh array from it.
+Each system is factored once by :mod:`.ldlt`, on the band layout the
+mesh's reduced index caches, and the factor is shared by its state and
+adjoint solves.  A system keeps its mesh and reads every per-mesh array
+from it.  The cost's area term is integrated from the design by
+:func:`~tsopt.levelset.subdomain_area`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from .hdarray import HyperDualArray, HyperDualMatrix, promote_like
 from .ldlt import ldlt_factor, ldlt_solve
 from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
-                       negative_region_integrals)
+                       negative_region_integrals, subdomain_area)
 from .mesh import ElementGeometry, Mesh, ScatterBlock
 
 __all__ = [
@@ -136,7 +135,6 @@ class AssembledSystem:
     rhs: object                    # free
     mt_local: object               # (3, 3, N)
     mesh: Mesh
-    neg_frac: object               # (N,) reference-units negative area
     _factor: object = None
 
 
@@ -255,8 +253,7 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
         matrix=_scatter_matrix(a_loc, index.ff),
         rhs=(f_glob[index.free]
              - _scatter_matrix(a_loc, index.fd) @ mesh.dirichlet_values),
-        mt_local=merged(uncut.mt, mt_cut), mesh=mesh,
-        neg_frac=merged((0.0, 0.5), frac))
+        mt_local=merged(uncut.mt, mt_cut), mesh=mesh)
 
 
 def _apply_factor(system: AssembledSystem, rhs):
@@ -307,7 +304,8 @@ def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
 def objective(mesh: Mesh, phi, u, params: ProblemParams,
               system: AssembledSystem):
     """Cost ``c1 |Omega| + c2 (u - uhat)^T Mt (u - uhat)`` of the design
-    ``phi`` that ``system`` was assembled for, generic."""
+    ``phi`` that ``system`` was assembled for, generic: the area of
+    ``phi``'s negative region and the tracking term of ``system``."""
     if params.uhat is None:
         raise ValueError("params.uhat is not set")
     w = u - params.uhat
@@ -317,8 +315,7 @@ def objective(mesh: Mesh, phi, u, params: ProblemParams,
                 + tmp[2] * w_loc[2]).sum()
     value = params.c2 * tracking
     if params.c1 != 0.0:
-        value = value + params.c1 * (system.neg_frac
-                                     * mesh.geometry.det_j).sum()
+        value = value + params.c1 * subdomain_area(mesh, phi)
     return value
 
 

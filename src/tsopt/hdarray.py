@@ -77,9 +77,6 @@ class HyperDualArray:
     def shape(self):
         return self.re.shape
 
-    def copy(self) -> "HyperDualArray":
-        return HyperDualArray(*(lane.copy() for lane in self.lanes))
-
     def __getitem__(self, idx):
         return HyperDualArray(self.re[idx], self.e1[idx], self.e12[idx])
 

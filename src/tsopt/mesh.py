@@ -7,10 +7,11 @@ A mesh is nodes, elements, Dirichlet nodes and the values there, made and
 checked by :class:`Mesh` alone; :func:`tag_boundary` picks the Dirichlet
 nodes and values by two functions of the coordinates.  Everything derived
 from them (element geometry, the scatter map of every P1 matrix and its
-reduced blocks with their band ordering, the local matrices of uncut
-elements per material, the one-rings the classification and the smoothing
-need) is computed on first use and cached on the mesh instance, so a new
-mesh never sees another mesh's data.
+reduced blocks, the local matrices of uncut elements per material, the
+one-rings the classification and the smoothing need) is computed on first
+use and cached on the mesh instance, so a new mesh never sees another
+mesh's data.  The reduced index also caches the band layout that
+:func:`tsopt.ldlt.band_layout` computes for its free x free block.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .ldlt import BandLayout, band_layout
 
 __all__ = [
     "Mesh",
-    "BandLayout",
     "ElementGeometry",
     "ReducedIndex",
     "ScatterBlock",
-    "band_layout",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
@@ -57,37 +57,11 @@ class ScatterBlock:
 
 
 @dataclass(frozen=True)
-class BandLayout:
-    """Band form of a structurally symmetric ``n x n`` CSR pattern.
-
-    ``perm`` is a reverse Cuthill-McKee ordering: ``B = A[perm][:, perm]``
-    has half-bandwidth ``width`` (LAPACK's ``kl = ku = kd``).  Two slot
-    maps place CSR data in the Fortran-ordered arrays LAPACK's banded
-    factorizations take:
-
-    * ``slot[s]`` is the flat position of CSR data slot ``s`` in the
-      ``(3 width + 1, n)`` array of banded LU (``zgbtrf``, for
-      complex-symmetric systems), where ``B[i, j]`` sits in row
-      ``2 width + i - j`` of column ``j``; the top ``width`` rows are room
-      for the fill-in of row pivoting.
-    * ``lower`` lists the CSR data slots with ``i >= j`` and
-      ``lower_slot`` their flat positions in the ``(width + 1, n)`` array
-      of banded Cholesky in lower storage (``dpbtrf``, for real symmetric
-      positive definite systems), where ``B[i, j]`` sits in row ``i - j``
-      of column ``j``."""
-
-    perm: np.ndarray
-    width: int
-    slot: np.ndarray
-    lower: np.ndarray
-    lower_slot: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReducedIndex:
     """Free (non-Dirichlet) node ids, the free x free (``ff``) and free x
     fixed (``fd``, columns in ``Mesh.dirichlet_nodes`` order) scatter
-    blocks in the reduced numbering, and the band layout of ``ff``."""
+    blocks in the reduced numbering, and the band layout of ``ff``
+    (:func:`tsopt.ldlt.band_layout`)."""
 
     free: np.ndarray
     ff: ScatterBlock
@@ -116,28 +90,6 @@ def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
     for array in (pos, slot, pattern.data, pattern.indptr, pattern.indices):
         array.flags.writeable = False
     return ScatterBlock(pos=pos, slot=slot, pattern=pattern)
-
-
-def band_layout(indptr, indices) -> BandLayout:
-    """Reverse Cuthill-McKee band layout of a structurally symmetric CSR
-    pattern (read-only arrays), also of an empty one (no free nodes)."""
-    n = len(indptr) - 1
-    pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                            shape=(n, n))
-    perm = (reverse_cuthill_mckee(pattern, symmetric_mode=True) if n
-            else np.arange(0)).astype(int)
-    inverse = np.empty(n, dtype=int)
-    inverse[perm] = np.arange(n)
-    rows = inverse[np.repeat(np.arange(n), np.diff(indptr))]
-    cols = inverse[indices]
-    width = int(np.abs(rows - cols).max(initial=0))
-    slot = 2 * width + rows - cols + cols * (3 * width + 1)
-    lower = np.flatnonzero(rows >= cols)
-    lower_slot = rows[lower] - cols[lower] + cols[lower] * (width + 1)
-    for array in (perm, slot, lower, lower_slot):
-        array.flags.writeable = False
-    return BandLayout(perm=perm, width=width, slot=slot, lower=lower,
-                      lower_slot=lower_slot)
 
 
 def _edges(nodes, elements):
@@ -170,11 +122,12 @@ class Mesh:
     This is the one mesh constructor and the one place its arrays are
     checked.  It takes any sequences and stores ``nodes`` as a float
     ``(M, 2)`` array, ``elements`` as an int ``(N, 3)`` array of the node
-    ids of counter-clockwise triangles of positive area,
-    ``dirichlet_nodes`` as an int ``(k,)`` array of distinct node ids and
-    ``dirichlet_values`` as a read-only float ``(k,)`` copy; any other
-    input, or a non-finite coordinate or value, raises ``ValueError``.  A
-    mesh owns caches, so it compares and hashes by identity."""
+    ids of counter-clockwise triangles of positive area that use every
+    node, ``dirichlet_nodes`` as an int ``(k,)`` array of distinct node
+    ids and ``dirichlet_values`` as a read-only float ``(k,)`` copy; any
+    other input, or a non-finite coordinate or value, raises
+    ``ValueError``.  A mesh owns caches, so it compares and hashes by
+    identity."""
 
     nodes: np.ndarray
     elements: np.ndarray
@@ -194,6 +147,8 @@ class Mesh:
         if (_edges(nodes, elements)[2] <= 0.0).any():
             raise ValueError("elements must be counter-clockwise vertex "
                              "triples of positive area")
+        if not np.bincount(elements.ravel(), minlength=len(nodes)).all():
+            raise ValueError("every node must be a vertex of an element")
         fixed = _node_ids(self.dirichlet_nodes, len(nodes), "dirichlet_nodes")
         if fixed.ndim != 1 or len(np.unique(fixed)) != len(fixed):
             raise ValueError("dirichlet_nodes must be a 1-D array of "
@@ -281,8 +236,8 @@ class Mesh:
 
         ff = block(is_free[rows] & is_free[cols], len(free))
         fd = block(is_free[rows] & ~is_free[cols], len(fixed))
-        band = band_layout(ff.pattern.indptr, ff.pattern.indices)
-        return ReducedIndex(free=free, ff=ff, fd=fd, band=band)
+        return ReducedIndex(free=free, ff=ff, fd=fd,
+                            band=band_layout(ff.pattern))
 
     @cached_property
     def uncut_locals(self) -> dict:

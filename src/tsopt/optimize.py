@@ -26,7 +26,8 @@ import scipy.sparse as sp
 
 from .fem import (AssembledSystem, ProblemParams, _scatter_matrix,
                   evaluate_cost, solve_adjoint)
-from .levelset import _FULL_MASS_REF, _real_design, classify_nodes
+from .levelset import (SHAPE, T_MINUS, T_PLUS, _FULL_MASS_REF, _real_design,
+                       classify_nodes)
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -104,9 +105,9 @@ class History:
         self.norm_g.append(norm_g)
         self.kappa.append(kappa)
         self.theta.append(theta)
-        self.n_tminus.append(int((labels == -1).sum()))
-        self.n_tplus.append(int((labels == 1).sum()))
-        self.n_shape.append(int((labels == 0).sum()))
+        self.n_tminus.append(int((labels == T_MINUS).sum()))
+        self.n_tplus.append(int((labels == T_PLUS).sum()))
+        self.n_shape.append(int((labels == SHAPE).sum()))
         self.slerp_norm_dev.append(norm_dev)
         self.stalled.append(stalled)
         self.n_evals.append(n_evals)
@@ -176,7 +177,7 @@ def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
 
     Rings are averaged a whole size group at a time; each row sum runs in
     the order a sum over the single ring would take."""
-    interior = classify_nodes(mesh, psi) != 0
+    interior = classify_nodes(mesh, psi) != SHAPE
     out = np.array(psi, dtype=float)
     for nodes, rings in mesh.ring_groups:
         sel = interior[nodes]

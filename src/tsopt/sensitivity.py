@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ProblemParams
-from .levelset import SHAPE, _ROTATIONS, _lone_cuts, classify_nodes
+from .levelset import (SHAPE, T_MINUS, T_PLUS, _ROTATIONS, _lone_cuts,
+                       classify_nodes)
 from .mesh import Mesh
 
 __all__ = [
@@ -138,7 +139,7 @@ def _pair_rates(phi, tris, det_j, labels, node=None):
     pivot = tris.reshape(-1)
     label = labels[pivot]
     own = np.ones(len(pivot), dtype=bool) if node is None else pivot == node
-    inner = np.flatnonzero(own & (label != 0))
+    inner = np.flatnonzero(own & (label != SHAPE))
     values = phi[tris]
     prod = (values[:, _ROTATIONS[:, 1]]
             * values[:, _ROTATIONS[:, 2]]).reshape(-1)[inner]
@@ -146,7 +147,7 @@ def _pair_rates(phi, tris, det_j, labels, node=None):
     # element with lone slot ``lone`` holds its vertex a, b or c for role
     # (s - lone) % 3 = 0, 1 or 2
     plus, _, cut, lone, abc, _ = _lone_cuts(phi, tris)
-    rows, slots = np.nonzero(((label == 0) & own).reshape(-1, 3)[cut])
+    rows, slots = np.nonzero(((label == SHAPE) & own).reshape(-1, 3)[cut])
     role = (slots - lone[rows]) % 3
     q = abc[_ROLE_ORDER[role], rows[:, None]]
     p1, p2, p3 = phi[q].T
@@ -238,7 +239,7 @@ def cut_matrices(phi_rotated, det_j: float) -> CutElementMatrices:
     """
     _, cut, q, dm = _pair_rates(np.array(phi_rotated, dtype=float),
                                 np.arange(3)[None], np.array([float(det_j)]),
-                                np.zeros(3, dtype=int), 0)
+                                np.full(3, SHAPE), 0)
     if not len(cut):
         raise ValueError(f"values {tuple(phi_rotated)} do not cut the "
                          "element")
@@ -251,7 +252,7 @@ def volume_derivative(mesh: Mesh, phi) -> np.ndarray:
     """Sensitivity of the design area: exactly -1 on interface and interior
     negative nodes, +1 on interior positive nodes."""
     labels = classify_nodes(mesh, phi)
-    return np.where(labels == 1, 1.0, -1.0)
+    return np.where(labels == T_PLUS, 1.0, -1.0)
 
 
 def area_derivative(mesh: Mesh, phi, k: int,
@@ -307,7 +308,7 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     terms = _interface_terms(params, q, pku[cut], dka[cut], dm, u, p, w)
     shape = -params.c1 + np.bincount(node[cut], terms,
                                      minlength=num_nodes) / dkatilde
-    dj = np.where(labels == 0, shape, topological)
+    dj = np.where(labels == SHAPE, shape, topological)
     g = generalized_derivative(dj, labels)
     return SensitivityField(dj=dj, labels=labels, g=g,
                             dkatilde=dkatilde)
@@ -319,10 +320,10 @@ def generalized_derivative(dj: np.ndarray, labels: np.ndarray) -> np.ndarray:
     Interior negative nodes: ``-min(dj, 0)``; interior positive nodes:
     ``min(dj, 0)``; interface nodes: ``-dj``.
     """
-    g = np.where(labels == 0, -dj, 0.0)
+    g = np.where(labels == SHAPE, -dj, 0.0)
     neg = np.minimum(dj, 0.0)
-    g = np.where(labels == -1, -neg, g)
-    g = np.where(labels == 1, neg, g)
+    g = np.where(labels == T_MINUS, -neg, g)
+    g = np.where(labels == T_PLUS, neg, g)
     return g
 
 
@@ -337,7 +338,7 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
     """
     if labels is None:
         labels = classify_nodes(mesh, phi)
-    if labels[k] != 0:
+    if labels[k] != SHAPE:
         raise ValueError("defined for interface nodes only")
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)

@@ -31,7 +31,7 @@ import numpy as np
 from .fem import (ProblemParams, assemble, evaluate_cost, solve_adjoint,
                   solve_state)
 from .hdarray import HyperDualArray
-from .levelset import (SHAPE, _real_design, perturb,
+from .levelset import (SHAPE, T_MINUS, T_PLUS, _real_design, perturb,
                        symmetric_difference_area)
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
@@ -189,7 +189,7 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
                          dtype=float).reshape(len(steps), num_nodes)
 
     err = estimates - field_.dj[None, :]
-    s_nodes = labels == 0
+    s_nodes = labels == SHAPE
     t_nodes = ~s_nodes
     e_s = np.sqrt((err[:, s_nodes] ** 2).sum(axis=1))
     e_t = np.sqrt((err[:, t_nodes] ** 2).sum(axis=1))
@@ -247,7 +247,7 @@ def write_node_table_csv(path, analytic: np.ndarray, labels: np.ndarray,
     """Per-node comparison table of the analytic value and each scheme's
     best estimate."""
     path = Path(path)
-    class_name = {-1: "T-", 0: "S", 1: "T+"}
+    class_name = {T_MINUS: "T-", SHAPE: "S", T_PLUS: "T+"}
     best = [by_method[col].best_estimates() if col in by_method else None
             for col in ("fd", "cs", "hd")]
     with path.open("w", newline="") as fh:

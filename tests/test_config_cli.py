@@ -407,3 +407,16 @@ def test_numerical_failure_in_verify_exits_3(tmp_path, monkeypatch, capsys,
     assert main(["verify", "--method", "hd", "--mesh-level", "2",
                  "--output", str(out)]) == 3
     assert failure.__name__ in capsys.readouterr().err
+
+
+def test_verify_exits_1_when_hyper_dual_disagreement_exceeds_tolerance(
+        tmp_path, monkeypatch, capsys):
+    # the worst disagreement at level 2 is a few ulps, above this tolerance
+    monkeypatch.setattr(importlib.import_module("tsopt.cli"), "HD_TOLERANCE",
+                        1e-300)
+    out = tmp_path / "run"
+    assert main(["verify", "--method", "hd", "--mesh-level", "2",
+                 "--output", str(out)]) == 1
+    assert "hyper-dual agreement FAILED" in capsys.readouterr().err
+    assert (out / "verify_hd.csv").exists()
+    assert (out / "verify_nodes.csv").exists()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import jittered_crossed_mesh, one_diagonal_mesh
 from tsopt.fem import assemble, objective, solve_adjoint, solve_state
 from tsopt.hdarray import sign_array
-from tsopt.levelset import classify_nodes
+from tsopt.levelset import classify_nodes, subdomain_area
 from tsopt.optimize import smooth
 from tsopt.problems import experiment_mesh, setup_problem
 from tsopt.sensitivity import ts_derivative
@@ -73,7 +73,7 @@ def test_degenerate_designs_end_finite_or_typed(design):
     def evaluation():
         system = assemble(mesh, phi, params)
         _finite(system.matrix.data, system.rhs, system.mt_local,
-                system.neg_frac)
+                subdomain_area(mesh, phi))
         u = solve_state(system)
         _finite(u)
         _finite(objective(mesh, phi, u, params, system=system))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from tsopt import ldlt
 from tsopt.hdarray import HyperDualArray, HyperDualMatrix
-from tsopt.ldlt import SolverBreakdown, band_storage, ldlt_factor, ldlt_solve
-from tsopt.mesh import band_layout
+from tsopt.ldlt import (SolverBreakdown, band_layout, band_storage,
+                        ldlt_factor, ldlt_solve)
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
 from tsopt.fem import assemble, solve_adjoint, solve_state
@@ -34,7 +34,7 @@ def hd_system(rng, n, scale=1.0):
 
 def layout(a):
     pattern = a.re if isinstance(a, HyperDualMatrix) else a
-    return band_layout(pattern.indptr, pattern.indices)
+    return band_layout(pattern)
 
 
 def factor(a):
@@ -83,7 +83,7 @@ def test_factorization_reconstructs_matrix():
     # the Cholesky factor of the real matrix multiplies back to P A P^T
     band = layout(real)
     w, n = band.width, real.shape[0]
-    chol = ldlt_factor(real, band)[0].ab
+    chol = ldlt_factor(real, band).ab
     ell = np.zeros((n, n))
     for j in range(n):
         for i in range(j, min(n, j + w + 1)):

@@ -167,6 +167,9 @@ _MALFORMED = {
         lambda: Mesh(_SQUARE, [(0, 1, 2), (1, 1, 3)]), "counter-clockwise"),
     "clockwise element": (
         lambda: Mesh(_SQUARE, [(0, 1, 2), (1, 2, 3)]), "counter-clockwise"),
+    "vertex of no element": (
+        lambda: Mesh(np.vstack([_NODES, [(0.5, 0.55)]]), _ELEMENTS),
+        "vertex of an element"),
     "is_dirichlet gives floats": (
         lambda: tag_boundary(Mesh(_NODES, _ELEMENTS),
                              lambda x, y: 1.0 * on_top_or_bottom(x, y),

@@ -3,14 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from tsopt.levelset import classify_nodes
+from tsopt.levelset import SHAPE, classify_nodes
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, setup_problem)
 from tsopt.verify import (HD_TOLERANCE, analytic_field, cs_derivative,
                           fd_quotient, hd_derivative, run_verification,
                           write_node_table_csv, write_report_csv)
-from tsopt.fem import assemble, objective, solve_state
+from tsopt.fem import assemble, evaluate_cost, objective, solve_state
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,18 @@ def test_fd_quotient_is_minus_one_for_pure_volume(mesh8, phi_d8,
     k = int(np.flatnonzero(labels == 1)[0])
     assert fd_quotient(mesh8, phi_d8, params, k, 1e-4, 1, j0) == \
         pytest.approx(1.0, abs=1e-7)
+
+
+def test_fd_quotient_rejects_a_step_the_design_absorbs(mesh8, phi_d8,
+                                                      params_zero8):
+    # a step far below the ulp of phi[k] leaves the design unchanged, so the
+    # symmetric difference area is zero
+    labels = classify_nodes(mesh8, phi_d8)
+    k = int(np.flatnonzero((labels == SHAPE) & (phi_d8 != 0.0))[0])
+    assert phi_d8[k] + 1e-300 == phi_d8[k]
+    j0 = float(evaluate_cost(mesh8, phi_d8, params_zero8)[0])
+    with pytest.raises(ZeroDivisionError, match="no area change"):
+        fd_quotient(mesh8, phi_d8, params_zero8, k, 1e-300, SHAPE, j0)
 
 
 def test_cs_recovers_pure_volume(mesh8, phi_d8, volume_setup):

@@ -10,8 +10,7 @@ from .fem import (AssembledSystem, ProblemParams, assemble, objective,
                   solve_adjoint, solve_state)
 from .sensitivity import (SensitivityField, area_derivative,
                           continuous_sd_discretized, cut_matrices,
-                          generalized_derivative, ts_derivative,
-                          volume_derivative)
+                          generalized_derivative, ts_derivative)
 from .verify import run_verification
 from .optimize import OptimizerConfig
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
@@ -25,7 +24,6 @@ __all__ = [
     "solve_adjoint", "solve_state",
     "SensitivityField", "area_derivative", "continuous_sd_discretized",
     "cut_matrices", "generalized_derivative", "ts_derivative",
-    "volume_derivative",
     "run_verification",
     "OptimizerConfig",
     "default_params", "experiment_mesh", "interpolate_target", "setup_problem",

@@ -5,6 +5,9 @@
 ``tsopt mesh-info``  print node, element and Dirichlet node counts for a
                     mesh level
 
+Every CSV file of a run is written here, by :func:`_write_table`; the VTK
+snapshots by :func:`tsopt.vtkio.snapshot_writer`.
+
 Exit codes: 0 success, 2 invalid configuration (an unusable ``--output``
 directory included), 3 numerical failure (any ``ArithmeticError``: a
 solver breakdown, a degenerate cut, denominator or angle, a hyper-dual
@@ -19,13 +22,39 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
+from .levelset import SHAPE, T_MINUS, T_PLUS
 from .optimize import History, run as run_optimizer
 from .problems import default_params, experiment_mesh, interpolate_target, setup_problem
 from .vtkio import snapshot_writer
-from .verify import (HD_TOLERANCE, analytic_field, run_verification,
-                     write_node_table_csv, write_report_csv)
+from .verify import HD_TOLERANCE, run_verification
 
 __all__ = ["main"]
+
+# the columns of ``history.csv`` and the ``History`` lists they hold
+_HISTORY_COLUMNS = {
+    "iter": "iteration", "J": "j", "normG": "norm_g", "kappa": "kappa",
+    "theta": "theta", "nTminus": "n_tminus", "nTplus": "n_tplus",
+    "nS": "n_shape", "normDev": "slerp_norm_dev", "stalled": "stalled",
+    "nEvals": "n_evals",
+}
+_CLASS_NAMES = {T_MINUS: "T-", SHAPE: "S", T_PLUS: "T+"}
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return "" if value is None else str(value)
+
+
+def _write_table(path, header, rows) -> None:
+    """CSV table: a bool cell is written 0/1, a float ``.17g``, a missing
+    value (None) empty and anything else as ``str``; every line ends with
+    LF."""
+    with open(path, "w", newline="") as fh:
+        for line in (header, *rows):
+            fh.write(",".join(map(_cell, line)) + "\n")
 
 
 def cmd_mesh_info(args) -> int:
@@ -42,22 +71,29 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     params = setup_problem(mesh, uhat=cfg.verify["uhat"],
                            params=default_params(**cfg.problem))
     phi = interpolate_target(mesh)
-    field = analytic_field(mesh, phi, params)
 
     methods = [args.method] if args.method else ["fd", "cs", "hd"]
     out = Path(args.output)
     reports = {}
     for method in methods:
         steps = cfg.verify[f"{method}_steps"]
-        rep = run_verification(mesh, phi, params, method, steps=steps,
-                               field_=field)
+        rep = run_verification(mesh, phi, params, method, steps=steps)
         reports[method] = rep
         print(f"[{method}] slopes: "
               + ", ".join(f"{k}={v:.3f}" for k, v in rep.slopes.items())
               + f"; min e_S={rep.e_s.min():.3e}, min e_T={rep.e_t.min():.3e}")
-        write_report_csv(out / f"verify_{method}.csv", [rep])
-    write_node_table_csv(out / "verify_nodes.csv", field.dj, field.labels,
-                         reports)
+        _write_table(out / f"verify_{method}.csv",
+                     ["method", "step", "e_S", "e_T"],
+                     ((method, *row) for row in zip(rep.steps, rep.e_s,
+                                                    rep.e_t)))
+    # every report holds the same closed form; each scheme's best estimate
+    # per node, empty for a scheme not run
+    best = [reports[m].best_estimates() if m in reports
+            else [None] * mesh.num_nodes for m in ("fd", "cs", "hd")]
+    _write_table(out / "verify_nodes.csv",
+                 ["node", "class", "analytic", "fd_best", "cs_best", "hd"],
+                 ((k, _CLASS_NAMES[label], dj, *ests) for k, (label, dj, *ests)
+                  in enumerate(zip(rep.labels, rep.analytic, *best))))
 
     if "hd" in reports:
         worst = reports["hd"].max_relative_error()
@@ -80,7 +116,9 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
         run_optimizer(mesh, params, cfg.optimizer_config(),
                       on_snapshot=on_snapshot, history=history)
     finally:
-        history.write_csv(out / "history.csv")
+        _write_table(out / "history.csv", list(_HISTORY_COLUMNS),
+                     zip(*(getattr(history, name)
+                           for name in _HISTORY_COLUMNS.values())))
 
     j0, j_final = history.j[0], history.j[-1]
     reduction = j_final / j0 if j0 > 0.0 else 0.0

@@ -291,12 +291,22 @@ def tracking_matvec(system: AssembledSystem, w):
     return _summed(local.transpose(), tris.ravel(), system.mesh.num_nodes)
 
 
-def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
-    """Adjoint solve with homogeneous Dirichlet data."""
+def _tracking_residual(u, params: ProblemParams):
+    """``u - params.uhat``, the nodal residual of the tracking term in the
+    scalar type of ``u``; raises ``ValueError`` unless ``uhat`` is set and
+    has the shape of ``u``."""
     if params.uhat is None:
         raise ValueError("params.uhat is not set")
-    w = u - params.uhat
-    rhs = -(2.0 * params.c2) * tracking_matvec(system, w)
+    if np.shape(params.uhat) != u.shape:
+        raise ValueError(f"params.uhat has shape {np.shape(params.uhat)}, "
+                         f"not the shape {u.shape} of the state")
+    return u - params.uhat
+
+
+def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
+    """Adjoint solve with homogeneous Dirichlet data."""
+    rhs = -(2.0 * params.c2) * tracking_matvec(
+        system, _tracking_residual(u, params))
     free = system.mesh.reduced_index.free
     return _embed(system, _apply_factor(system, rhs[free]))
 
@@ -306,10 +316,7 @@ def objective(mesh: Mesh, phi, u, params: ProblemParams,
     """Cost ``c1 |Omega| + c2 (u - uhat)^T Mt (u - uhat)`` of the design
     ``phi`` that ``system`` was assembled for, generic: the area of
     ``phi``'s negative region and the tracking term of ``system``."""
-    if params.uhat is None:
-        raise ValueError("params.uhat is not set")
-    w = u - params.uhat
-    w_loc = w[mesh.elements.T]
+    w_loc = _tracking_residual(u, params)[mesh.elements.T]
     tmp = _element_matvec(system.mt_local, w_loc)
     tracking = ((tmp[0] * w_loc[0] + tmp[1] * w_loc[1])
                 + tmp[2] * w_loc[2]).sum()

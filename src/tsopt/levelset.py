@@ -117,8 +117,14 @@ def perturb(phi, k: int, eps: GenericScalar, label: int):
     The node's class ``label`` (see :func:`classify_nodes`) picks the
     perturbation: an interface node (``SHAPE``) is shifted by ``eps``, a
     negative interior node (``T_MINUS``) is set to ``eps`` and a positive
-    one (``T_PLUS``) to ``-eps``."""
-    out = promote_like(_real_design(phi).copy(), eps)
+    one (``T_PLUS``) to ``-eps``.  Raises ``ValueError`` if ``k`` is not a
+    node of ``phi`` or ``label`` is not a class."""
+    phi = _real_design(phi)
+    if not 0 <= k < len(phi):
+        raise ValueError(f"node {k} is not in [0, {len(phi)})")
+    if label not in (T_MINUS, SHAPE, T_PLUS):
+        raise ValueError(f"unknown node class {label!r}")
+    out = promote_like(phi.copy(), eps)
     if label == SHAPE:
         out[k] = out[k] + eps
     else:
@@ -214,29 +220,25 @@ def negative_region_integrals(mesh: Mesh, phi):
     return (bits == 0, cut) + _cap_integrals(t, lone, plus[abc[0]])
 
 
-def subdomain_area(mesh: Mesh, phi):
-    """Exact area of the negative region, generic in the scalar type."""
-    full, cut, frac, _, _ = negative_region_integrals(mesh, phi)
-    neg_frac = promote_like(np.zeros(mesh.num_elements), phi)
-    neg_frac[full] = 0.5
-    neg_frac[cut] = frac
-    return (neg_frac * mesh.geometry.det_j).sum()
-
-
 def _split_fractions(phi, tris):
-    """Negative area fractions of the elements ``tris`` of real nodal
-    values as ``base + cap``: ``base`` is 0.5 where the element is fully
-    negative or cut with a '+' lone vertex, 0 elsewhere, and ``cap`` is the
-    signed cap area (-cap for a '+' lone vertex, +cap for a '-' one, 0 if
-    uncut)."""
+    """Negative area fractions of the elements ``tris`` of the nodal
+    values ``phi`` as ``base + cap``, generic in the scalar type: ``base``
+    (real) is 0.5 where the element is fully negative or cut with a '+'
+    lone vertex, 0 elsewhere, and ``cap`` is the signed cap area (-cap for
+    a '+' lone vertex, +cap for a '-' one, 0 if uncut)."""
     plus, bits, cut, _, abc, t = _lone_cuts(phi, tris)
-    cap_area = t[0] * t[1] * 0.5
     pos = plus[abc[0]]
     base = np.where(bits == 0, 0.5, 0.0)
     base[cut[pos]] = 0.5
-    cap = np.zeros(len(tris))
-    cap[cut] = np.where(pos, -cap_area, cap_area)
+    cap = promote_like(np.zeros(len(tris)), t)
+    cap[cut] = t[0] * t[1] * (0.5 * np.where(pos, -1, 1))
     return base, cap
+
+
+def subdomain_area(mesh: Mesh, phi):
+    """Exact area of the negative region, generic in the scalar type."""
+    base, cap = _split_fractions(phi, mesh.elements)
+    return ((base + cap) * mesh.geometry.det_j).sum()
 
 
 def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:

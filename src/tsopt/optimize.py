@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,6 +81,7 @@ class History:
     so only the last row can be stalled); ``n_evals`` counts the cost
     evaluations of each row: 1 for the initial design, then the line
     search's candidates (the accepted one is not evaluated again).
+    ``tsopt optimize`` writes the rows to ``history.csv``.
     """
 
     iteration: list = field(default_factory=list)
@@ -111,19 +111,6 @@ class History:
         self.slerp_norm_dev.append(norm_dev)
         self.stalled.append(stalled)
         self.n_evals.append(n_evals)
-
-    def write_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
-                     "stalled,nEvals\n")
-            for i in range(len(self.iteration)):
-                fh.write(f"{self.iteration[i]},{self.j[i]:.17g},"
-                         f"{self.norm_g[i]:.17g},{self.kappa[i]:.17g},"
-                         f"{self.theta[i]:.17g},{self.n_tminus[i]},"
-                         f"{self.n_tplus[i]},{self.n_shape[i]},"
-                         f"{self.slerp_norm_dev[i]:.17g},"
-                         f"{int(self.stalled[i])},{self.n_evals[i]}\n")
 
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:

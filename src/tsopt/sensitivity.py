@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ProblemParams
+from .fem import ProblemParams, _tracking_residual
 from .levelset import (SHAPE, T_MINUS, T_PLUS, _ROTATIONS, _lone_cuts,
                        classify_nodes)
 from .mesh import Mesh
@@ -42,7 +42,6 @@ __all__ = [
     "CutElementMatrices",
     "SensitivityField",
     "area_derivative",
-    "volume_derivative",
     "cut_matrices",
     "ts_derivative",
     "generalized_derivative",
@@ -248,13 +247,6 @@ def cut_matrices(phi_rotated, det_j: float) -> CutElementMatrices:
     return CutElementMatrices(dm=dm, df=dm.sum(axis=1))
 
 
-def volume_derivative(mesh: Mesh, phi) -> np.ndarray:
-    """Sensitivity of the design area: exactly -1 on interface and interior
-    negative nodes, +1 on interior positive nodes."""
-    labels = classify_nodes(mesh, phi)
-    return np.where(labels == T_PLUS, 1.0, -1.0)
-
-
 def area_derivative(mesh: Mesh, phi, k: int,
                     labels: np.ndarray | None = None) -> AreaDerivative:
     """Per-element rates of change of the cut area for node ``k``;
@@ -280,11 +272,10 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
 
     ``u`` and ``p`` must be the state and adjoint for the same ``phi``.
     """
-    if params.uhat is None:
-        raise ValueError("params.uhat is not set")
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
+    w = _tracking_residual(u, params)
     if labels is None:
         labels = classify_nodes(mesh, phi)
     num_nodes = mesh.num_nodes
@@ -296,7 +287,6 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     if np.any(dkatilde == 0.0):
         raise DegenerateDenominator("zero symmetric-difference rate at a node")
     pku = np.repeat(_element_pku(mesh, u, p), 3)
-    w = u - params.uhat
 
     # interior nodes: the |dka|-weighted mean of p^T K0 u over the ring
     ratio = np.bincount(node, magnitude * pku, minlength=num_nodes) / dkatilde
@@ -346,7 +336,7 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
     ring, dka, cut, q, dm = _node_rates(mesh, phi, labels, k)
     dka, elements = dka[cut], ring[cut // 3]
     terms = _interface_terms(params, q, _element_pku(mesh, u, p, elements),
-                             dka, dm, u, p, u - params.uhat)
+                             dka, dm, u, p, _tracking_residual(u, params))
     # normal flux: the unit normal of the zero-level segment that points out
     # of the negative region is grad phi / |grad phi| on the element
     tris = mesh.elements[elements]

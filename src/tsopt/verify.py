@@ -22,17 +22,13 @@ reproduce the characteristic behavior of the three schemes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .fem import (ProblemParams, assemble, evaluate_cost, solve_adjoint,
-                  solve_state)
+from .fem import ProblemParams, evaluate_cost, solve_adjoint
 from .hdarray import HyperDualArray
-from .levelset import (SHAPE, T_MINUS, T_PLUS, _real_design, perturb,
-                       symmetric_difference_area)
+from .levelset import SHAPE, _real_design, perturb, symmetric_difference_area
 from .mesh import Mesh
 from .sensitivity import SensitivityField, ts_derivative
 
@@ -43,8 +39,6 @@ __all__ = [
     "cs_derivative",
     "hd_derivative",
     "run_verification",
-    "write_report_csv",
-    "write_node_table_csv",
 ]
 
 DEFAULT_STEPS = {
@@ -104,13 +98,19 @@ class VerificationReport:
                       / scale[None, :]).max())
 
 
+def _baseline(mesh: Mesh, phi, params: ProblemParams
+              ) -> tuple[float, SensitivityField]:
+    """The cost ``j0`` and the closed-form sensitivities of the real design
+    ``phi``, from one assembly and one factor: ``(j0, field)``."""
+    phi = _real_design(phi)
+    j0, system, u = evaluate_cost(mesh, phi, params)
+    p = solve_adjoint(system, u, params)
+    return float(j0), ts_derivative(mesh, phi, u, p, params)
+
+
 def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
     """Solve state and adjoint and evaluate the closed-form sensitivities."""
-    phi = _real_design(phi)
-    system = assemble(mesh, phi, params)
-    u = solve_state(system)
-    p = solve_adjoint(system, u, params)
-    return ts_derivative(mesh, phi, u, p, params)
+    return _baseline(mesh, phi, params)[1]
 
 
 def _perturbed_cost(mesh, phi, params, k, step, label):
@@ -161,19 +161,18 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 
 
 def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
-                     steps=None, field_: SensitivityField | None = None
-                     ) -> VerificationReport:
-    """Evaluate one scheme on every node for a list of steps."""
+                     steps=None) -> VerificationReport:
+    """Evaluate one scheme on every node for a list of steps, against the
+    closed form at ``phi``."""
     method = method.lower()
     if method not in ("fd", "cs", "hd"):
         raise ValueError(f"unknown method {method!r}")
     steps = np.asarray(DEFAULT_STEPS[method] if steps is None else steps,
                        dtype=float)
     phi = _real_design(phi)
-    field_ = analytic_field(mesh, phi, params) if field_ is None else field_
-    labels = field_.labels
-    dkat = field_.dkatilde
-    j0 = float(evaluate_cost(mesh, phi, params)[0]) if method != "hd" else 0.0
+    j0, fld = _baseline(mesh, phi, params)
+    labels = fld.labels
+    dkat = fld.dkatilde
 
     def one(k, step):
         label = int(labels[k])
@@ -188,15 +187,15 @@ def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
     estimates = np.array([one(k, s) for s in steps for k in range(num_nodes)],
                          dtype=float).reshape(len(steps), num_nodes)
 
-    err = estimates - field_.dj[None, :]
+    err = estimates - fld.dj[None, :]
     s_nodes = labels == SHAPE
     t_nodes = ~s_nodes
     e_s = np.sqrt((err[:, s_nodes] ** 2).sum(axis=1))
     e_t = np.sqrt((err[:, t_nodes] ** 2).sum(axis=1))
 
     report = VerificationReport(method=method, steps=steps, e_s=e_s, e_t=e_t,
-                                estimates=estimates, analytic=field_.dj.copy(),
-                                labels=labels.copy())
+                                estimates=estimates, analytic=fld.dj,
+                                labels=labels)
     for name, errors in (("e_s", e_s), ("e_t", e_t)):
         window = _slope_window(method, name, steps, errors)
         report.slopes[name] = _loglog_slope(steps[window], errors[window])
@@ -229,32 +228,3 @@ def _loglog_slope(steps: np.ndarray, errors: np.ndarray) -> float:
     coeffs = np.polyfit(np.log10(steps[mask]), np.log10(errors[mask]), 1)
     return float(coeffs[0])
 
-
-def write_report_csv(path, reports) -> None:
-    """Aggregate error-norm table: method, step, e_S, e_T."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "step", "e_S", "e_T"])
-        for rep in reports:
-            for s, es, et in zip(rep.steps, rep.e_s, rep.e_t):
-                writer.writerow([rep.method, f"{s:.17g}",
-                                 f"{es:.17g}", f"{et:.17g}"])
-
-
-def write_node_table_csv(path, analytic: np.ndarray, labels: np.ndarray,
-                         by_method: dict) -> None:
-    """Per-node comparison table of the analytic value and each scheme's
-    best estimate."""
-    path = Path(path)
-    class_name = {T_MINUS: "T-", SHAPE: "S", T_PLUS: "T+"}
-    best = [by_method[col].best_estimates() if col in by_method else None
-            for col in ("fd", "cs", "hd")]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "class", "analytic",
-                         "fd_best", "cs_best", "hd"])
-        for k in range(len(analytic)):
-            row = [k, class_name[int(labels[k])], f"{analytic[k]:.17g}"]
-            row += ["" if est is None else f"{est[k]:.17g}" for est in best]
-            writer.writerow(row)

@@ -13,55 +13,38 @@ from .mesh import Mesh
 __all__ = ["write_vtk", "write_interface_vtk", "snapshot_writer"]
 
 
+def _write_legacy(path, title: str, dataset: str, points, body) -> None:
+    """Legacy-VTK ASCII file of the ``dataset`` type: the header, the 2-D
+    ``points`` (at z = 0) and then the lines of ``body``."""
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             f"DATASET {dataset}", f"POINTS {len(points)} double"]
+    lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in points)
+    Path(path).write_text("\n".join(lines + body) + "\n")
+
+
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None) -> None:
     """Triangle mesh with optional nodal scalar fields."""
-    path = Path(path)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "tsopt snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_nodes} double",
-    ]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g} 0")
     n = mesh.num_elements
-    lines.append(f"CELLS {n} {4 * n}")
-    for tri in mesh.elements:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend(["5"] * n)
+    body = [f"CELLS {n} {4 * n}"]
+    body.extend(f"3 {a} {b} {c}" for a, b, c in mesh.elements)
+    body.append(f"CELL_TYPES {n}")
+    body.extend(["5"] * n)
     if point_data:
-        lines.append(f"POINT_DATA {mesh.num_nodes}")
+        body.append(f"POINT_DATA {mesh.num_nodes}")
         for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in np.asarray(values, dtype=float))
-    path.write_text("\n".join(lines) + "\n")
+            body += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            body.extend(f"{v:.17g}" for v in np.asarray(values, dtype=float))
+    _write_legacy(path, "tsopt snapshot", "UNSTRUCTURED_GRID", mesh.nodes,
+                  body)
 
 
 def write_interface_vtk(path, segments) -> None:
     """Interface segments as VTK line cells (POLYDATA)."""
-    path = Path(path)
-    points = []
-    cells = []
-    for _, (p0, p1) in segments:
-        cells.append((len(points), len(points) + 1))
-        points.append(p0)
-        points.append(p1)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "tsopt interface",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {len(points)} double",
-    ]
-    for x, y in points:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    lines.append(f"LINES {len(cells)} {3 * len(cells)}")
-    for a, b in cells:
-        lines.append(f"2 {a} {b}")
-    path.write_text("\n".join(lines) + "\n")
+    points = [p for _, segment in segments for p in segment]
+    n = len(points) // 2
+    body = [f"LINES {n} {3 * n}"]
+    body.extend(f"2 {2 * i} {2 * i + 1}" for i in range(n))
+    _write_legacy(path, "tsopt interface", "POLYDATA", points, body)
 
 
 def snapshot_writer(output_dir, uhat):

@@ -16,13 +16,12 @@ from helpers import (clip_negative_region, exact_negative_area,
                      reference_triangles)
 from tsopt.fem import assemble, element_geometry, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (classify_nodes, interface_segments,
+from tsopt.levelset import (T_PLUS, classify_nodes, interface_segments,
                             symmetric_difference_area)
 from tsopt.mesh import generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
-from tsopt.problems import experiment_mesh, setup_problem
-from tsopt.sensitivity import (area_derivative, cut_matrices,
-                               volume_derivative)
+from tsopt.problems import default_params, experiment_mesh, setup_problem
+from tsopt.sensitivity import area_derivative, cut_matrices
 from tsopt.verify import analytic_field, hd_derivative, run_verification
 
 
@@ -66,7 +65,7 @@ def test_criterion_1_hyperdual_oracle_equivalence(verification_point):
 
 def test_criterion_2_complex_step_convergence(verification_point):
     mesh, phi, params, field = verification_point
-    rep = run_verification(mesh, phi, params, "cs", field_=field)
+    rep = run_verification(mesh, phi, params, "cs")
     slope_s = rep.slopes["e_s"]
     slope_t = rep.slopes["e_t"]
     min_e_s = float(rep.e_s.min())
@@ -79,7 +78,7 @@ def test_criterion_2_complex_step_convergence(verification_point):
 
 def test_criterion_3_finite_difference_convergence(verification_point):
     mesh, phi, params, field = verification_point
-    rep = run_verification(mesh, phi, params, "fd", field_=field)
+    rep = run_verification(mesh, phi, params, "fd")
     slope_s = rep.slopes["e_s"]
     slope_t = rep.slopes["e_t"]
     ok = abs(slope_s - 1.0) <= 0.2 and abs(slope_t - 1.0) <= 0.2
@@ -89,16 +88,27 @@ def test_criterion_3_finite_difference_convergence(verification_point):
 
 
 def test_criterion_4_volume_derivative_exactness(mesh8):
+    # the pure area cost (c1 = 1, c2 = 0): the closed form on 100 random
+    # level sets, and the hyper-dual re-solve on every node of 3 of them
+    params = default_params(c1=1.0, c2=0.0).with_uhat(
+        np.zeros(mesh8.num_nodes))
     rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
+    worst = worst_hd = 0.0
+    for i in range(100):
         phi = rng.uniform(-1.0, 1.0, mesh8.num_nodes)
-        labels = classify_nodes(mesh8, phi)
-        dv = volume_derivative(mesh8, phi)
-        expected = np.where(labels == 1, 1.0, -1.0)
-        worst = max(worst, float(np.abs(dv - expected).max()))
+        expected = np.where(classify_nodes(mesh8, phi) == T_PLUS, 1.0, -1.0)
+        field = analytic_field(mesh8, phi, params)
+        worst = max(worst, float(np.abs(field.dj - expected).max()))
+        if i < 3:
+            est = np.array([hd_derivative(mesh8, phi, params, k, 1.0,
+                                          int(field.labels[k]),
+                                          field.dkatilde[k])
+                            for k in range(mesh8.num_nodes)])
+            worst_hd = max(worst_hd, float(np.abs(est - expected).max()))
     _report(4, "area-cost sensitivity is exactly the sign table for 100 "
-               "random level sets", worst <= 1e-12, f"worst {worst:.1e}")
+               "random level sets, and the hyper-dual re-solve agrees on 3",
+            worst <= 1e-12 and worst_hd <= 1e-12,
+            f"worst {worst:.1e}, hyper-dual {worst_hd:.1e}")
 
 
 def test_criterion_5_cut_rate_oracles(every_element_integrals):

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tsopt import fem, optimize
+from tsopt.cli import main
 from tsopt.fem import assemble, evaluate_cost
 from tsopt.ldlt import SolverBreakdown
 from tsopt.levelset import classify_nodes
@@ -276,11 +278,17 @@ def test_local_optimality_certificate(mesh8, params_target8):
 
 
 def test_history_csv_format(tmp_path, mesh8, params_target8):
+    # the file ``tsopt optimize`` writes, against the same run in-process
     history, _ = run(mesh8, params_target8,
                      OptimizerConfig(max_iter=3, snapshot_cadence=0))
-    path = tmp_path / "history.csv"
-    history.write_csv(path)
-    lines = path.read_text().splitlines()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimize": {"max_iter": 3,
+                                            "snapshot_cadence": 0}}))
+    assert main(["optimize", "--mesh-level", "8", "--config", str(cfg),
+                 "--output", str(tmp_path)]) in (0, 1)
+    data = (tmp_path / "history.csv").read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().splitlines()
     assert lines[0] == ("iter,J,normG,kappa,theta,nTminus,nTplus,nS,normDev,"
                         "stalled,nEvals")
     assert len(lines) == len(history.j) + 1

@@ -6,14 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tsopt.fem import assemble, objective, solve_adjoint, solve_state
+from tsopt.fem import (assemble, evaluate_cost, objective, solve_adjoint,
+                       solve_state)
 from tsopt.hdarray import HyperDualArray
 from tsopt.ldlt import band_storage
-from tsopt.levelset import classify_nodes
+from tsopt.levelset import SHAPE, classify_nodes, perturb
 from tsopt.mesh import Mesh, generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
-from tsopt.problems import default_params, experiment_mesh, setup_problem
-from tsopt.sensitivity import ts_derivative
+from tsopt.problems import (default_params, experiment_mesh,
+                            interpolate_target, setup_problem)
+from tsopt.sensitivity import continuous_sd_discretized, ts_derivative
+from tsopt.verify import analytic_field
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,13 @@ CASES = {
     "classify_nodes design length": (
         lambda s: classify_nodes(s.mesh, s.phi[:-1]),
         "does not match node count"),
+    "perturb node -1": (
+        lambda s: perturb(s.phi, -1, 1e-3, SHAPE), r"node -1 is not in"),
+    "perturb node M": (
+        lambda s: perturb(s.phi, s.mesh.num_nodes, 1e-3, SHAPE),
+        "is not in"),
+    "perturb class 7": (
+        lambda s: perturb(s.phi, 3, 1e-3, 7), "unknown node class 7"),
     "solve_adjoint uhat=None": (
         lambda s: solve_adjoint(s.system, s.u, s.params), "uhat is not set"),
     "objective uhat=None": (
@@ -75,3 +85,34 @@ def test_invalid_input_raises_value_error(level2, case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=message):
         call(level2)
+
+
+
+# the four tracking residuals, and the verification baseline built on them
+TRACKING_CALLS = {
+    "evaluate_cost": lambda s: evaluate_cost(s.mesh, s.phi, s.params),
+    "solve_adjoint": lambda s: solve_adjoint(s.system, s.u, s.params),
+    "ts_derivative": lambda s: ts_derivative(s.mesh, s.phi, s.u, s.u,
+                                             s.params),
+    "continuous_sd_discretized": lambda s: continuous_sd_discretized(
+        s.mesh, s.phi, s.u, s.u, s.params, s.k),
+    "analytic_field": lambda s: analytic_field(s.mesh, s.phi, s.params),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TRACKING_CALLS))
+@pytest.mark.parametrize("uhat", ["length 1", "(M, 1)"])
+def test_a_target_of_another_shape_is_rejected(uhat, call):
+    # a target that would broadcast against the state is not a target; the
+    # cost checks it once the state it is compared with is solved
+    mesh = experiment_mesh(4)
+    phi = interpolate_target(mesh)
+    params = default_params().with_uhat(
+        np.array([0.5]) if uhat == "length 1"
+        else np.full((mesh.num_nodes, 1), 0.5))
+    system = assemble(mesh, phi, params)
+    k = int(np.flatnonzero(classify_nodes(mesh, phi) == SHAPE)[0])
+    s = SimpleNamespace(mesh=mesh, phi=phi, params=params, system=system,
+                        u=solve_state(system), k=k)
+    with pytest.raises(ValueError, match="params.uhat has shape"):
+        TRACKING_CALLS[call](s)

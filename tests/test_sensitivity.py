@@ -4,14 +4,13 @@ import pytest
 from helpers import reference_triangles
 from tsopt.fem import assemble, solve_adjoint, solve_state
 from tsopt.hdarray import HyperDualArray
-from tsopt.levelset import (SHAPE, T_MINUS, classify_nodes, perturb,
-                            subdomain_area)
+from tsopt.levelset import (SHAPE, T_MINUS, T_PLUS, classify_nodes,
+                            perturb, subdomain_area)
 from tsopt.mesh import Mesh
 from tsopt.problems import default_params, experiment_mesh
 from tsopt.sensitivity import (DegenerateDenominator, area_derivative,
                                continuous_sd_discretized, cut_matrices,
-                               generalized_derivative, ts_derivative,
-                               volume_derivative)
+                               generalized_derivative, ts_derivative)
 from tsopt.verify import analytic_field, hd_derivative
 
 REF = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -122,13 +121,19 @@ def test_area_rate_sign_structure(mesh8, rng):
 
 
 def test_volume_derivative_piecewise_constant(mesh8, rng):
+    # the closed form of the pure area cost is +1 on interior positive
+    # nodes and -1 elsewhere, the same on the all-positive and all-negative
+    # designs
+    params = default_params(c1=1.0, c2=0.0).with_uhat(
+        np.zeros(mesh8.num_nodes))
     phi = rng.uniform(-1, 1, mesh8.num_nodes)
     labels = classify_nodes(mesh8, phi)
-    dv = volume_derivative(mesh8, phi)
-    assert np.all(dv[labels == 1] == 1.0)
-    assert np.all(dv[labels != 1] == -1.0)
-    assert np.all(volume_derivative(mesh8, np.ones(mesh8.num_nodes)) == 1.0)
-    assert np.all(volume_derivative(mesh8, -np.ones(mesh8.num_nodes)) == -1.0)
+    dv = analytic_field(mesh8, phi, params).dj
+    assert np.all(dv[labels == T_PLUS] == 1.0)
+    assert np.all(dv[labels != T_PLUS] == -1.0)
+    ones = np.ones(mesh8.num_nodes)
+    assert np.all(analytic_field(mesh8, ones, params).dj == 1.0)
+    assert np.all(analytic_field(mesh8, -ones, params).dj == -1.0)
 
 
 def test_cut_matrix_printed_entries():
@@ -218,7 +223,8 @@ def test_pure_volume_cost_recovers_sign_table(mesh8, phi_d8):
     u = solve_state(system)
     p = solve_adjoint(system, u, params)
     field = ts_derivative(mesh8, phi_d8, u, p, params)
-    assert np.allclose(field.dj, volume_derivative(mesh8, phi_d8), atol=1e-14)
+    sign_table = np.where(field.labels == T_PLUS, 1.0, -1.0)
+    assert np.allclose(field.dj, sign_table, atol=1e-14)
 
 
 def test_sensitivity_is_scale_invariant(mesh8, phi_d8, params_zero8):

@@ -1,15 +1,16 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from tsopt.cli import main
 from tsopt.levelset import SHAPE, classify_nodes
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, setup_problem)
 from tsopt.verify import (HD_TOLERANCE, analytic_field, cs_derivative,
-                          fd_quotient, hd_derivative, run_verification,
-                          write_node_table_csv, write_report_csv)
+                          fd_quotient, hd_derivative, run_verification)
 from tsopt.fem import assemble, evaluate_cost, objective, solve_state
 
 
@@ -103,49 +104,69 @@ def test_three_schemes_agree_at_their_best_steps(mesh8, phi_d8, params_zero8):
 def test_fd_error_curves_turn_back_up(mesh8, phi_d8, params_zero8):
     # cancellation eventually dominates: the error minimum sits at an
     # interior step of a sweep that reaches into the noise regime
-    field = analytic_field(mesh8, phi_d8, params_zero8)
     steps = (1e-4, 1e-5, 3.16e-6, 1e-6, 3.16e-7, 1e-7, 3.16e-8)
-    rep = run_verification(mesh8, phi_d8, params_zero8, "fd", steps=steps,
-                           field_=field)
+    rep = run_verification(mesh8, phi_d8, params_zero8, "fd", steps=steps)
     for curve in (rep.e_s, rep.e_t):
         best = int(np.argmin(curve))
         assert 0 < best < len(steps) - 1
         assert curve[-1] >= 2 * curve[best]
 
 
+def _read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_report_aggregation_and_csv(tmp_path, mesh8, phi_d8, params_zero8):
     field = analytic_field(mesh8, phi_d8, params_zero8)
     rep = run_verification(mesh8, phi_d8, params_zero8, "hd",
-                           steps=(1.0, 1e-2), field_=field)
+                           steps=(1.0, 1e-2))
     assert rep.estimates.shape == (2, mesh8.num_nodes)
     assert rep.e_s.shape == (2,) and (rep.e_s >= 0).all()
+    assert np.array_equal(rep.analytic, field.dj)
+    assert np.array_equal(rep.labels, field.labels)
     worst_node, worst_err = rep.worst_node()
     assert worst_err <= 1e-12
-    path = tmp_path / "report.csv"
-    write_report_csv(path, [rep])
-    rows = list(csv.DictReader(path.open()))
-    assert len(rows) == 2
-    assert set(rows[0]) == {"method", "step", "e_S", "e_T"}
-    assert float(rows[0]["step"]) == 1.0
-
-    node_path = tmp_path / "nodes.csv"
     fd = run_verification(mesh8, phi_d8, params_zero8, "fd",
-                          steps=(1e-4, 1e-5), field_=field)
-    write_node_table_csv(node_path, field.dj, field.labels,
-                         {"hd": rep, "fd": fd})
-    node_rows = list(csv.DictReader(node_path.open()))
-    assert len(node_rows) == mesh8.num_nodes
-    assert set(node_rows[0]) == {"node", "class", "analytic", "fd_best",
-                                 "cs_best", "hd"}
-    k = int(node_rows[3]["node"])
-    assert float(node_rows[3]["analytic"]) == pytest.approx(field.dj[k])
-    hd_best, fd_best = rep.best_estimates(), fd.best_estimates()
-    for k, row in enumerate(node_rows):
-        assert int(row["node"]) == k
-        assert row["analytic"] == f"{field.dj[k]:.17g}"
-        assert row["hd"] == f"{hd_best[k]:.17g}"
-        assert row["fd_best"] == f"{fd_best[k]:.17g}"
-        assert row["cs_best"] == ""
+                          steps=(1e-4, 1e-5))
+
+    # the tables ``tsopt verify`` writes for the same design, one scheme a
+    # run, so the node table of each has two empty columns
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"hd_steps": [1.0, 1e-2],
+                                          "fd_steps": [1e-4, 1e-5]}}))
+    for method, report in (("hd", rep), ("fd", fd)):
+        out = tmp_path / method
+        assert main(["verify", "--method", method, "--mesh-level", "8",
+                     "--config", str(cfg), "--output", str(out)]) == 0
+        for path in out.iterdir():
+            assert b"\r" not in path.read_bytes(), path.name
+        rows = _read_csv(out / f"verify_{method}.csv")
+        assert len(rows) == 2
+        assert set(rows[0]) == {"method", "step", "e_S", "e_T"}
+        assert float(rows[0]["step"]) == report.steps[0]
+        for row, step, e_s, e_t in zip(rows, report.steps, report.e_s,
+                                       report.e_t):
+            assert row["method"] == method
+            assert float(row["step"]) == step
+            assert float(row["e_S"]) == e_s and float(row["e_T"]) == e_t
+
+        node_rows = _read_csv(out / "verify_nodes.csv")
+        assert len(node_rows) == mesh8.num_nodes
+        assert set(node_rows[0]) == {"node", "class", "analytic", "fd_best",
+                                     "cs_best", "hd"}
+        k = int(node_rows[3]["node"])
+        assert float(node_rows[3]["analytic"]) == pytest.approx(field.dj[k])
+        best = report.best_estimates()
+        column = {"hd": "hd", "fd": "fd_best"}[method]
+        for k, row in enumerate(node_rows):
+            assert int(row["node"]) == k
+            assert row["class"] == {-1: "T-", 0: "S", 1: "T+"}[
+                int(field.labels[k])]
+            assert row["analytic"] == f"{field.dj[k]:.17g}"
+            assert row[column] == f"{best[k]:.17g}"
+            assert [row[c] for c in ("fd_best", "cs_best", "hd")
+                    if c != column] == ["", ""]
 
 
 def test_unknown_method_rejected(mesh8, phi_d8, params_zero8):

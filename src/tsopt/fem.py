@@ -228,9 +228,18 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     """Assemble the reduced system ``A_ff u_f = rhs`` for the given design.
 
     Only the cut elements are integrated and evaluated; every other element
-    takes its cached local data (:func:`_uncut_locals`)."""
-    if phi.shape[0] != mesh.num_nodes:
-        raise ValueError("level-set length does not match node count")
+    takes its cached local data (:func:`_uncut_locals`).  A design that is
+    not an array of shape ``(M,)`` with finite values (the real lane of a
+    hyper-dual design, both parts of a complex one) raises ``ValueError``."""
+    values = phi.re if isinstance(phi, HyperDualArray) else phi
+    if not isinstance(values, np.ndarray):
+        raise ValueError(f"a design must be an array, not "
+                         f"{type(phi).__name__}")
+    if values.shape != (mesh.num_nodes,):
+        raise ValueError(f"level-set shape {values.shape} does not match "
+                         f"node count {mesh.num_nodes}")
+    if not np.isfinite(values).all():
+        raise ValueError("level-set values must be finite")
     full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
     uncut = _uncut_locals(mesh, params)
     geo = mesh.geometry

@@ -8,9 +8,9 @@ checked by :class:`Mesh` alone; :func:`tag_boundary` picks the Dirichlet
 nodes and values by two functions of the coordinates.  Everything derived
 from them (element geometry, the scatter map of every P1 matrix and its
 reduced blocks, the local matrices of uncut elements per material, the
-one-rings the classification and the smoothing need) is computed on first
-use and cached on the mesh instance, so a new mesh never sees another
-mesh's data.  The reduced index also caches the band layout that
+one-ring adjacency the classification and the smoothing share) is computed
+on first use and cached on the mesh instance, so a new mesh never sees
+another mesh's data.  The reduced index also caches the band layout that
 :func:`tsopt.ldlt.band_layout` computes for its free x free block.
 """
 
@@ -254,21 +254,6 @@ class Mesh:
         indptr, indices = build_incidence(self.elements, m)
         return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                              shape=(m, m))
-
-    @cached_property
-    def ring_groups(self) -> tuple:
-        """One-rings grouped by size: ``(nodes, rings)`` pairs where row
-        ``i`` of the ``(n, L)`` array ``rings`` is the sorted one-ring of
-        node ``nodes[i]`` (see :attr:`ring_matrix`)."""
-        indptr = self.ring_matrix.indptr
-        indices = self.ring_matrix.indices.astype(int)  # native fancy index
-        sizes = np.diff(indptr)
-        groups = []
-        for size in np.unique(sizes):
-            nodes = np.flatnonzero(sizes == size)
-            groups.append((nodes, indices[indptr[nodes, None]
-                                          + np.arange(size)]))
-        return tuple(groups)
 
 
 def build_incidence(elements: np.ndarray, num_nodes: int):

@@ -143,7 +143,7 @@ def slerp_frame(phi: np.ndarray, g: np.ndarray, m0: sp.csr_matrix):
     g_unit = g / norm_g
     cos_theta = l2_inner(m0, phi / norm_phi, g_unit)
     theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-    if THETA_TOL <= theta > math.pi - THETA_TOL:
+    if theta > math.pi - THETA_TOL:
         raise DegenerateAngle("level set anti-parallel to the descent field")
     return norm_phi, g_unit, theta
 
@@ -162,14 +162,12 @@ def smooth(mesh: Mesh, psi: np.ndarray) -> np.ndarray:
     """One-ring average on interior nodes of ``psi``'s own sign partition;
     interface nodes are left untouched.
 
-    Rings are averaged a whole size group at a time; each row sum runs in
-    the order a sum over the single ring would take."""
+    The ring sums are one product with the mesh's one-ring adjacency
+    (:attr:`~tsopt.mesh.Mesh.ring_matrix`): each ring is summed left to
+    right from +0.0, in the ring's sorted node order."""
     interior = classify_nodes(mesh, psi) != SHAPE
-    out = np.array(psi, dtype=float)
-    for nodes, rings in mesh.ring_groups:
-        sel = interior[nodes]
-        out[nodes[sel]] = psi[rings[sel]].sum(axis=1) / rings.shape[1]
-    return out
+    ring = mesh.ring_matrix
+    return np.where(interior, (ring @ psi) / np.diff(ring.indptr), psi)
 
 
 @dataclass

@@ -142,13 +142,17 @@ def test_smoothing_averages_a_spike():
 
 
 def _smooth_per_node(mesh, psi):
-    """Reference: the one-ring average written as a loop over the nodes."""
+    """Reference: the one-ring average written as a loop over the nodes,
+    each ring summed left to right from 0.0."""
     labels = classify_nodes(mesh, psi)
     indptr, indices = build_incidence(mesh.elements, mesh.num_nodes)
     out = np.array(psi, dtype=float)
     for k in np.flatnonzero(labels != 0):
         ring = indices[indptr[k]:indptr[k + 1]]
-        out[k] = psi[ring].sum() / len(ring)
+        total = 0.0
+        for node in ring:
+            total += psi[node]
+        out[k] = total / len(ring)
     return out
 
 

@@ -37,6 +37,13 @@ def _foreign_band_storage(s):
     band_storage(matrix, s.mesh.reduced_index.band)
 
 
+def _with(phi, k, value):
+    """A copy of ``phi`` with ``value`` at node ``k``."""
+    phi = phi.copy()
+    phi[k] = value
+    return phi
+
+
 CASES = {
     "optimize.run phi0=0": (
         lambda s: run(s.mesh, setup_problem(s.mesh, uhat="zero"),
@@ -54,6 +61,23 @@ CASES = {
     "assemble design length": (
         lambda s: assemble(s.mesh, s.phi[:-1], s.params),
         "does not match node count"),
+    "assemble (M, 1) design": (
+        lambda s: assemble(s.mesh, s.phi[:, None], s.params),
+        r"shape \(\d+, 1\) does not match node count"),
+    "assemble list design": (
+        lambda s: assemble(s.mesh, list(s.phi), s.params),
+        "must be an array, not list"),
+    "assemble NaN design": (
+        lambda s: assemble(s.mesh, _with(s.phi, 3, np.nan), s.params),
+        "must be finite"),
+    "assemble complex design, NaN imaginary part": (
+        lambda s: assemble(s.mesh, _with(s.phi + 0j, 3, complex(1, np.nan)),
+                           s.params),
+        "must be finite"),
+    "assemble hyper-dual design, inf real lane": (
+        lambda s: assemble(s.mesh, HyperDualArray(_with(s.phi, 3, np.inf)),
+                           s.params),
+        "must be finite"),
     "classify_nodes design length": (
         lambda s: classify_nodes(s.mesh, s.phi[:-1]),
         "does not match node count"),

@@ -11,15 +11,14 @@ right-hand-side correction, which preserves symmetry.
 Only the cut elements are integrated and evaluated on each call; every
 other element lies wholly in one material and takes its local data from a
 per-mesh cache built once per material.  Every local array has the element
-axis last.  The mesh's one cached scatter map sums the matrix entries of
-every scalar type straight into the free x free and free x fixed CSR data,
-in the order scipy's COO-to-CSR conversion would sum them; the Dirichlet
-coupling is the free x fixed block times the mesh's Dirichlet values.
-Each system is factored once by :mod:`.ldlt`, on the band layout the
-mesh's reduced index caches, and the factor is shared by its state and
+axis last.  The lower free x free entries of every scalar type are summed
+straight into the lower band storage of :mod:`.ldlt`, the system matrix,
+through the band layout the mesh's reduced index caches, each slot in the
+order scipy's COO-to-CSR conversion would sum it.  The Dirichlet coupling
+is the free x fixed CSR block times the mesh's Dirichlet values.  Each
+system is factored once, and the factor is shared by its state and
 adjoint solves.  A system keeps its mesh and reads every per-mesh array
-from it.  The cost's area term is integrated from the design by
-:func:`~tsopt.levelset.subdomain_area`.
+from it, and carries the cost's area term from the same cut pass.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hdarray import HyperDualArray, HyperDualMatrix, promote_like
-from .ldlt import ldlt_factor, ldlt_solve
-from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF,
-                       negative_region_integrals, subdomain_area)
+from .hdarray import HyperDualArray, promote_like
+from .ldlt import BandLayout, ldlt_factor, ldlt_solve
+from .levelset import _FULL_LOAD_REF, _FULL_MASS_REF, negative_region_integrals
 from .mesh import ElementGeometry, Mesh, ScatterBlock
 
 __all__ = [
@@ -122,19 +120,20 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
 class AssembledSystem:
     """Reduced symmetric system plus the local tracking-mass matrices.
 
-    ``matrix`` is a CSR matrix for real and complex data and a
-    :class:`~tsopt.hdarray.HyperDualMatrix` of three CSR lanes for
-    hyper-dual data, in the numbering of ``mesh.reduced_index``; the factor
-    is made on the first solve and kept.  ``mt_local`` holds the
-    per-element tracking mass matrices (coefficient included, element axis
-    last), from which the tracking quadratic form and the adjoint
-    right-hand side are evaluated without a global scatter.
+    ``matrix`` is the free x free block in the lower band storage of
+    ``mesh.reduced_index.band`` (see :mod:`.ldlt`), in the scalar type of
+    the design; the factor is made on the first solve and kept.
+    ``mt_local`` holds the per-element tracking mass matrices (coefficient
+    included, element axis last), from which the tracking quadratic form
+    and the adjoint right-hand side are evaluated without a global scatter.
+    ``area`` is the negative area, set only for a cost with ``c1 != 0``.
     """
 
-    matrix: object                 # free x free
+    matrix: object                 # (w + 1, n) band
     rhs: object                    # free
     mt_local: object               # (3, 3, N)
     mesh: Mesh
+    area: object = None
     _factor: object = None
 
 
@@ -157,25 +156,27 @@ def _summed(vals, slot, size):
 
 
 def _scatter_matrix(values, block: ScatterBlock):
-    """Sum the entries of the element-last ``(3, 3, N)`` local matrices
-    ``values`` that ``block`` of the mesh's scatter map
-    (:attr:`~tsopt.mesh.Mesh.scatter` or a
-    :class:`~tsopt.mesh.ReducedIndex` block) selects into CSR (one CSR
-    matrix per hyper-dual lane).
+    """Sum the entries of the real or complex element-last ``(3, 3, N)``
+    local matrices ``values`` that ``block`` of the mesh's scatter map
+    (:attr:`~tsopt.mesh.Mesh.scatter` or the free x fixed block of
+    :class:`~tsopt.mesh.ReducedIndex`) selects into CSR.
 
-    Each matrix is a shallow copy of the block's pattern with data of its
+    The matrix is a shallow copy of the block's pattern with data of its
     own: the read-only index arrays are shared, as the CSR constructor
     would share them, without being checked again on every call."""
+    matrix = copy.copy(block.pattern)
+    matrix.data = _summed(values.reshape(-1)[block.pos], block.slot,
+                          block.pattern.nnz)
+    return matrix
 
-    def csr(vals):
-        matrix = copy.copy(block.pattern)
-        matrix.data = _summed(vals.reshape(-1)[block.pos], block.slot,
-                              block.pattern.nnz)
-        return matrix
 
-    if isinstance(values, HyperDualArray):
-        return HyperDualMatrix(*(csr(lane) for lane in values.lanes))
-    return csr(values)
+def _band_matrix(values, band: BandLayout):
+    """Sum the lower entries of the element-last ``(3, 3, N)`` local
+    matrices ``values`` into the lower band storage of ``band``, in the
+    scalar type of ``values``."""
+    n, rows = len(band.perm), band.width + 1
+    return _summed(values.reshape(-1)[band.source], band.target,
+                   rows * n).reshape(n, rows).transpose()
 
 
 def _local_matrices(params: ProblemParams, k0, dj, neg_frac, neg_mass,
@@ -229,16 +230,16 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
 
     Only the cut elements are integrated and evaluated; every other element
     takes its cached local data (:func:`_uncut_locals`).  A design that is
-    not an array of shape ``(M,)`` with finite values (the real lane of a
+    not an array of shape ``(M,)`` with finite values (every lane of a
     hyper-dual design, both parts of a complex one) raises ``ValueError``."""
-    values = phi.re if isinstance(phi, HyperDualArray) else phi
-    if not isinstance(values, np.ndarray):
+    lanes = phi.lanes if isinstance(phi, HyperDualArray) else (phi,)
+    if not isinstance(lanes[0], np.ndarray):
         raise ValueError(f"a design must be an array, not "
                          f"{type(phi).__name__}")
-    if values.shape != (mesh.num_nodes,):
-        raise ValueError(f"level-set shape {values.shape} does not match "
+    if lanes[0].shape != (mesh.num_nodes,):
+        raise ValueError(f"level-set shape {lanes[0].shape} does not match "
                          f"node count {mesh.num_nodes}")
-    if not np.isfinite(values).all():
+    if not all(np.isfinite(lane).all() for lane in lanes):
         raise ValueError("level-set values must be finite")
     full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
     uncut = _uncut_locals(mesh, params)
@@ -258,11 +259,18 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     f_loc = merged(uncut.f, f_cut)
     index = mesh.reduced_index
     f_glob = _summed(f_loc.transpose(), mesh.elements.ravel(), mesh.num_nodes)
+
+    def coupling(values):
+        return _scatter_matrix(values, index.fd) @ mesh.dirichlet_values
+
+    coupled = (HyperDualArray(*map(coupling, a_loc.lanes))
+               if isinstance(a_loc, HyperDualArray) else coupling(a_loc))
+    area = ((merged((0.0, 0.5), frac) * geo.det_j).sum()
+            if params.c1 != 0.0 else None)
     return AssembledSystem(
-        matrix=_scatter_matrix(a_loc, index.ff),
-        rhs=(f_glob[index.free]
-             - _scatter_matrix(a_loc, index.fd) @ mesh.dirichlet_values),
-        mt_local=merged(uncut.mt, mt_cut), mesh=mesh)
+        matrix=_band_matrix(a_loc, index.band),
+        rhs=f_glob[index.free] - coupled,
+        mt_local=merged(uncut.mt, mt_cut), mesh=mesh, area=area)
 
 
 def _apply_factor(system: AssembledSystem, rhs):
@@ -323,15 +331,17 @@ def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
 def objective(mesh: Mesh, phi, u, params: ProblemParams,
               system: AssembledSystem):
     """Cost ``c1 |Omega| + c2 (u - uhat)^T Mt (u - uhat)`` of the design
-    ``phi`` that ``system`` was assembled for, generic: the area of
-    ``phi``'s negative region and the tracking term of ``system``."""
+    ``phi`` that ``system`` was assembled for, generic: the area and the
+    tracking term of ``system``, which must carry its area if c1 != 0."""
     w_loc = _tracking_residual(u, params)[mesh.elements.T]
     tmp = _element_matvec(system.mt_local, w_loc)
     tracking = ((tmp[0] * w_loc[0] + tmp[1] * w_loc[1])
                 + tmp[2] * w_loc[2]).sum()
     value = params.c2 * tracking
     if params.c1 != 0.0:
-        value = value + params.c1 * subdomain_area(mesh, phi)
+        if system.area is None:
+            raise ValueError("the system was assembled without the area term")
+        value = value + params.c1 * system.area
     return value
 
 

@@ -27,7 +27,7 @@ are used on real values only, in the optimizer.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "DivisionByZeroRealPart",
     "GenericScalar",
     "HyperDualArray",
-    "HyperDualMatrix",
     "promote_like",
     "sign_array",
 ]
@@ -160,19 +159,6 @@ class HyperDualArray:
 
 
 GenericScalar = Union[float, complex, HyperDualArray]
-
-
-class HyperDualMatrix(NamedTuple):
-    """Three real sparse matrices on one pattern: a sparse hyper-dual
-    matrix with its E2 part tied to its E1 part."""
-
-    re: object
-    e1: object
-    e12: object
-
-    def __matmul__(self, x) -> HyperDualArray:
-        """Product with a real vector."""
-        return HyperDualArray(*(m @ x for m in self))
 
 
 def _lanes(value):

@@ -10,8 +10,9 @@ from them (element geometry, the scatter map of every P1 matrix and its
 reduced blocks, the local matrices of uncut elements per material, the
 one-ring adjacency the classification and the smoothing share) is computed
 on first use and cached on the mesh instance, so a new mesh never sees
-another mesh's data.  The reduced index also caches the band layout that
-:func:`tsopt.ldlt.band_layout` computes for its free x free block.
+another mesh's data.  The reduced index caches the band layout that
+:func:`tsopt.ldlt.band_layout` computes for the free x free block: its
+ordering, and the band slot of every element entry the block sums.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ElementGeometry:
 
 @dataclass(frozen=True)
 class ScatterBlock:
-    """One block of the reduced matrix as a CSR ``pattern`` (a matrix of
+    """A P1 matrix or one block of it as a CSR ``pattern`` (a matrix of
     zeros with read-only arrays) and, for every entry of the element
     matrices that lands in it, its position ``pos`` in the flattened
     element-last ``(3, 3, N)`` local array and the CSR data ``slot`` it is
@@ -58,13 +59,12 @@ class ScatterBlock:
 
 @dataclass(frozen=True)
 class ReducedIndex:
-    """Free (non-Dirichlet) node ids, the free x free (``ff``) and free x
-    fixed (``fd``, columns in ``Mesh.dirichlet_nodes`` order) scatter
-    blocks in the reduced numbering, and the band layout of ``ff``
-    (:func:`tsopt.ldlt.band_layout`)."""
+    """Free (non-Dirichlet) node ids, the free x fixed scatter block
+    (``fd``, rows in ``free`` order, columns in ``Mesh.dirichlet_nodes``
+    order) and the band layout of the free x free block
+    (:func:`tsopt.ldlt.band_layout`), whose entries it maps into the band."""
 
     free: np.ndarray
-    ff: ScatterBlock
     fd: ScatterBlock
     band: BandLayout
 
@@ -216,8 +216,9 @@ class Mesh:
 
     @cached_property
     def reduced_index(self) -> ReducedIndex:
-        """The :attr:`scatter` split at the Dirichlet nodes, with the band
-        layout of the free x free block, built once."""
+        """The :attr:`scatter` split at the Dirichlet nodes into the band
+        layout of the free x free block and the free x fixed block, built
+        once."""
         m, scatter = self.num_nodes, self.scatter
         pattern = scatter.pattern
         rows = np.repeat(np.arange(m), np.diff(pattern.indptr))[scatter.slot]
@@ -230,14 +231,14 @@ class Mesh:
         number[free] = np.arange(len(free))
         number[fixed] = np.arange(len(fixed))
 
-        def block(keep, num_cols):
-            return _scatter_block(scatter.pos[keep], number[rows[keep]],
-                                  number[cols[keep]], (len(free), num_cols))
-
-        ff = block(is_free[rows] & is_free[cols], len(free))
-        fd = block(is_free[rows] & ~is_free[cols], len(fixed))
-        return ReducedIndex(free=free, ff=ff, fd=fd,
-                            band=band_layout(ff.pattern))
+        ff = is_free[rows] & is_free[cols]
+        fd = is_free[rows] & ~is_free[cols]
+        return ReducedIndex(
+            free=free,
+            fd=_scatter_block(scatter.pos[fd], number[rows[fd]],
+                              number[cols[fd]], (len(free), len(fixed))),
+            band=band_layout(number[rows[ff]], number[cols[ff]],
+                             scatter.pos[ff], len(free)))
 
     @cached_property
     def uncut_locals(self) -> dict:

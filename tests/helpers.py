@@ -7,10 +7,12 @@ evaluation of those primitives.  The polygon clipper lives here and nowhere
 else: the package computes every cut with its rational lone-vertex formulas,
 and this second geometry is the tests' check on them.
 
-The mesh builders at the bottom give meshes the package does not build: one
-reference triangle per sample, for running per-element checks through the
-package's one vectorized kernel, and two triangulations of the unit square
-other than the crossed mesh.
+The mesh builders give meshes the package does not build: one reference
+triangle per sample, for running per-element checks through the package's
+one vectorized kernel, and two triangulations of the unit square other than
+the crossed mesh.  The band helpers at the bottom convert between a dense
+symmetric matrix and the lower band storage the package assembles and
+factors, by plain loops over the diagonals.
 """
 
 import numpy as np
@@ -146,3 +148,29 @@ def one_diagonal_mesh(n):
                         axis=1).reshape(-1, 3)
     return _with_experiment_boundary(
         Mesh(np.column_stack([gx.ravel(), gy.ravel()]), elements))
+
+
+def band_to_dense(ab, band):
+    """The dense symmetric matrix, in the numbering before ``band.perm``,
+    of the real or complex lower band storage ``ab`` of ``band``."""
+    n = ab.shape[1]
+    b = np.zeros((n, n), dtype=ab.dtype)
+    for d in range(ab.shape[0]):
+        j = np.arange(n - d)
+        b[j + d, j] = b[j, j + d] = ab[d, :n - d]
+    dense = np.empty_like(b)
+    dense[np.ix_(band.perm, band.perm)] = b
+    return dense
+
+
+def dense_to_band(dense, band):
+    """The lower band storage of ``band`` of the dense symmetric matrix
+    ``dense``; every entry of ``dense`` must lie in the band."""
+    b = dense[band.perm][:, band.perm]
+    n, w = len(b), band.width
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    assert not b[np.abs(offset) > w].any()
+    ab = np.zeros((w + 1, n), dtype=b.dtype, order="F")
+    for d in range(w + 1):
+        ab[d, :n - d] = np.diagonal(b, -d)
+    return ab

@@ -72,7 +72,7 @@ def test_degenerate_designs_end_finite_or_typed(design):
 
     def evaluation():
         system = assemble(mesh, phi, params)
-        _finite(system.matrix.data, system.rhs, system.mt_local,
+        _finite(system.matrix, system.rhs, system.mt_local,
                 subdomain_area(mesh, phi))
         u = solve_state(system)
         _finite(u)

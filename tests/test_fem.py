@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (exact_negative_load_entry, exact_negative_mass_entry,
-                     reference_triangles)
-from tsopt.fem import (_scatter_matrix, _summed, assemble, element_geometry,
-                       objective, solve_adjoint, solve_state, tracking_matvec)
-from tsopt.hdarray import HyperDualArray, HyperDualMatrix
+from helpers import (band_to_dense, exact_negative_load_entry,
+                     exact_negative_mass_entry, jittered_crossed_mesh,
+                     one_diagonal_mesh, reference_triangles)
+from tsopt import fem, levelset
+from tsopt.fem import (_band_matrix, _scatter_matrix, _summed, assemble,
+                       element_geometry, evaluate_cost, objective,
+                       solve_adjoint, solve_state, tracking_matvec)
+from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
                             T_PLUS, DegenerateCut, perturb, subdomain_area)
 from tsopt.mesh import Mesh, tag_boundary
@@ -82,7 +87,7 @@ def test_assembly_is_affine_in_coefficients(mesh8, phi_d8):
     mats = []
     for lam1 in (1.0, 2.0, 3.0):
         params = default_params(lambda1=lam1).with_uhat(np.zeros(mesh8.num_nodes))
-        mats.append(assemble(mesh8, phi_d8, params).matrix.toarray())
+        mats.append(assemble(mesh8, phi_d8, params).matrix)
     assert np.allclose(mats[1] - mats[0], mats[2] - mats[1], atol=1e-13)
 
 
@@ -96,16 +101,18 @@ def test_harmonic_dirichlet_data_reproduced_exactly(mesh8, phi_d8):
 def test_residual_bound(mesh8, phi_d8, params_zero8):
     system = assemble(mesh8, phi_d8, params_zero8)
     u = solve_state(system)
-    free = system.mesh.reduced_index.free
-    residual = system.matrix @ u[free] - system.rhs
+    index = system.mesh.reduced_index
+    free = index.free
+    residual = band_to_dense(system.matrix, index.band) @ u[free] - system.rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_galerkin_orthogonality_surrogate(mesh8, phi_d8, params_zero8, rng):
     system = assemble(mesh8, phi_d8, params_zero8)
     u = solve_state(system)
-    free = system.mesh.reduced_index.free
-    residual = system.matrix @ u[free] - system.rhs
+    index = system.mesh.reduced_index
+    free = index.free
+    residual = band_to_dense(system.matrix, index.band) @ u[free] - system.rhs
     scale = np.linalg.norm(system.rhs)
     for _ in range(20):
         v = rng.normal(size=len(free))
@@ -146,7 +153,7 @@ def test_dense_cross_check_on_smallest_mesh():
     mesh = experiment_mesh(1)
     params = setup_problem(mesh, uhat="zero")
     system = assemble(mesh, np.array([-1.0, 1.0, 1.0, -1.0, 0.25]), params)
-    dense = system.matrix.toarray()
+    dense = band_to_dense(system.matrix, mesh.reduced_index.band)
     u_free = np.linalg.solve(dense, system.rhs)
     u = solve_state(system)
     free = system.mesh.reduced_index.free
@@ -182,6 +189,45 @@ def test_objective_terms(mesh8, phi_d8):
     assert objective(mesh8, phi, u, params, system=system) == pytest.approx(1.0)
 
 
+def test_area_term_takes_the_cut_pass_of_the_assembly(rng, monkeypatch):
+    # with c1 != 0 the system carries the negative area from its own cut
+    # pass: one lone-cut pass per cost evaluation, and the cost of
+    # objective's former second pass (subdomain_area), bit for bit for
+    # real designs
+    passes = []
+
+    def counted(phi, tris, _real=levelset._lone_cuts):
+        passes.append(None)
+        return _real(phi, tris)
+
+    for level in (2, 8, 16):
+        mesh = experiment_mesh(level)
+        params = replace(setup_problem(mesh, uhat="zero"), c1=1.0)
+        m = mesh.num_nodes
+        x = mesh.nodes[:, 0]
+        designs = [interpolate_target(mesh)]
+        for _ in range(3):
+            phi = rng.uniform(-1.0, 1.0, m)
+            phi[rng.uniform(size=m) < 0.2] = 0.0     # exact zeros
+            designs.append(phi)
+        for phi in designs:
+            for design in (phi, phi + 1e-3j * x, HyperDualArray(phi, x, x)):
+                passes.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(levelset, "_lone_cuts", counted)
+                    j, system, u = evaluate_cost(mesh, design, params)
+                assert len(passes) == 1
+                want = objective(mesh, design, u, replace(params, c1=0.0),
+                                 system) + subdomain_area(mesh, design)
+                if isinstance(design, np.ndarray) and design.dtype == float:
+                    assert np.float64(j).tobytes() == want.tobytes()
+                else:
+                    for got, ref in zip(_lanes(j), _lanes(want)):
+                        assert abs(got - ref) <= 1e-15 * abs(ref)
+    params = setup_problem(mesh, uhat="zero")
+    assert assemble(mesh, designs[0], params).area is None
+
+
 def test_tracking_matvec_matches_quadratic_form(mesh8, phi_d8, params_zero8, rng):
     system = assemble(mesh8, phi_d8, params_zero8)
     w = rng.normal(size=mesh8.num_nodes)
@@ -192,25 +238,46 @@ def test_tracking_matvec_matches_quadratic_form(mesh8, phi_d8, params_zero8, rng
     assert w @ mv == pytest.approx(v @ mw, rel=1e-12)
 
 
-@pytest.mark.parametrize("level", [2, 8, 16])
-def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
-    # the reduced scatter sums every duplicate entry in the same order as
-    # the conversion of the full matrix, so the two agree to the last bit
-    mesh = experiment_mesh(level)
-    index = mesh.reduced_index
-    free, fixed = index.free, mesh.dirichlet_nodes
+def _full_matrix(mesh, local):
+    """scipy's COO-to-CSR conversion of the ``(N, 3, 3)`` element matrices
+    ``local`` of one real or complex part."""
     n, m = mesh.num_elements, mesh.num_nodes
     rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
     cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+
+
+def _reference_band(mesh, local):
+    """The lower band storage of the permuted free x free block of
+    :func:`_full_matrix`, entry by entry, with zeros elsewhere."""
+    free, band = mesh.reduced_index.free, mesh.reduced_index.band
+    block = _full_matrix(mesh, local)[free][:, free][band.perm][:, band.perm]
+    block = block.tocoo()
+    lower = block.row >= block.col
+    ab = np.zeros((band.width + 1, len(free)), dtype=block.dtype)
+    ab[(block.row - block.col)[lower], block.col[lower]] = block.data[lower]
+    return ab
+
+
+def _assert_band_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", [2, 8, 16])
+def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
+    # the band sums every duplicate entry in the same order as the
+    # conversion of the full matrix, so the two agree to the last bit
+    mesh = experiment_mesh(level)
+    index = mesh.reduced_index
+    free, fixed = index.free, mesh.dirichlet_nodes
+    n = mesh.num_elements
     g = rng.normal(size=len(fixed))
     for _ in range(3):
         local = rng.normal(size=(n, 3, 3))
-        full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(m, m)).tocsr()
-        want = full[free][:, free].tocsr()
-        got = _scatter_matrix(local.transpose(1, 2, 0), index.ff)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        full = _full_matrix(mesh, local)
+        got = _band_matrix(local.transpose(1, 2, 0), index.band)
+        _assert_band_bitwise(got, _reference_band(mesh, local))
         coupling = _scatter_matrix(local.transpose(1, 2, 0), index.fd)
         assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
 
@@ -219,35 +286,20 @@ def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
 def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
     # complex and hyper-dual components go through the same slots as real
     # data; each must equal the COO-to-CSR conversion of the full matrix,
-    # sliced to the free x free block, to the last bit, and each rhs the
-    # np.add.at scatter
+    # sliced to the permuted free x free block, in its lower band, to the
+    # last bit, and each rhs the np.add.at scatter
     mesh = experiment_mesh(level)
     index = mesh.reduced_index
-    free = index.free
     n, m = mesh.num_elements, mesh.num_nodes
-    rows = np.broadcast_to(mesh.elements[:, :, None], (n, 3, 3)).ravel()
-    cols = np.broadcast_to(mesh.elements[:, None, :], (n, 3, 3)).ravel()
-
-    def reference(local):
-        full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(m, m)).tocsr()
-        return full[free][:, free].tocsr()
-
-    def assert_same(got, want):
-        assert got.dtype == want.dtype
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert got.data.tobytes() == want.data.tobytes()
 
     local = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-    assert_same(_scatter_matrix(local.transpose(1, 2, 0), index.ff),
-                reference(local))
+    _assert_band_bitwise(_band_matrix(local.transpose(1, 2, 0), index.band),
+                         _reference_band(mesh, local))
     parts = [rng.normal(size=(n, 3, 3)) for _ in range(3)]
-    got = _scatter_matrix(HyperDualArray(*parts).transpose(1, 2, 0),
-                          index.ff)
-    assert isinstance(got, HyperDualMatrix)
-    for comp, part in zip(got, parts):
-        assert_same(comp, reference(part))
+    got = _band_matrix(HyperDualArray(*parts).transpose(1, 2, 0), index.band)
+    assert isinstance(got, HyperDualArray)
+    for comp, part in zip(got.lanes, parts):
+        _assert_band_bitwise(comp, _reference_band(mesh, part))
 
     # the rhs scatter sums in the same order as np.add.at over the elements
     def added(vals):
@@ -267,6 +319,59 @@ def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
         assert lane.tobytes() == added(vals).tobytes()
 
 
+_BAND_MESHES = {
+    "crossed 1": lambda: experiment_mesh(1),
+    "crossed 2": lambda: experiment_mesh(2),
+    "crossed 8": lambda: experiment_mesh(8),
+    "jittered 5": lambda: jittered_crossed_mesh(5, 11),
+    "one-diagonal 6": lambda: one_diagonal_mesh(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_MESHES))
+def test_assembled_band_equals_the_permuted_reference_bitwise(
+        name, rng, monkeypatch):
+    # assemble sums every lower free x free entry of the element matrices
+    # straight into the band; each slot must hold the bits of the COO-to-CSR
+    # conversion of the same element matrices, part by part and lane by
+    # lane, and a hyper-dual solve through the band products must agree
+    # with a dense solve of the three lanes
+    mesh = _BAND_MESHES[name]()
+    params = setup_problem(mesh, uhat="zero")
+    band = mesh.reduced_index.band
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    phi = rng.uniform(-1.0, 1.0, mesh.num_nodes)
+    locals_seen = []
+
+    def captured(values, layout, _real=fem._band_matrix):
+        locals_seen.append(values)
+        return _real(values, layout)
+
+    monkeypatch.setattr(fem, "_band_matrix", captured)
+    hyper = HyperDualArray(phi, x, x * y)
+    for design in (phi, phi + 1e-3j * y, hyper):
+        got = assemble(mesh, design, params).matrix
+        local = locals_seen.pop()
+        if isinstance(design, HyperDualArray):
+            pairs = zip(got.lanes, local.lanes)
+        else:
+            pairs = [(got, local)]
+        for lane, values in pairs:
+            assert lane.flags.f_contiguous
+            _assert_band_bitwise(lane, _reference_band(
+                mesh, values.transpose(2, 0, 1)))
+
+    system = assemble(mesh, hyper, params)
+    a0, a1, a12 = (band_to_dense(lane, band) for lane in system.matrix.lanes)
+    b = system.rhs
+    x0 = np.linalg.solve(a0, b.re)
+    x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
+    x12 = np.linalg.solve(a0, b.e12 - a1 @ x1 - a1 @ x1 - a12 @ x0)
+    got = solve_state(system)[mesh.reduced_index.free]
+    for comp, want in zip(got.lanes, (x0, x1, x12)):
+        assert np.abs(comp - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_reduced_index_is_cached_per_mesh():
     mesh = experiment_mesh(4)
     assert mesh.reduced_index is mesh.reduced_index
@@ -283,7 +388,7 @@ def test_band_layout_is_cached_per_mesh():
     assert np.array_equal(np.sort(band.perm),
                           np.arange(len(mesh.reduced_index.free)))
     # cached arrays are shared, so they refuse in-place writes
-    for array in (band.perm, band.slot, band.lower, band.lower_slot):
+    for array in (band.perm, band.source, band.target):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -306,15 +411,16 @@ def test_state_solves_match_dense_reduced_system(level):
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    band = mesh.reduced_index.band
     for design in (phi, phi + 0.05j * x):
         system = assemble(mesh, design, params)
-        want = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        want = np.linalg.solve(band_to_dense(system.matrix, band), system.rhs)
         got = solve_state(system)[system.mesh.reduced_index.free]
         assert_close(got.real, want.real)
         assert_close(got.imag, want.imag)
 
     system = assemble(mesh, HyperDualArray(phi, x, x * y), params)
-    a0, a1, a12 = (part.toarray() for part in system.matrix)
+    a0, a1, a12 = (band_to_dense(lane, band) for lane in system.matrix.lanes)
     b = system.rhs
     x0 = np.linalg.solve(a0, b.re)
     x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
@@ -339,12 +445,12 @@ def test_geometry_is_cached_per_mesh():
 def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
     phih = HyperDualArray(phi_d8, np.ones(mesh8.num_nodes))
     matrix = assemble(mesh8, phih, params_zero8).matrix
-    assert isinstance(matrix, HyperDualMatrix) and len(matrix) == 3
+    assert isinstance(matrix, HyperDualArray) and len(matrix.lanes) == 3
     real = assemble(mesh8, phi_d8, params_zero8).matrix
-    for comp in matrix:
-        assert np.array_equal(comp.indptr, real.indptr)
-        assert np.array_equal(comp.indices, real.indices)
-    assert np.allclose(matrix.re.data, real.data, rtol=1e-14, atol=0.0)
+    for comp in matrix.lanes:
+        assert comp.dtype == real.dtype and comp.shape == real.shape
+        assert comp.flags.f_contiguous
+    assert np.allclose(matrix.re, real, rtol=1e-14, atol=0.0)
 
 
 def _assemble_every_element(mesh, phi, params, integrals):
@@ -363,11 +469,16 @@ def _assemble_every_element(mesh, phi, params, integrals):
         * dj[:, None, None]
     f_loc = (params.f2 * _FULL_LOAD_REF + params.d_f * neg_load) * dj[:, None]
     index = mesh.reduced_index
-    free = index.free
-    a_ff = _scatter_matrix(a_loc.transpose(1, 2, 0), index.ff)
-    a_fd = _scatter_matrix(a_loc.transpose(1, 2, 0), index.fd)
+    a_ff = _band_matrix(a_loc.transpose(1, 2, 0), index.band)
+
+    def coupling(values):
+        return (_scatter_matrix(values.transpose(1, 2, 0), index.fd)
+                @ mesh.dirichlet_values)
+
+    coupled = (HyperDualArray(*map(coupling, a_loc.lanes))
+               if isinstance(a_loc, HyperDualArray) else coupling(a_loc))
     f_glob = _summed(f_loc, mesh.elements.reshape(-1), mesh.num_nodes)
-    return a_ff, f_glob[free] - a_fd @ mesh.dirichlet_values, mt_loc, neg_frac
+    return a_ff, f_glob[index.free] - coupled, mt_loc, neg_frac
 
 
 def _lanes(x):
@@ -436,13 +547,7 @@ def test_cut_local_assembly_equals_the_full_element_body(
                     got = assemble(mesh, x, params)
                     real = isinstance(x, np.ndarray) and x.dtype == float
                     a_ff, rhs, mt_loc, neg_frac = want
-                    parts = zip(got.matrix, a_ff) \
-                        if isinstance(a_ff, HyperDualMatrix) \
-                        else [(got.matrix, a_ff)]
-                    for g, w in parts:
-                        assert np.array_equal(g.indptr, w.indptr)
-                        assert np.array_equal(g.indices, w.indices)
-                        _assert_same(g.data, w.data, real)
+                    _assert_same(got.matrix, a_ff, real)
                     _assert_same(got.rhs, rhs, real)
                     _assert_same(got.mt_local.transpose(2, 0, 1), mt_loc,
                                  real)

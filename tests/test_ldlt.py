@@ -4,10 +4,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import band_to_dense, dense_to_band
 from tsopt import ldlt
-from tsopt.hdarray import HyperDualArray, HyperDualMatrix
-from tsopt.ldlt import (SolverBreakdown, band_layout, band_storage,
-                        ldlt_factor, ldlt_solve)
+from tsopt.hdarray import HyperDualArray
+from tsopt.ldlt import SolverBreakdown, band_layout, ldlt_factor, ldlt_solve
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import experiment_mesh, interpolate_target, setup_problem
 from tsopt.fem import assemble, solve_adjoint, solve_state
@@ -28,67 +28,87 @@ def hd_system(rng, n, scale=1.0):
     """Random hyper-dual matrix (dense lanes) and right-hand side."""
     comps = [random_spd(rng, n)] + [scale * random_sym(rng, n)
                                     for _ in range(2)]
-    matrix = HyperDualMatrix(*(sp.csr_matrix(c) for c in comps))
-    return comps, matrix, HyperDualArray(*rng.normal(size=(3, n)))
+    return comps, HyperDualArray(*rng.normal(size=(3, n)))
 
 
-def layout(a):
-    pattern = a.re if isinstance(a, HyperDualMatrix) else a
-    return band_layout(pattern)
+def layout(mask):
+    """Band layout of the nonzero pattern of the dense ``mask``, one entry
+    per nonzero."""
+    rows, cols = np.nonzero(mask)
+    return band_layout(rows, cols, np.arange(len(rows)), len(mask))
 
 
-def factor(a):
-    return ldlt_factor(a, layout(a))
+def factor(*lanes):
+    """Factor the dense matrix ``lanes[0]``, or the hyper-dual one of the
+    three dense ``lanes``, in the band of its real lane's pattern."""
+    band = layout(lanes[0])
+    ab = [dense_to_band(lane, band) for lane in lanes]
+    return ldlt_factor(HyperDualArray(*ab) if len(ab) == 3 else ab[0], band)
 
 
-def solve(a, b):
-    return ldlt_solve(factor(a), b)
+def solve(b, *lanes):
+    return ldlt_solve(factor(*lanes), b)
 
 
 def test_real_solve_matches_lapack(rng):
     for n in (1, 2, 5, 20):
         a = random_spd(rng, n)
         b = rng.normal(size=n)
-        x = solve(sp.csr_matrix(a), b)
+        x = solve(b, a)
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
 
 
-def test_factorization_reconstructs_matrix():
-    # a real matrix is stored for banded Cholesky: the lower triangle of
-    # P A P^T, B[i, j] (i >= j) in row i - j of column j of w + 1 rows; a
-    # complex one for banded LU: B[i, j] in row 2w + i - j of column j of
-    # 3w + 1 rows (fill-in room included); zeros elsewhere
+def test_factorization_reconstructs_matrix(monkeypatch):
+    # a real system is its lower band for banded Cholesky: the lower
+    # triangle of P A P^T, B[i, j] (i >= j) in row i - j of column j of
+    # w + 1 rows; a complex one is mirrored for banded LU: B[i, j] in row
+    # 2w + i - j of column j of 3w + 1 rows (fill-in room included); zeros
+    # elsewhere
     mesh = experiment_mesh(4)
     params = setup_problem(mesh, uhat="zero")
     real = assemble(mesh, interpolate_target(mesh), params).matrix
     sparse = sp.random(30, 30, density=0.1, random_state=3)
     sparse = sparse + sparse.T + 30 * sp.identity(30)
-    sparse = sp.csr_matrix(sparse + 1j * 1e-3 * sparse)
-    for a in (real, sparse):
-        band = layout(a)
-        w, n = band.width, a.shape[0]
-        b = a.toarray()[band.perm][:, band.perm]
+    sparse = (sparse + 1j * 1e-3 * sparse).toarray()
+    lu_storage = []
+
+    def captured(ab, *args, _real=ldlt.zgbtrf, **kwargs):
+        lu_storage.append(ab.copy(order="F"))
+        return _real(ab, *args, **kwargs)
+
+    monkeypatch.setattr(ldlt, "zgbtrf", captured)
+    for a, band in ((real, mesh.reduced_index.band),
+                    (sparse, layout(sparse))):
+        w, n = band.width, len(band.perm)
+        lower = not np.iscomplexobj(a)
+        b = (band_to_dense(a, band) if lower else a)[band.perm][:, band.perm]
         assert np.array_equal(np.triu(np.tril(b, w), -w), b)
-        lower = not np.iscomplexobj(b)
         top = 0 if lower else 2 * w
         expected = np.zeros((top + w + 1, n), dtype=b.dtype)
         for j in range(n):
             for i in range(j if lower else max(0, j - w), min(n, j + w + 1)):
                 expected[top + i - j, j] = b[i, j]
-        ab = band_storage(a, band)
+        if lower:
+            ab = a
+        else:
+            ldlt_factor(dense_to_band(a, band), band)
+            ab = lu_storage.pop()
         assert ab.dtype == a.dtype and ab.flags.f_contiguous
         assert ab.shape == ((w + 1, n) if lower else (3 * w + 1, n))
         assert np.array_equal(ab, expected)
         assert 0 < band.width < n - 1
-    # the Cholesky factor of the real matrix multiplies back to P A P^T
-    band = layout(real)
-    w, n = band.width, real.shape[0]
+    # the Cholesky factor of the real matrix multiplies back to P A P^T,
+    # and the system keeps its band
+    band = mesh.reduced_index.band
+    w, n = band.width, real.shape[1]
+    kept = real.copy()
     chol = ldlt_factor(real, band).ab
+    assert np.array_equal(real, kept)
     ell = np.zeros((n, n))
     for j in range(n):
         for i in range(j, min(n, j + w + 1)):
             ell[i, j] = chol[i - j, j]
-    b = real.toarray()[band.perm][:, band.perm]
+    b = band_to_dense(real, band)[band.perm][:, band.perm]
     assert np.abs(ell @ ell.T - b).max() <= 1e-14 * np.abs(b).max()
 
 
@@ -98,7 +118,7 @@ def test_complex_symmetric_solve(rng):
     s = rng.normal(size=(n, n)) * 1e-3
     a = a0 + 1j * (s + s.T)     # complex symmetric, not Hermitian
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x = solve(sp.csr_matrix(a), b)
+    x = solve(b, a)
     assert np.allclose(a @ x, b, atol=1e-10)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-12)
 
@@ -107,9 +127,9 @@ def test_hyperdual_solve_against_nilpotent_substitution(rng):
     # A x = b over hyper-duals with E2 parts tied to E1 parts decouples into
     # real solves: A0 x0 = b0, A0 x1 = b1 - A1 x0,
     # A0 x12 = b12 - A1 x1 - A1 x1 - A12 x0
-    (a0, a1, a12), a, b = hd_system(rng, 10)
+    (a0, a1, a12), b = hd_system(rng, 10)
 
-    x = solve(a, b)
+    x = solve(b, a0, a1, a12)
 
     x0 = np.linalg.solve(a0, b.re)
     x1 = np.linalg.solve(a0, b.e1 - a1 @ x0)
@@ -121,23 +141,23 @@ def test_hyperdual_solve_against_nilpotent_substitution(rng):
 
 def test_hyperdual_solve_makes_three_real_solves(rng, monkeypatch):
     calls = []
-    real_solve = ldlt._band_solve
+    real_solve = ldlt._permuted_solve
 
     def counted(factor, b):
         calls.append(None)
         return real_solve(factor, b)
 
-    monkeypatch.setattr(ldlt, "_band_solve", counted)
-    _, a, b = hd_system(rng, 10)
-    lu = factor(a)
+    monkeypatch.setattr(ldlt, "_permuted_solve", counted)
+    comps, b = hd_system(rng, 10)
+    lu = factor(*comps)
     solve_calls = len(calls)
     ldlt_solve(lu, b)
     assert solve_calls == 0 and len(calls) == 3
 
 
 def test_hyperdual_residual_is_exact(rng):
-    (a0, a1, a12), a, b = hd_system(rng, 8, scale=0.1)
-    x = solve(a, b)
+    (a0, a1, a12), b = hd_system(rng, 8, scale=0.1)
+    x = solve(b, a0, a1, a12)
     # lanes of A x - b, multiplied out with E1^2 = E2^2 = 0 and the E2
     # parts equal to the E1 parts
     r = (a0 @ x.re - b.re,
@@ -149,29 +169,29 @@ def test_hyperdual_residual_is_exact(rng):
 
 def test_breakdown_on_vanishing_pivot():
     # the second pivot is exactly zero whatever the ordering
-    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolverBreakdown):
         factor(a)
     with pytest.raises(SolverBreakdown):
         factor(a.astype(complex))
     with pytest.raises(SolverBreakdown):
-        factor(HyperDualMatrix(a, sp.identity(2, format="csr"), a))
+        factor(a, np.identity(2), a)
 
 
 def test_breakdown_on_indefinite_real_matrix(rng):
     # nonsingular, so banded LU would factor it; Cholesky stops at the
     # first leading minor that is not positive definite
     with pytest.raises(SolverBreakdown, match="leading minor of order 2"):
-        factor(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-    a = sp.csr_matrix((q * np.linspace(-1.0, 2.0, 8)) @ q.T)
+    a = (q * np.linspace(-1.0, 2.0, 8)) @ q.T
     with pytest.raises(SolverBreakdown, match="leading minor"):
         factor(a)
     with pytest.raises(SolverBreakdown, match="leading minor"):
-        factor(HyperDualMatrix(a, a, a))
+        factor(a, a, a)
     b = rng.normal(size=8)
-    assert np.allclose(solve(a.astype(complex), b),
-                       np.linalg.solve(a.toarray(), b), atol=1e-10)
+    assert np.allclose(solve(b, a.astype(complex)), np.linalg.solve(a, b),
+                       atol=1e-10)
 
 
 def test_complex_step_system_is_factored_once_by_banded_lu(monkeypatch):
@@ -198,16 +218,16 @@ def test_complex_step_system_is_factored_once_by_banded_lu(monkeypatch):
 
 
 def test_non_finite_solution_raises_at_every_entry_point(rng):
-    a = sp.csr_matrix(random_spd(rng, 6))
+    a = random_spd(rng, 6)
     b = rng.normal(size=6)
     b[2] = np.nan
     for matrix in (a, a.astype(complex)):
         with pytest.raises(SolverBreakdown, match="solution"):
-            solve(matrix, b)
+            solve(b, matrix)
     lanes = rng.normal(size=(3, 6))
     lanes[2, 4] = np.inf
     with pytest.raises(SolverBreakdown, match="solution"):
-        solve(HyperDualMatrix(a, a, a), HyperDualArray(*lanes))
+        solve(HyperDualArray(*lanes), a, a, a)
     # a NaN in the tracking target reaches the adjoint solve: the closed
     # form and the optimizer stop there instead of returning a NaN field or
     # failing later on the slerp angle
@@ -224,33 +244,33 @@ def test_non_finite_solution_raises_at_every_entry_point(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_breakdown_on_non_finite_entry(rng, bad):
-    a = sp.csr_matrix(random_spd(rng, 6))
+    a = random_spd(rng, 6)
     poisoned = a.copy()
-    poisoned.data[7] = bad
+    poisoned.flat[7] = bad
     with pytest.raises(SolverBreakdown):
         factor(poisoned)
     with pytest.raises(SolverBreakdown):
         factor(poisoned.astype(complex))
     complex_poisoned = a.astype(complex)
-    complex_poisoned.data[7] = complex(1.0, bad)
+    complex_poisoned.flat[7] = complex(1.0, bad)
     with pytest.raises(SolverBreakdown):
         factor(complex_poisoned)
     for position in range(3):
         parts = [a, a, a]
         parts[position] = poisoned
         with pytest.raises(SolverBreakdown):
-            factor(HyperDualMatrix(*parts))
+            factor(*parts)
 
 
 def test_reuse_factorization(rng):
     a = random_spd(rng, 6)
-    lu = factor(sp.csr_matrix(a.astype(complex)))
+    lu = factor(a.astype(complex))
     for _ in range(3):
         b = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.allclose(ldlt_solve(lu, b), np.linalg.solve(a, b),
                            atol=1e-12)
-    (a0, a1, _), hd, _ = hd_system(rng, 6)
-    lu = factor(hd)
+    (a0, a1, a12), _ = hd_system(rng, 6)
+    lu = factor(a0, a1, a12)
     for _ in range(3):
         b = HyperDualArray(*rng.normal(size=(3, 6)))
         x = ldlt_solve(lu, b)
@@ -260,14 +280,22 @@ def test_reuse_factorization(rng):
                            atol=1e-12)
 
 
-_MESH_PATTERNS = [experiment_mesh(level).reduced_index.ff.pattern
+def _free_pattern(mesh):
+    """The free x free pattern of a mesh's P1 matrices, as a dense mask."""
+    free = mesh.reduced_index.free
+    full = mesh.scatter.pattern.copy()
+    full.data = np.ones(full.nnz)
+    return full.toarray()[np.ix_(free, free)] != 0
+
+
+_MESH_PATTERNS = [_free_pattern(experiment_mesh(level))
                   for level in range(1, 9)]
 
 
 @st.composite
 def _symmetric_patterns(draw):
     """The reduced pattern of an experiment mesh, or a random structurally
-    symmetric pattern with its diagonal."""
+    symmetric pattern with its diagonal, as a dense mask."""
     if draw(st.booleans()):
         return draw(st.sampled_from(_MESH_PATTERNS))
     n = draw(st.integers(1, 25))
@@ -275,13 +303,7 @@ def _symmetric_patterns(draw):
     mask = np.eye(n, dtype=bool)
     for i, j in draw(st.lists(st.tuples(node, node), max_size=4 * n)):
         mask[i, j] = mask[j, i] = True
-    return sp.csr_matrix(mask.astype(float))
-
-
-def _on_pattern(pattern, dense):
-    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    return sp.csr_matrix((dense[rows, pattern.indices], pattern.indices,
-                          pattern.indptr), shape=pattern.shape)
+    return mask
 
 
 def _assert_matches(got, want):
@@ -291,10 +313,9 @@ def _assert_matches(got, want):
 @settings(max_examples=150)
 @given(_symmetric_patterns(), st.sampled_from(["real", "complex", "hd"]),
        st.integers(0, 2**32 - 1))
-def test_banded_solves_match_dense_solves(pattern, kind, seed):
+def test_banded_solves_match_dense_solves(mask, kind, seed):
     rng = np.random.default_rng(seed)
-    n = pattern.shape[0]
-    mask = pattern.toarray() != 0
+    n = len(mask)
 
     def symmetric(scale=1.0):
         upper = np.triu(rng.uniform(-scale, scale, size=(n, n)), 1)
@@ -303,16 +324,17 @@ def test_banded_solves_match_dense_solves(pattern, kind, seed):
     # strictly diagonally dominant, so symmetric positive definite
     off = symmetric()
     a0 = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    band = layout(mask)
     if kind == "hd":
         a1, a12 = symmetric(), symmetric()
-        matrix = HyperDualMatrix(*(_on_pattern(pattern, part)
-                                   for part in (a0, a1, a12)))
+        matrix = HyperDualArray(*(dense_to_band(part, band)
+                                  for part in (a0, a1, a12)))
     else:
         if kind == "complex":
             # imaginary part at most 1e-3 of the real part, entry by entry
             a0 = a0 + 1j * symmetric(1e-3) * a0
-        matrix = _on_pattern(pattern, a0)
-    lu = ldlt_factor(matrix, layout(matrix))
+        matrix = dense_to_band(a0, band)
+    lu = ldlt_factor(matrix, band)
 
     def check(b):
         x = ldlt_solve(lu, b)

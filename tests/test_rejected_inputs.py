@@ -1,6 +1,7 @@
 """Each argument check of the library raises ``ValueError`` with its own
 message, before any numerical work."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from tsopt.fem import (assemble, evaluate_cost, objective, solve_adjoint,
                        solve_state)
 from tsopt.hdarray import HyperDualArray
-from tsopt.ldlt import band_storage
+from tsopt.ldlt import ldlt_factor
 from tsopt.levelset import SHAPE, classify_nodes, perturb
 from tsopt.mesh import Mesh, generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
@@ -30,11 +31,11 @@ def level2():
                            u=solve_state(system))
 
 
-def _foreign_band_storage(s):
-    # a level-3 matrix against the level-2 band layout
+def _foreign_band(s):
+    # a level-3 band against the level-2 band layout
     other = experiment_mesh(3)
     matrix = assemble(other, np.ones(other.num_nodes), s.params).matrix
-    band_storage(matrix, s.mesh.reduced_index.band)
+    ldlt_factor(matrix, s.mesh.reduced_index.band)
 
 
 def _with(phi, k, value):
@@ -56,8 +57,8 @@ CASES = {
     "Mesh (N, 4) elements": (
         lambda s: Mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 3, 2)]),
         r"shape \(N, 3\)"),
-    "band_storage foreign pattern": (
-        _foreign_band_storage, "does not match the band layout"),
+    "ldlt_factor foreign band": (
+        _foreign_band, "does not match the band layout"),
     "assemble design length": (
         lambda s: assemble(s.mesh, s.phi[:-1], s.params),
         "does not match node count"),
@@ -78,6 +79,14 @@ CASES = {
         lambda s: assemble(s.mesh, HyperDualArray(_with(s.phi, 3, np.inf)),
                            s.params),
         "must be finite"),
+    "assemble hyper-dual design, NaN e1 lane": (
+        lambda s: assemble(s.mesh, HyperDualArray(
+            s.phi, _with(np.zeros_like(s.phi), 3, np.nan)), s.params),
+        "must be finite"),
+    "assemble hyper-dual design, inf e12 lane": (
+        lambda s: assemble(s.mesh, HyperDualArray(
+            s.phi, None, _with(np.zeros_like(s.phi), 3, np.inf)), s.params),
+        "must be finite"),
     "classify_nodes design length": (
         lambda s: classify_nodes(s.mesh, s.phi[:-1]),
         "does not match node count"),
@@ -93,6 +102,11 @@ CASES = {
     "objective uhat=None": (
         lambda s: objective(s.mesh, s.phi, s.u, s.params, system=s.system),
         "uhat is not set"),
+    "objective c1 on a system assembled at c1=0": (
+        lambda s: objective(s.mesh, s.phi, s.u,
+                            replace(s.params, c1=1.0, uhat=s.u),
+                            system=s.system),
+        "assembled without the area term"),
     "ts_derivative uhat=None": (
         lambda s: ts_derivative(s.mesh, s.phi, s.u, s.u, s.params),
         "uhat is not set"),

@@ -15,15 +15,16 @@ axis last.  The lower free x free entries of every scalar type are summed
 straight into the lower band storage of :mod:`.ldlt`, the system matrix,
 through the band layout the mesh's reduced index caches, each slot in the
 order scipy's COO-to-CSR conversion would sum it.  The Dirichlet coupling
-is the free x fixed CSR block times the mesh's Dirichlet values.  Each
-system is factored once, and the factor is shared by its state and
-adjoint solves.  A system keeps its mesh and reads every per-mesh array
-from it, and carries the cost's area term from the same cut pass.
+is two more generic sums in that order: the free x fixed entries into
+their (row, column) pairs, then the pairs times the Dirichlet values of
+their columns into their rows.  Each system is factored once, and the
+factor is shared by its state and adjoint solves.  A system keeps its
+mesh and reads every per-mesh array from it, and carries the cost's area
+term from the same cut pass.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -33,12 +34,12 @@ import numpy as np
 
 from .hdarray import HyperDualArray, promote_like
 from .ldlt import BandLayout, ldlt_factor, ldlt_solve
-from .levelset import _FULL_LOAD_REF, _FULL_MASS_REF, negative_region_integrals
-from .mesh import ElementGeometry, Mesh, ScatterBlock
+from .levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, _checked_design,
+                       negative_region_integrals)
+from .mesh import ElementGeometry, Mesh, ReducedIndex
 
 __all__ = [
     "ProblemParams",
-    "ElementGeometry",
     "AssembledSystem",
     "element_geometry",
     "assemble",
@@ -155,21 +156,6 @@ def _summed(vals, slot, size):
     return np.bincount(slot, vals, size)
 
 
-def _scatter_matrix(values, block: ScatterBlock):
-    """Sum the entries of the real or complex element-last ``(3, 3, N)``
-    local matrices ``values`` that ``block`` of the mesh's scatter map
-    (:attr:`~tsopt.mesh.Mesh.scatter` or the free x fixed block of
-    :class:`~tsopt.mesh.ReducedIndex`) selects into CSR.
-
-    The matrix is a shallow copy of the block's pattern with data of its
-    own: the read-only index arrays are shared, as the CSR constructor
-    would share them, without being checked again on every call."""
-    matrix = copy.copy(block.pattern)
-    matrix.data = _summed(values.reshape(-1)[block.pos], block.slot,
-                          block.pattern.nnz)
-    return matrix
-
-
 def _band_matrix(values, band: BandLayout):
     """Sum the lower entries of the element-last ``(3, 3, N)`` local
     matrices ``values`` into the lower band storage of ``band``, in the
@@ -177,6 +163,14 @@ def _band_matrix(values, band: BandLayout):
     n, rows = len(band.perm), band.width + 1
     return _summed(values.reshape(-1)[band.source], band.target,
                    rows * n).reshape(n, rows).transpose()
+
+
+def _coupled(values, index: ReducedIndex):
+    """The free x fixed block of the local matrices ``values``, as
+    :func:`_band_matrix` takes them, times the Dirichlet values."""
+    pairs = _summed(values.reshape(-1)[index.fd_source], index.fd_pair,
+                    len(index.fd_row))
+    return _summed(pairs * index.fd_value, index.fd_row, len(index.free))
 
 
 def _local_matrices(params: ProblemParams, k0, dj, neg_frac, neg_mass,
@@ -232,16 +226,8 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     takes its cached local data (:func:`_uncut_locals`).  A design that is
     not an array of shape ``(M,)`` with finite values (every lane of a
     hyper-dual design, both parts of a complex one) raises ``ValueError``."""
-    lanes = phi.lanes if isinstance(phi, HyperDualArray) else (phi,)
-    if not isinstance(lanes[0], np.ndarray):
-        raise ValueError(f"a design must be an array, not "
-                         f"{type(phi).__name__}")
-    if lanes[0].shape != (mesh.num_nodes,):
-        raise ValueError(f"level-set shape {lanes[0].shape} does not match "
-                         f"node count {mesh.num_nodes}")
-    if not all(np.isfinite(lane).all() for lane in lanes):
-        raise ValueError("level-set values must be finite")
-    full, cut, frac, mass, load = negative_region_integrals(mesh, phi)
+    full, cut, frac, mass, load = negative_region_integrals(
+        mesh, _checked_design(mesh, phi))
     uncut = _uncut_locals(mesh, params)
     geo = mesh.geometry
     a_cut, mt_cut, f_cut = _local_matrices(
@@ -259,17 +245,11 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     f_loc = merged(uncut.f, f_cut)
     index = mesh.reduced_index
     f_glob = _summed(f_loc.transpose(), mesh.elements.ravel(), mesh.num_nodes)
-
-    def coupling(values):
-        return _scatter_matrix(values, index.fd) @ mesh.dirichlet_values
-
-    coupled = (HyperDualArray(*map(coupling, a_loc.lanes))
-               if isinstance(a_loc, HyperDualArray) else coupling(a_loc))
     area = ((merged((0.0, 0.5), frac) * geo.det_j).sum()
             if params.c1 != 0.0 else None)
     return AssembledSystem(
         matrix=_band_matrix(a_loc, index.band),
-        rhs=f_glob[index.free] - coupled,
+        rhs=f_glob[index.free] - _coupled(a_loc, index),
         mt_local=merged(uncut.mt, mt_cut), mesh=mesh, area=area)
 
 

@@ -8,7 +8,10 @@ zero level.  All cut quantities are rational in the nodal values, so the
 classification and the integrals accept real, complex or hyper-dual input.
 :func:`perturb` takes a real design and returns it in the scalar type of
 its step; the symmetric differences and the interface segments take real
-values.  Each of the three raises ``ValueError`` on a complex design.
+values.  Each of the three raises ``ValueError`` on a complex design.  The
+assembly, the area, the symmetric differences and the interface segments
+take only a finite array of one value per node (:func:`_checked_design`);
+the integrals and the classification run after that check.
 
 A cut element has one vertex whose sign differs from the other two, the
 lone vertex.  One pass, :func:`_lone_cuts`, takes the signs of the nodes
@@ -92,6 +95,28 @@ def _real_design(phi) -> np.ndarray:
     return np.asarray(phi, dtype=float)
 
 
+def _checked_design(mesh: Mesh, phi):
+    """``phi``, checked to be a design of ``mesh``: an array of shape
+    ``(M,)`` with finite values (every lane of a hyper-dual design, both
+    parts of a complex one); anything else raises ``ValueError``."""
+    lanes = phi.lanes if isinstance(phi, HyperDualArray) else (phi,)
+    if not isinstance(lanes[0], np.ndarray):
+        raise ValueError(f"a design must be an array, not "
+                         f"{type(phi).__name__}")
+    if lanes[0].shape != (mesh.num_nodes,):
+        raise ValueError(f"level-set shape {lanes[0].shape} does not match "
+                         f"node count {mesh.num_nodes}")
+    if not all(np.isfinite(lane).all() for lane in lanes):
+        raise ValueError("level-set values must be finite")
+    return phi
+
+
+def _check_node(k: int, num_nodes: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is a node id in ``[0, num_nodes)``."""
+    if not 0 <= k < num_nodes:
+        raise ValueError(f"node {k} is not in [0, {num_nodes})")
+
+
 def classify_nodes(mesh: Mesh, phi) -> np.ndarray:
     """Label every node by the signs of its one-ring values: (M,) int8,
     -1 where the whole ring is <= 0 (interior of the design domain), +1
@@ -120,8 +145,7 @@ def perturb(phi, k: int, eps: GenericScalar, label: int):
     one (``T_PLUS``) to ``-eps``.  Raises ``ValueError`` if ``k`` is not a
     node of ``phi`` or ``label`` is not a class."""
     phi = _real_design(phi)
-    if not 0 <= k < len(phi):
-        raise ValueError(f"node {k} is not in [0, {len(phi)})")
+    _check_node(k, len(phi))
     if label not in (T_MINUS, SHAPE, T_PLUS):
         raise ValueError(f"unknown node class {label!r}")
     out = promote_like(phi.copy(), eps)
@@ -237,7 +261,7 @@ def _split_fractions(phi, tris):
 
 def subdomain_area(mesh: Mesh, phi):
     """Exact area of the negative region, generic in the scalar type."""
-    base, cap = _split_fractions(phi, mesh.elements)
+    base, cap = _split_fractions(_checked_design(mesh, phi), mesh.elements)
     return ((base + cap) * mesh.geometry.det_j).sum()
 
 
@@ -253,8 +277,8 @@ def symmetric_difference_area(mesh: Mesh, phi_a, phi_b) -> float:
     not lost to the rounding of ``0.5 - cap``.  Raises ``ValueError`` on a
     pair that is not nested.
     """
-    phi_a = _real_design(phi_a)
-    phi_b = _real_design(phi_b)
+    phi_a = _checked_design(mesh, _real_design(phi_a))
+    phi_b = _checked_design(mesh, _real_design(phi_b))
     step = phi_b - phi_a
     if (step > 0.0).any() and (step < 0.0).any():
         raise ValueError("the two level sets are not nested")
@@ -272,7 +296,7 @@ def interface_segments(mesh: Mesh, phi):
     Returns a list of ``(element_index, (p0, p1))`` with endpoints on the
     element edges.  Degenerate (pointlike) intersections are skipped.
     """
-    phi = _real_design(phi)
+    phi = _checked_design(mesh, _real_design(phi))
     _, _, cut, _, abc, t = _lone_cuts(phi, mesh.elements)
     xa, xb, xc = mesh.nodes[abc]
     p0 = xa + t[0][:, None] * (xb - xa)

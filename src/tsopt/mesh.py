@@ -6,13 +6,14 @@ center point, giving ``(n+1)^2 + n^2`` nodes and ``4 n^2`` elements.
 A mesh is nodes, elements, Dirichlet nodes and the values there, made and
 checked by :class:`Mesh` alone; :func:`tag_boundary` picks the Dirichlet
 nodes and values by two functions of the coordinates.  Everything derived
-from them (element geometry, the scatter map of every P1 matrix and its
-reduced blocks, the local matrices of uncut elements per material, the
-one-ring adjacency the classification and the smoothing share) is computed
-on first use and cached on the mesh instance, so a new mesh never sees
-another mesh's data.  The reduced index caches the band layout that
-:func:`tsopt.ldlt.band_layout` computes for the free x free block: its
-ordering, and the band slot of every element entry the block sums.
+from them (element geometry, the reduced index, the local matrices of
+uncut elements per material, the one-ring adjacency the classification and
+the smoothing share) is computed on first use and cached on the mesh
+instance, so a new mesh never sees another mesh's data.  The reduced index
+splits the element matrix entries, in the summation order of scipy's
+COO-to-CSR conversion, at the Dirichlet nodes: the free x free ones into
+the band layout of :func:`tsopt.ldlt.band_layout`, the free x fixed ones
+into the Dirichlet coupling.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Mesh",
     "ElementGeometry",
     "ReducedIndex",
-    "ScatterBlock",
     "generate_crossed_mesh",
     "build_incidence",
     "tag_boundary",
@@ -45,28 +45,21 @@ class ElementGeometry:
 
 
 @dataclass(frozen=True)
-class ScatterBlock:
-    """A P1 matrix or one block of it as a CSR ``pattern`` (a matrix of
-    zeros with read-only arrays) and, for every entry of the element
-    matrices that lands in it, its position ``pos`` in the flattened
-    element-last ``(3, 3, N)`` local array and the CSR data ``slot`` it is
-    added to.  Entries are listed in summation order."""
-
-    pos: np.ndarray
-    slot: np.ndarray
-    pattern: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class ReducedIndex:
-    """Free (non-Dirichlet) node ids, the free x fixed scatter block
-    (``fd``, rows in ``free`` order, columns in ``Mesh.dirichlet_nodes``
-    order) and the band layout of the free x free block
-    (:func:`tsopt.ldlt.band_layout`), whose entries it maps into the band."""
+    """Free (non-Dirichlet) node ids, the band layout of the free x free
+    block (:func:`tsopt.ldlt.band_layout`) and the Dirichlet coupling of
+    the free x fixed block: ``fd_source`` lists the flat positions of its
+    entries in the element-last ``(3, 3, N)`` local array, in summation
+    order, and ``fd_pair`` the (row, column) pair each is added to;
+    ``fd_row`` is each pair's row in ``free`` and ``fd_value`` the
+    Dirichlet value of its column.  The ``fd_`` arrays are read-only."""
 
     free: np.ndarray
-    fd: ScatterBlock
     band: BandLayout
+    fd_source: np.ndarray
+    fd_pair: np.ndarray
+    fd_row: np.ndarray
+    fd_value: np.ndarray
 
 
 def _entry_nodes(elements):
@@ -75,21 +68,6 @@ def _entry_nodes(elements):
     n = len(elements)
     return (np.broadcast_to(elements[:, :, None], (n, 3, 3)).ravel(),
             np.broadcast_to(elements[:, None, :], (n, 3, 3)).ravel())
-
-
-def _scatter_block(pos, rows, cols, shape) -> ScatterBlock:
-    """CSR pattern and output slots of entries sorted by (row, column)."""
-    new = np.ones(len(pos), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    slot = np.cumsum(new) - 1
-    indptr = np.zeros(shape[0] + 1, dtype=int)
-    np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
-    # let scipy pick its index dtype once, so no scatter has to convert
-    pattern = sp.csr_matrix((np.zeros(int(new.sum())), cols[new], indptr),
-                            shape=shape)
-    for array in (pos, slot, pattern.data, pattern.indptr, pattern.indices):
-        array.flags.writeable = False
-    return ScatterBlock(pos=pos, slot=slot, pattern=pattern)
 
 
 def _edges(nodes, elements):
@@ -193,36 +171,22 @@ class Mesh:
         return ElementGeometry(det_j=det, k0=k0, grads=grads)
 
     @cached_property
-    def scatter(self) -> ScatterBlock:
-        """Scatter map of the element matrices, element axis last, into the
-        full ``M x M`` CSR matrix, built once.
-
-        Entries are listed in the order in which scipy's COO-to-CSR
-        conversion of the flattened ``(N, 3, 3)`` element matrices sums
-        duplicates: rows bucketed in input order, then each row's (unstable)
-        index sort.  Summing the entries one after another in this order, or
-        any subset of them, gives every entry the bits the conversion gives
-        it."""
+    def reduced_index(self) -> ReducedIndex:
+        """The element matrix entries split at the Dirichlet nodes, built
+        once, in the order in which scipy's COO-to-CSR conversion of the
+        flattened ``(N, 3, 3)`` element matrices sums duplicates (rows
+        bucketed in input order, then each row's unstable index sort, here
+        applied to the entry ids), so each slot gets the conversion's bits."""
         m, n = self.num_nodes, self.num_elements
         rows, cols = _entry_nodes(self.elements)
         by_row = np.argsort(rows, kind="stable")
         indptr = np.searchsorted(rows[by_row], np.arange(m + 1))
-        full = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
-                             shape=(m, m))
-        full.sort_indices()
-        order = full.data.astype(int)
-        return _scatter_block((order % 9) * n + order // 9, rows[order],
-                              cols[order], (m, m))
-
-    @cached_property
-    def reduced_index(self) -> ReducedIndex:
-        """The :attr:`scatter` split at the Dirichlet nodes into the band
-        layout of the free x free block and the free x fixed block, built
-        once."""
-        m, scatter = self.num_nodes, self.scatter
-        pattern = scatter.pattern
-        rows = np.repeat(np.arange(m), np.diff(pattern.indptr))[scatter.slot]
-        cols = pattern.indices[scatter.slot]
+        ids = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                            shape=(m, m))
+        ids.sort_indices()
+        order = ids.data.astype(int)
+        pos = (order % 9) * n + order // 9     # in the element-last array
+        rows, cols = rows[order], cols[order]
         fixed = self.dirichlet_nodes
         is_free = np.ones(m, dtype=bool)
         is_free[fixed] = False
@@ -232,13 +196,17 @@ class Mesh:
         number[fixed] = np.arange(len(fixed))
 
         ff = is_free[rows] & is_free[cols]
+        band = band_layout(number[rows[ff]], number[cols[ff]], pos[ff],
+                           len(free))
         fd = is_free[rows] & ~is_free[cols]
-        return ReducedIndex(
-            free=free,
-            fd=_scatter_block(scatter.pos[fd], number[rows[fd]],
-                              number[cols[fd]], (len(free), len(fixed))),
-            band=band_layout(number[rows[ff]], number[cols[ff]],
-                             scatter.pos[ff], len(free)))
+        rows, cols = number[rows[fd]], number[cols[fd]]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        fd_arrays = (pos[fd], np.cumsum(new) - 1, rows[new],
+                     self.dirichlet_values[cols[new]])
+        for array in fd_arrays:
+            array.flags.writeable = False
+        return ReducedIndex(free, band, *fd_arrays)
 
     @cached_property
     def uncut_locals(self) -> dict:

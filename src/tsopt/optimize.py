@@ -23,8 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (AssembledSystem, ProblemParams, _scatter_matrix,
-                  evaluate_cost, solve_adjoint)
+from .fem import AssembledSystem, ProblemParams, evaluate_cost, solve_adjoint
 from .levelset import (SHAPE, T_MINUS, T_PLUS, _FULL_MASS_REF, _real_design,
                        classify_nodes)
 from .mesh import Mesh
@@ -114,9 +113,12 @@ class History:
 
 
 def unit_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """P1 mass matrix with unit coefficient over the whole domain."""
-    return _scatter_matrix(_FULL_MASS_REF[:, :, None] * mesh.geometry.det_j,
-                           mesh.scatter)
+    """P1 mass matrix with unit coefficient over the whole domain, by
+    scipy's COO-to-CSR conversion of the element matrices."""
+    m, tris = mesh.num_nodes, mesh.elements
+    vals = (_FULL_MASS_REF * mesh.geometry.det_j[:, None, None]).ravel()
+    return sp.csr_matrix((vals, (np.repeat(tris, 3, axis=1).ravel(),
+                                 np.tile(tris, 3).ravel())), shape=(m, m))
 
 
 def l2_inner(m0: sp.csr_matrix, phi: np.ndarray, psi: np.ndarray) -> float:

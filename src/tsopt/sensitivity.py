@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ProblemParams, _tracking_residual
-from .levelset import (SHAPE, T_MINUS, T_PLUS, _ROTATIONS, _lone_cuts,
-                       classify_nodes)
+from .levelset import (SHAPE, T_MINUS, T_PLUS, _ROTATIONS, _check_node,
+                       _lone_cuts, classify_nodes)
 from .mesh import Mesh
 
 __all__ = [
@@ -250,7 +250,9 @@ def cut_matrices(phi_rotated, det_j: float) -> CutElementMatrices:
 def area_derivative(mesh: Mesh, phi, k: int,
                     labels: np.ndarray | None = None) -> AreaDerivative:
     """Per-element rates of change of the cut area for node ``k``;
-    ``labels`` are the node classes of ``phi``."""
+    ``labels`` are the node classes of ``phi``.  Raises ``ValueError`` if
+    ``k`` is not a node of ``mesh``."""
+    _check_node(k, mesh.num_nodes)
     if labels is None:
         labels = classify_nodes(mesh, phi)
     label = int(labels[k])
@@ -324,8 +326,10 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
     boundary-form shape derivative.
 
     Differs from the direct discrete sensitivity by a normal-flux term that
-    the non-interface-fitted discretization cannot see.
+    the non-interface-fitted discretization cannot see.  Raises
+    ``ValueError`` if ``k`` is not a node of ``mesh``.
     """
+    _check_node(k, mesh.num_nodes)
     if labels is None:
         labels = classify_nodes(mesh, phi)
     if labels[k] != SHAPE:

@@ -14,7 +14,9 @@ Each node is perturbed as its class picks (:func:`tsopt.levelset.perturb`),
 and each estimator takes the first-order shape rate at an interface node
 (``label == SHAPE``) and the second-order topological rate at an interior
 node.  A design is real: :func:`analytic_field`, :func:`fd_quotient` and
-:func:`run_verification` raise ``ValueError`` on a complex one.
+:func:`run_verification` raise ``ValueError`` on a complex one.  A step is
+finite and positive: each estimator and :func:`run_verification` raise
+``ValueError`` on any other.
 
 Aggregated interface/interior error norms and log-log convergence slopes
 reproduce the characteristic behavior of the three schemes.
@@ -113,6 +115,12 @@ def analytic_field(mesh: Mesh, phi, params: ProblemParams) -> SensitivityField:
     return _baseline(mesh, phi, params)[1]
 
 
+def _check_step(step) -> None:
+    """Raise ``ValueError`` unless ``step`` is finite and positive."""
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"a step must be finite and positive, not {step}")
+
+
 def _perturbed_cost(mesh, phi, params, k, step, label):
     """Perturb node ``k`` of class ``label`` by ``step``, a number of the
     scalar type to evaluate in; returns the perturbed design and its
@@ -128,6 +136,7 @@ def fd_quotient(mesh: Mesh, phi, params: ProblemParams, k: int, eps: float,
 
     ``label`` is the node's class and ``j0`` the unperturbed cost.
     """
+    _check_step(eps)
     phi = _real_design(phi)
     phi_eps, j_eps = _perturbed_cost(mesh, phi, params, k, eps, label)
     denom = symmetric_difference_area(mesh, phi, phi_eps)
@@ -141,6 +150,7 @@ def cs_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
     """Complex-step estimate with the analytic symmetric-difference rate
     ``dkatilde`` of node ``k`` of class ``label``; ``j0`` is the
     unperturbed cost."""
+    _check_step(h)
     _, j_h = _perturbed_cost(mesh, phi, params, k, complex(0.0, h), label)
     if label == SHAPE:
         return j_h.imag / (h * dkatilde)
@@ -153,6 +163,7 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 
     The seed ``h (E1 + E2)`` gives the shape estimate from the e1 lane and
     the topological one from the e12 lane."""
+    _check_step(h)
     _, j_h = _perturbed_cost(mesh, phi, params, k,
                              HyperDualArray(0.0, h, 0.0), label)
     if label == SHAPE:
@@ -163,12 +174,17 @@ def hd_derivative(mesh: Mesh, phi, params: ProblemParams, k: int, h: float,
 def run_verification(mesh: Mesh, phi, params: ProblemParams, method: str,
                      steps=None) -> VerificationReport:
     """Evaluate one scheme on every node for a list of steps, against the
-    closed form at ``phi``."""
+    closed form at ``phi``; ``steps`` must be a non-empty list of finite
+    positive steps."""
     method = method.lower()
     if method not in ("fd", "cs", "hd"):
         raise ValueError(f"unknown method {method!r}")
     steps = np.asarray(DEFAULT_STEPS[method] if steps is None else steps,
                        dtype=float)
+    if steps.ndim != 1 or not len(steps):
+        raise ValueError("steps must be a non-empty list")
+    for step in steps:
+        _check_step(step)
     phi = _real_design(phi)
     j0, fld = _baseline(mesh, phi, params)
     labels = fld.labels

@@ -8,13 +8,13 @@ from helpers import (band_to_dense, exact_negative_load_entry,
                      exact_negative_mass_entry, jittered_crossed_mesh,
                      one_diagonal_mesh, reference_triangles)
 from tsopt import fem, levelset
-from tsopt.fem import (_band_matrix, _scatter_matrix, _summed, assemble,
+from tsopt.fem import (_band_matrix, _coupled, _summed, assemble,
                        element_geometry, evaluate_cost, objective,
                        solve_adjoint, solve_state, tracking_matvec)
 from tsopt.hdarray import HyperDualArray
 from tsopt.levelset import (_FULL_LOAD_REF, _FULL_MASS_REF, SHAPE, T_MINUS,
                             T_PLUS, DegenerateCut, perturb, subdomain_area)
-from tsopt.mesh import Mesh, tag_boundary
+from tsopt.mesh import Mesh, generate_crossed_mesh, tag_boundary
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, on_top_or_bottom,
                             setup_problem)
@@ -264,22 +264,34 @@ def _assert_band_bitwise(got, want):
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
+def _with_random_dirichlet_values(level, rng):
+    """The level's experiment mesh with random Dirichlet values."""
+    mesh = experiment_mesh(level)
+    return Mesh(mesh.nodes, mesh.elements, mesh.dirichlet_nodes,
+                rng.normal(size=len(mesh.dirichlet_nodes)))
+
+
+def _reference_coupling(mesh, local):
+    """The free x fixed block of :func:`_full_matrix` times the mesh's
+    Dirichlet values, by scipy's CSR matrix-vector product."""
+    free, fixed = mesh.reduced_index.free, mesh.dirichlet_nodes
+    return _full_matrix(mesh, local)[free][:, fixed] @ mesh.dirichlet_values
+
+
 @pytest.mark.parametrize("level", [2, 8, 16])
 def test_reduced_scatter_equals_sliced_full_matrix_bitwise(level, rng):
-    # the band sums every duplicate entry in the same order as the
-    # conversion of the full matrix, so the two agree to the last bit
-    mesh = experiment_mesh(level)
+    # the band and the coupling sum every duplicate entry in the same order
+    # as the conversion of the full matrix and its product with the
+    # Dirichlet values, so they agree to the last bit
+    mesh = _with_random_dirichlet_values(level, rng)
     index = mesh.reduced_index
-    free, fixed = index.free, mesh.dirichlet_nodes
     n = mesh.num_elements
-    g = rng.normal(size=len(fixed))
     for _ in range(3):
         local = rng.normal(size=(n, 3, 3))
-        full = _full_matrix(mesh, local)
         got = _band_matrix(local.transpose(1, 2, 0), index.band)
         _assert_band_bitwise(got, _reference_band(mesh, local))
-        coupling = _scatter_matrix(local.transpose(1, 2, 0), index.fd)
-        assert np.array_equal(coupling @ g, full[free][:, fixed] @ g)
+        _assert_band_bitwise(_coupled(local.transpose(1, 2, 0), index),
+                             _reference_coupling(mesh, local))
 
 
 @pytest.mark.parametrize("level", [2, 8, 16])
@@ -287,19 +299,26 @@ def test_reduced_scatter_of_complex_and_hyperdual_data_bitwise(level, rng):
     # complex and hyper-dual components go through the same slots as real
     # data; each must equal the COO-to-CSR conversion of the full matrix,
     # sliced to the permuted free x free block, in its lower band, to the
-    # last bit, and each rhs the np.add.at scatter
-    mesh = experiment_mesh(level)
+    # last bit, each coupling the product of its free x fixed block with
+    # the Dirichlet values, and each rhs the np.add.at scatter
+    mesh = _with_random_dirichlet_values(level, rng)
     index = mesh.reduced_index
     n, m = mesh.num_elements, mesh.num_nodes
 
     local = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
     _assert_band_bitwise(_band_matrix(local.transpose(1, 2, 0), index.band),
                          _reference_band(mesh, local))
+    _assert_band_bitwise(_coupled(local.transpose(1, 2, 0), index),
+                         _reference_coupling(mesh, local))
     parts = [rng.normal(size=(n, 3, 3)) for _ in range(3)]
-    got = _band_matrix(HyperDualArray(*parts).transpose(1, 2, 0), index.band)
+    hd = HyperDualArray(*parts).transpose(1, 2, 0)
+    got = _band_matrix(hd, index.band)
+    coupled = _coupled(hd, index)
     assert isinstance(got, HyperDualArray)
-    for comp, part in zip(got.lanes, parts):
+    assert isinstance(coupled, HyperDualArray)
+    for comp, lane, part in zip(got.lanes, coupled.lanes, parts):
         _assert_band_bitwise(comp, _reference_band(mesh, part))
+        _assert_band_bitwise(lane, _reference_coupling(mesh, part))
 
     # the rhs scatter sums in the same order as np.add.at over the elements
     def added(vals):
@@ -442,6 +461,45 @@ def test_geometry_is_cached_per_mesh():
         mesh.geometry.det_j[0] = 0.0
 
 
+@pytest.mark.parametrize("fixed", ["no Dirichlet node", "no free node"])
+def test_a_mesh_without_dirichlet_or_free_nodes_assembles_and_solves(fixed,
+                                                                     rng):
+    # with no Dirichlet node every node is free and the coupling is empty;
+    # with no free node there is no unknown and the state is the Dirichlet
+    # data; both assemble and solve in every scalar type
+    base = generate_crossed_mesh(2)
+    m = base.num_nodes
+    mesh = (base if fixed == "no Dirichlet node" else
+            Mesh(base.nodes, base.elements, np.arange(m), rng.normal(size=m)))
+    index = mesh.reduced_index
+    assert len(index.free) == (m if fixed == "no Dirichlet node" else 0)
+    params = default_params().with_uhat(np.zeros(m))
+    phi = rng.uniform(-1.0, 1.0, m)
+    for x in (phi, phi + 1e-3j * rng.normal(size=m),
+              HyperDualArray(phi, rng.normal(size=m), rng.normal(size=m))):
+        system = assemble(mesh, x, params)
+        u = solve_state(system)
+        p = solve_adjoint(system, u, params)
+        for lane in _lanes(u) + _lanes(p):
+            assert lane.shape == (m,) and np.isfinite(lane).all()
+        assert np.array_equal(_lanes(u)[0][mesh.dirichlet_nodes],
+                              mesh.dirichlet_values)
+        if isinstance(x, HyperDualArray):   # the three tied lane equations
+            a0, a1, a12 = (band_to_dense(a, index.band)
+                           for a in system.matrix.lanes)
+            x0, x1, x12 = (lane[index.free] for lane in u.lanes)
+            b0, b1, b12 = system.rhs.lanes
+            residuals = (a0 @ x0 - b0, a0 @ x1 + a1 @ x0 - b1,
+                         a0 @ x12 + 2.0 * (a1 @ x1) + a12 @ x0 - b12)
+        else:
+            residuals = (band_to_dense(system.matrix, index.band)
+                         @ u[index.free] - system.rhs,)
+        scale = max([1.0] + [np.abs(b).max(initial=0.0)
+                             for b in _lanes(system.rhs)])
+        for r in residuals:
+            assert np.abs(r).max(initial=0.0) <= 1e-12 * scale
+
+
 def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
     phih = HyperDualArray(phi_d8, np.ones(mesh8.num_nodes))
     matrix = assemble(mesh8, phih, params_zero8).matrix
@@ -456,7 +514,7 @@ def test_hyperdual_components_share_one_pattern(mesh8, phi_d8, params_zero8):
 def _assemble_every_element(mesh, phi, params, integrals):
     # the full-element assembly: every element through the ``integrals``
     # (the every_element_integrals fixture) and the local formulas, the
-    # Dirichlet coupling as a free x fixed matrix
+    # Dirichlet coupling by scipy, lane by lane
     geo = mesh.geometry
     dj = geo.det_j
     neg_frac, neg_mass, neg_load = integrals(mesh, phi)
@@ -471,12 +529,10 @@ def _assemble_every_element(mesh, phi, params, integrals):
     index = mesh.reduced_index
     a_ff = _band_matrix(a_loc.transpose(1, 2, 0), index.band)
 
-    def coupling(values):
-        return (_scatter_matrix(values.transpose(1, 2, 0), index.fd)
-                @ mesh.dirichlet_values)
-
-    coupled = (HyperDualArray(*map(coupling, a_loc.lanes))
-               if isinstance(a_loc, HyperDualArray) else coupling(a_loc))
+    coupled = (HyperDualArray(*(_reference_coupling(mesh, lane)
+                                for lane in a_loc.lanes))
+               if isinstance(a_loc, HyperDualArray)
+               else _reference_coupling(mesh, a_loc))
     f_glob = _summed(f_loc, mesh.elements.reshape(-1), mesh.num_nodes)
     return a_ff, f_glob[index.free] - coupled, mt_loc, neg_frac
 

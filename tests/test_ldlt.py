@@ -281,11 +281,10 @@ def test_reuse_factorization(rng):
 
 
 def _free_pattern(mesh):
-    """The free x free pattern of a mesh's P1 matrices, as a dense mask."""
+    """The free x free pattern of a mesh's P1 matrices, which is that of
+    its one-ring adjacency, as a dense mask."""
     free = mesh.reduced_index.free
-    full = mesh.scatter.pattern.copy()
-    full.data = np.ones(full.nnz)
-    return full.toarray()[np.ix_(free, free)] != 0
+    return mesh.ring_matrix.toarray()[np.ix_(free, free)] != 0
 
 
 _MESH_PATTERNS = [_free_pattern(experiment_mesh(level))

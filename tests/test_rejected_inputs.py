@@ -11,13 +11,17 @@ from tsopt.fem import (assemble, evaluate_cost, objective, solve_adjoint,
                        solve_state)
 from tsopt.hdarray import HyperDualArray
 from tsopt.ldlt import ldlt_factor
-from tsopt.levelset import SHAPE, classify_nodes, perturb
+from tsopt.levelset import (SHAPE, classify_nodes, interface_segments,
+                            perturb, subdomain_area,
+                            symmetric_difference_area)
 from tsopt.mesh import Mesh, generate_crossed_mesh
 from tsopt.optimize import OptimizerConfig, run
 from tsopt.problems import (default_params, experiment_mesh,
                             interpolate_target, setup_problem)
-from tsopt.sensitivity import continuous_sd_discretized, ts_derivative
-from tsopt.verify import analytic_field
+from tsopt.sensitivity import (area_derivative, continuous_sd_discretized,
+                               ts_derivative)
+from tsopt.verify import (analytic_field, cs_derivative, fd_quotient,
+                          hd_derivative, run_verification)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,16 @@ def _with(phi, k, value):
     phi = phi.copy()
     phi[k] = value
     return phi
+
+
+def _tracked(s):
+    """The parameters of ``s`` tracking its state."""
+    return s.params.with_uhat(s.u)
+
+
+def _interface_last(s):
+    """``s.phi`` with a negative last node, an interface node."""
+    return _with(s.phi, s.mesh.num_nodes - 1, -1.0)
 
 
 CASES = {
@@ -110,6 +124,68 @@ CASES = {
     "ts_derivative uhat=None": (
         lambda s: ts_derivative(s.mesh, s.phi, s.u, s.u, s.params),
         "uhat is not set"),
+    "subdomain_area NaN design": (
+        lambda s: subdomain_area(s.mesh, _with(s.phi, 3, np.nan)),
+        "must be finite"),
+    "subdomain_area design length": (
+        lambda s: subdomain_area(s.mesh, s.phi[:-1]),
+        "does not match node count"),
+    "symmetric_difference_area NaN second design": (
+        lambda s: symmetric_difference_area(s.mesh, s.phi,
+                                            _with(s.phi, 3, np.nan)),
+        "must be finite"),
+    "symmetric_difference_area -inf first design": (
+        lambda s: symmetric_difference_area(s.mesh, _with(s.phi, 3, -np.inf),
+                                            s.phi),
+        "must be finite"),
+    "symmetric_difference_area design length": (
+        lambda s: symmetric_difference_area(s.mesh, s.phi[:-1],
+                                            s.phi[:-1] + 0.1),
+        "does not match node count"),
+    "interface_segments NaN design": (
+        lambda s: interface_segments(s.mesh, _with(s.phi, 3, np.nan)),
+        "must be finite"),
+    "interface_segments design length": (
+        lambda s: interface_segments(s.mesh, s.phi[:-1]),
+        "does not match node count"),
+    "area_derivative node -1": (
+        lambda s: area_derivative(s.mesh, _interface_last(s), -1),
+        r"node -1 is not in"),
+    "area_derivative node M": (
+        lambda s: area_derivative(s.mesh, s.phi, s.mesh.num_nodes),
+        "is not in"),
+    "continuous_sd_discretized node -1": (
+        lambda s: continuous_sd_discretized(
+            s.mesh, _interface_last(s), s.u, s.u, _tracked(s), -1),
+        r"node -1 is not in"),
+    "continuous_sd_discretized node M": (
+        lambda s: continuous_sd_discretized(
+            s.mesh, s.phi, s.u, s.u, _tracked(s), s.mesh.num_nodes),
+        "is not in"),
+    "run_verification hd step 0": (
+        lambda s: run_verification(s.mesh, s.phi, _tracked(s), "hd",
+                                   steps=[1e-3, 0.0]),
+        "finite and positive"),
+    "run_verification no step": (
+        lambda s: run_verification(s.mesh, s.phi, _tracked(s), "fd",
+                                   steps=[]),
+        "non-empty"),
+    "fd_quotient step -1e-3": (
+        lambda s: fd_quotient(s.mesh, s.phi, _tracked(s), 3, -1e-3, SHAPE,
+                              0.0),
+        "finite and positive"),
+    "cs_derivative step 0": (
+        lambda s: cs_derivative(s.mesh, s.phi, _tracked(s), 3, 0.0, SHAPE,
+                                1.0, 0.0),
+        "finite and positive"),
+    "hd_derivative step -1": (
+        lambda s: hd_derivative(s.mesh, s.phi, _tracked(s), 3, -1.0, SHAPE,
+                                1.0),
+        "finite and positive"),
+    "hd_derivative step NaN": (
+        lambda s: hd_derivative(s.mesh, s.phi, _tracked(s), 3, np.nan, SHAPE,
+                                1.0),
+        "finite and positive"),
     "ProblemParams alpha1<0": (
         lambda s: default_params(alpha1=-0.5), "alpha1 must be non-negative"),
     "HyperDualArray lane shapes": (

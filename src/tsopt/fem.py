@@ -17,10 +17,10 @@ through the band layout the mesh's reduced index caches, each slot in the
 order scipy's COO-to-CSR conversion would sum it.  The Dirichlet coupling
 is two more generic sums in that order: the free x fixed entries into
 their (row, column) pairs, then the pairs times the Dirichlet values of
-their columns into their rows.  Each system is factored once, and the
-factor is shared by its state and adjoint solves.  A system keeps its
-mesh and reads every per-mesh array from it, and carries the cost's area
-term from the same cut pass.
+their columns into their rows.  Each system is factored when it is
+assembled and never changes after: its state and adjoint solves share
+the one factor.  A system keeps its mesh and reads every per-mesh array
+from it, and carries the cost's area term from the same cut pass.
 """
 
 from __future__ import annotations
@@ -117,13 +117,13 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
     return mesh.geometry
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
     """Reduced symmetric system plus the local tracking-mass matrices.
 
     ``matrix`` is the free x free block in the lower band storage of
     ``mesh.reduced_index.band`` (see :mod:`.ldlt`), in the scalar type of
-    the design; the factor is made on the first solve and kept.
+    the design, and ``factor`` its :func:`~tsopt.ldlt.ldlt_factor`.
     ``mt_local`` holds the per-element tracking mass matrices (coefficient
     included, element axis last), from which the tracking quadratic form
     and the adjoint right-hand side are evaluated without a global scatter.
@@ -131,11 +131,11 @@ class AssembledSystem:
     """
 
     matrix: object                 # (w + 1, n) band
+    factor: object                 # ldlt_factor(matrix)
     rhs: object                    # free
     mt_local: object               # (3, 3, N)
     mesh: Mesh
     area: object = None
-    _factor: object = None
 
 
 def _summed(vals, slot, size):
@@ -220,12 +220,13 @@ def _uncut_locals(mesh: Mesh, params: ProblemParams) -> _UncutLocals:
 
 
 def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
-    """Assemble the reduced system ``A_ff u_f = rhs`` for the given design.
+    """Assemble and factor the reduced system ``A_ff u_f = rhs`` of a design.
 
     Only the cut elements are integrated and evaluated; every other element
     takes its cached local data (:func:`_uncut_locals`).  A design that is
     not an array of shape ``(M,)`` with finite values (every lane of a
-    hyper-dual design, both parts of a complex one) raises ``ValueError``."""
+    hyper-dual design, both parts of a complex one) raises ``ValueError``,
+    a system whose factor breaks down :class:`~tsopt.ldlt.SolverBreakdown`."""
     full, cut, frac, mass, load = negative_region_integrals(
         mesh, _checked_design(mesh, phi))
     uncut = _uncut_locals(mesh, params)
@@ -247,17 +248,11 @@ def assemble(mesh: Mesh, phi, params: ProblemParams) -> AssembledSystem:
     f_glob = _summed(f_loc.transpose(), mesh.elements.ravel(), mesh.num_nodes)
     area = ((merged((0.0, 0.5), frac) * geo.det_j).sum()
             if params.c1 != 0.0 else None)
+    matrix = _band_matrix(a_loc, index.band)
     return AssembledSystem(
-        matrix=_band_matrix(a_loc, index.band),
+        matrix=matrix, factor=ldlt_factor(matrix, index.band),
         rhs=f_glob[index.free] - _coupled(a_loc, index),
         mt_local=merged(uncut.mt, mt_cut), mesh=mesh, area=area)
-
-
-def _apply_factor(system: AssembledSystem, rhs):
-    if system._factor is None:
-        system._factor = ldlt_factor(system.matrix,
-                                     system.mesh.reduced_index.band)
-    return ldlt_solve(system._factor, rhs)
 
 
 def _embed(system: AssembledSystem, vec_free):
@@ -269,7 +264,7 @@ def _embed(system: AssembledSystem, vec_free):
 
 def solve_state(system: AssembledSystem):
     """Solve the state problem; returns the full-length nodal vector."""
-    u = _embed(system, _apply_factor(system, system.rhs))
+    u = _embed(system, ldlt_solve(system.factor, system.rhs))
     u[system.mesh.dirichlet_nodes] = system.mesh.dirichlet_values
     return u
 
@@ -305,7 +300,7 @@ def solve_adjoint(system: AssembledSystem, u, params: ProblemParams):
     rhs = -(2.0 * params.c2) * tracking_matvec(
         system, _tracking_residual(u, params))
     free = system.mesh.reduced_index.free
-    return _embed(system, _apply_factor(system, rhs[free]))
+    return _embed(system, ldlt_solve(system.factor, rhs[free]))
 
 
 def objective(mesh: Mesh, phi, u, params: ProblemParams,
@@ -327,8 +322,7 @@ def objective(mesh: Mesh, phi, u, params: ProblemParams,
 
 def evaluate_cost(mesh: Mesh, phi, params: ProblemParams):
     """Cost of the design ``phi`` in its scalar type, with the system it
-    assembled (factored by the state solve) and the state: ``(j, system,
-    u)``."""
+    assembled and the state: ``(j, system, u)``."""
     system = assemble(mesh, phi, params)
     u = solve_state(system)
     return objective(mesh, phi, u, params, system=system), system, u

@@ -231,8 +231,9 @@ def build_incidence(elements: np.ndarray, num_nodes: int):
     in no element has itself as its ring."""
     rows, cols = _entry_nodes(np.asarray(elements, dtype=int).reshape(-1, 3))
     diagonal = np.arange(num_nodes)
-    pairs = np.unique(np.concatenate([rows, diagonal]) * num_nodes
-                      + np.concatenate([cols, diagonal]))
+    pairs = np.sort(np.concatenate([rows, diagonal]) * num_nodes
+                    + np.concatenate([cols, diagonal]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]     # keys are >= 0
     ring_rows, indices = np.divmod(pairs, num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=int)
     np.cumsum(np.bincount(ring_rows, minlength=num_nodes), out=indptr[1:])

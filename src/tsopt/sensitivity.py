@@ -33,7 +33,8 @@ import numpy as np
 
 from .fem import ProblemParams, _tracking_residual
 from .levelset import (SHAPE, T_MINUS, T_PLUS, _ROTATIONS, _check_node,
-                       _lone_cuts, classify_nodes)
+                       _checked_design, _lone_cuts, _real_design,
+                       classify_nodes)
 from .mesh import Mesh
 
 __all__ = [
@@ -190,6 +191,18 @@ def _interface_terms(params: ProblemParams, q, pku, dka, dm, u, p, w):
             * np.einsum("ei,eij,ej->e", w_q, dm, w_q))
 
 
+def _nodal(mesh: Mesh, values, name: str) -> np.ndarray:
+    """``values`` as a float array; raises ``ValueError`` unless it is a
+    finite real array of shape ``(M,)``."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex values")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.num_nodes,) or not np.isfinite(values).all():
+        raise ValueError(f"{name} must be a finite array of shape "
+                         f"({mesh.num_nodes},), got shape {values.shape}")
+    return values
+
+
 def _element_pku(mesh: Mesh, u, p, elements=slice(None)):
     """Stiffness pairing ``p^T K0 u`` of the given elements."""
     tris = mesh.elements[elements]
@@ -251,13 +264,14 @@ def area_derivative(mesh: Mesh, phi, k: int,
                     labels: np.ndarray | None = None) -> AreaDerivative:
     """Per-element rates of change of the cut area for node ``k``;
     ``labels`` are the node classes of ``phi``.  Raises ``ValueError`` if
-    ``k`` is not a node of ``mesh``."""
+    ``k`` is not a node of ``mesh`` or ``phi`` not a finite real design of
+    it."""
     _check_node(k, mesh.num_nodes)
+    phi = _checked_design(mesh, _real_design(phi))
     if labels is None:
         labels = classify_nodes(mesh, phi)
     label = int(labels[k])
-    ring, dka, cut, _, _ = _node_rates(mesh, np.asarray(phi, dtype=float),
-                                       labels, k)
+    ring, dka, cut, _, _ = _node_rates(mesh, phi, labels, k)
     keep = cut if label == SHAPE else np.flatnonzero(mesh.elements[ring] == k)
     values = dka[keep]
     # summed one element after another, as ts_derivative sums, so that
@@ -273,10 +287,11 @@ def ts_derivative(mesh: Mesh, phi, u, p, params: ProblemParams,
     """Nodal sensitivity field of the tracking cost at the solved state.
 
     ``u`` and ``p`` must be the state and adjoint for the same ``phi``.
+    Raises ``ValueError`` unless ``phi`` is a finite real design of
+    ``mesh`` and ``u`` and ``p`` finite nodal vectors.
     """
-    phi = np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
+    phi = _checked_design(mesh, _real_design(phi))
+    u, p = _nodal(mesh, u, "u"), _nodal(mesh, p, "p")
     w = _tracking_residual(u, params)
     if labels is None:
         labels = classify_nodes(mesh, phi)
@@ -327,16 +342,16 @@ def continuous_sd_discretized(mesh: Mesh, phi, u, p, params: ProblemParams,
 
     Differs from the direct discrete sensitivity by a normal-flux term that
     the non-interface-fitted discretization cannot see.  Raises
-    ``ValueError`` if ``k`` is not a node of ``mesh``.
+    ``ValueError`` if ``k`` is not a node of ``mesh``, ``phi`` not a finite
+    real design of it or ``u`` and ``p`` not finite nodal vectors.
     """
     _check_node(k, mesh.num_nodes)
+    phi = _checked_design(mesh, _real_design(phi))
+    u, p = _nodal(mesh, u, "u"), _nodal(mesh, p, "p")
     if labels is None:
         labels = classify_nodes(mesh, phi)
     if labels[k] != SHAPE:
         raise ValueError("defined for interface nodes only")
-    phi = np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
     ring, dka, cut, q, dm = _node_rates(mesh, phi, labels, k)
     dka, elements = dka[cut], ring[cut // 3]
     terms = _interface_terms(params, q, _element_pku(mesh, u, p, elements),

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from tsopt import fem, optimize
 from tsopt.cli import main
 from tsopt.fem import assemble, evaluate_cost
-from tsopt.ldlt import SolverBreakdown
+from tsopt.ldlt import SolverBreakdown, ldlt_factor
 from tsopt.levelset import classify_nodes
 from tsopt.mesh import build_incidence, generate_crossed_mesh
 from tsopt.optimize import (DegenerateAngle, OptimizerConfig, _evaluate,
@@ -309,21 +309,32 @@ def test_history_csv_format(tmp_path, mesh8, params_target8):
 
 def test_n_evals_sum_to_the_assemble_calls(monkeypatch):
     # every cost evaluation assembles once, and the accepted candidate's
-    # system is reused, so the column adds up to the assemble calls
+    # system is reused, so the column adds up to the assemble calls; each
+    # system is factored once, inside its assemble, so the state and
+    # adjoint solves (the accepted candidate's included) factor nothing
     mesh = experiment_mesh(4)
     params = setup_problem(mesh)
-    calls = []
+    calls, factors = [], []
 
     def counted(*args):
-        calls.append(None)
-        return assemble(*args)
+        before = len(factors)
+        system = assemble(*args)
+        calls.append(len(factors) - before)
+        return system
+
+    def counted_factor(*args):
+        factors.append(None)
+        return ldlt_factor(*args)
 
     monkeypatch.setattr(fem, "assemble", counted)
+    monkeypatch.setattr(fem, "ldlt_factor", counted_factor)
     history, _ = run(mesh, params,
                      OptimizerConfig(max_iter=12, snapshot_cadence=0))
     assert history.n_evals[0] == 1
     assert all(n >= 1 for n in history.n_evals[1:])
     assert sum(history.n_evals) == len(calls)
+    assert calls == [1] * len(calls)
+    assert len(factors) == len(calls)
 
 
 def test_run_stops_at_the_first_stalled_iteration(monkeypatch):

@@ -59,6 +59,14 @@ def _interface_last(s):
     return _with(s.phi, s.mesh.num_nodes - 1, -1.0)
 
 
+def _nan_beside_last(s):
+    """:func:`_interface_last` with a NaN at a ring neighbour of the last
+    node."""
+    last = s.mesh.num_nodes - 1
+    ring = s.mesh.elements[(s.mesh.elements == last).any(axis=1)]
+    return _with(_interface_last(s), int(ring[ring != last][0]), np.nan)
+
+
 CASES = {
     "optimize.run phi0=0": (
         lambda s: run(s.mesh, setup_problem(s.mesh, uhat="zero"),
@@ -162,6 +170,46 @@ CASES = {
         lambda s: continuous_sd_discretized(
             s.mesh, s.phi, s.u, s.u, _tracked(s), s.mesh.num_nodes),
         "is not in"),
+    "ts_derivative NaN design": (
+        lambda s: ts_derivative(s.mesh, _with(s.phi, 3, np.nan), s.u, s.u,
+                                _tracked(s)),
+        "must be finite"),
+    "ts_derivative complex design": (
+        lambda s: ts_derivative(s.mesh, s.phi + 0j, s.u, s.u, _tracked(s)),
+        "must be real"),
+    "ts_derivative p one short": (
+        lambda s: ts_derivative(s.mesh, s.phi, s.u, s.u[:-1], _tracked(s)),
+        r"p must be a finite array of shape \(\d+,\), got shape"),
+    "ts_derivative inf p": (
+        lambda s: ts_derivative(s.mesh, s.phi, s.u, _with(s.u, 3, np.inf),
+                                _tracked(s)),
+        "p must be a finite array"),
+    "ts_derivative NaN u": (
+        lambda s: ts_derivative(s.mesh, s.phi, _with(s.u, 3, np.nan), s.u,
+                                _tracked(s)),
+        "u must be a finite array"),
+    "ts_derivative complex u": (
+        lambda s: ts_derivative(s.mesh, s.phi, s.u + 0j, s.u, _tracked(s)),
+        "u must be real"),
+    "area_derivative NaN design": (
+        lambda s: area_derivative(s.mesh, _with(s.phi, 3, np.nan), 3),
+        "must be finite"),
+    "area_derivative NaN beside the node": (
+        lambda s: area_derivative(s.mesh, _nan_beside_last(s),
+                                  s.mesh.num_nodes - 1),
+        "must be finite"),
+    "area_derivative complex design": (
+        lambda s: area_derivative(s.mesh, s.phi + 0j, 3), "must be real"),
+    "continuous_sd_discretized NaN beside the node": (
+        lambda s: continuous_sd_discretized(
+            s.mesh, _nan_beside_last(s), s.u, s.u, _tracked(s),
+            s.mesh.num_nodes - 1),
+        "must be finite"),
+    "continuous_sd_discretized NaN p": (
+        lambda s: continuous_sd_discretized(
+            s.mesh, _interface_last(s), s.u, _with(s.u, 3, np.nan),
+            _tracked(s), s.mesh.num_nodes - 1),
+        "p must be a finite array"),
     "run_verification hd step 0": (
         lambda s: run_verification(s.mesh, s.phi, _tracked(s), "hd",
                                    steps=[1e-3, 0.0]),
